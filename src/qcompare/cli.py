@@ -93,6 +93,44 @@ def _emit(args, json_obj=None, csv_parts=None, svg_series=None, svg_labels=("", 
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+_DELTA_COLUMNS = ("delta_abs", "p_succ", "p_asymm")
+
+
+def _delta_sweep(max_delta: float, step: float):
+    """Rows and SVG series of p_succ and p_asymm against |alpha - beta| from 0 to max_delta."""
+    deltas = np.arange(0.0, max_delta + step / 2, step)
+    rows = [
+        {
+            "delta_abs": float(d),
+            "p_succ": comparison.p_success_two(0.0, d),
+            "p_asymm": comparison.p_success_universal([0.0, d]),
+        }
+        for d in deltas
+    ]
+    series = [
+        (name, [r["delta_abs"] for r in rows], [r[name] for r in rows])
+        for name in ("p_succ", "p_asymm")
+    ]
+    return rows, series
+
+
+def _entropy_grid(n_list, alpha_sq_max: float, points: int):
+    """Rows and SVG series (one per N) of the key-position entropy over a |alpha|^2 grid."""
+    grid = np.linspace(0.0, alpha_sq_max, points)
+    rows = [
+        {"alpha_sq": float(a2), "N": n,
+         "S_bits": lockkey.holevo_entropy_finite(math.sqrt(a2), n).bits}
+        for n in n_list
+        for a2 in grid
+    ]
+    series = [
+        (f"N={n}", [r["alpha_sq"] for r in rows if r["N"] == n],
+         [r["S_bits"] for r in rows if r["N"] == n])
+        for n in n_list
+    ]
+    return rows, series
+
+
 def _cmd_compare(args) -> int:
     alpha = _parse_complex(args.alpha)
     beta = _parse_complex(args.beta)
@@ -106,20 +144,8 @@ def _cmd_compare(args) -> int:
         "p_no_click": list(report.p_no_click),
         "p_succ_conjugate": comparison.p_success_conjugate(alpha, beta),
     }
-    deltas = np.arange(0.0, args.sweep_max + args.sweep_step / 2, args.sweep_step)
-    rows = [
-        {
-            "delta_abs": float(d),
-            "p_succ": comparison.p_success_two(0.0, d),
-            "p_asymm": comparison.p_success_universal([0.0, d]),
-        }
-        for d in deltas
-    ]
-    series = [
-        ("p_succ", [r["delta_abs"] for r in rows], [r["p_succ"] for r in rows]),
-        ("p_asymm", [r["delta_abs"] for r in rows], [r["p_asymm"] for r in rows]),
-    ]
-    _emit(args, json_obj=obj, csv_parts=(("delta_abs", "p_succ", "p_asymm"), rows),
+    rows, series = _delta_sweep(args.sweep_max, args.sweep_step)
+    _emit(args, json_obj=obj, csv_parts=(_DELTA_COLUMNS, rows),
           svg_series=series, svg_labels=("two-state comparison", "|alpha - beta|", "probability"))
     return 0
 
@@ -187,21 +213,9 @@ def _cmd_oracle(args) -> int:
 def _cmd_figure2(args) -> int:
     if args.max <= 0 or args.step <= 0:
         raise ValueError("range and step must be positive")
-    deltas = np.arange(0.0, args.max + args.step / 2, args.step)
-    rows = [
-        {
-            "delta_abs": float(d),
-            "p_succ": comparison.p_success_two(0.0, d),
-            "p_asymm": comparison.p_success_universal([0.0, d]),
-        }
-        for d in deltas
-    ]
-    series = [
-        ("p_succ", [r["delta_abs"] for r in rows], [r["p_succ"] for r in rows]),
-        ("p_asymm", [r["delta_abs"] for r in rows], [r["p_asymm"] for r in rows]),
-    ]
+    rows, series = _delta_sweep(args.max, args.step)
     obj = {"schema": SCHEMA, "rows": rows}
-    _emit(args, json_obj=obj, csv_parts=(("delta_abs", "p_succ", "p_asymm"), rows),
+    _emit(args, json_obj=obj, csv_parts=(_DELTA_COLUMNS, rows),
           svg_series=series,
           svg_labels=("success probability vs amplitude difference", "|alpha - beta|", "probability"))
     return 0
@@ -211,17 +225,9 @@ def _cmd_figure4(args) -> int:
     n_list = [int(n) for n in args.N]
     if not n_list or any(n < 2 for n in n_list):
         raise ValueError("every N must be at least 2")
-    grid = np.linspace(0.0, args.alpha_sq_max, args.points)
-    rows = []
-    for n in n_list:
-        for a2 in grid:
-            report = lockkey.holevo_entropy_finite(math.sqrt(a2), n)
-            rows.append({"alpha_sq": float(a2), "N": n, "S_bits": report.bits,
-                         "asymptote_bits": math.log2(n)})
-    series = []
-    for n in n_list:
-        sub = [r for r in rows if r["N"] == n]
-        series.append((f"N={n}", [r["alpha_sq"] for r in sub], [r["S_bits"] for r in sub]))
+    rows, series = _entropy_grid(n_list, args.alpha_sq_max, args.points)
+    for r in rows:
+        r["asymptote_bits"] = math.log2(r["N"])
     obj = {"schema": SCHEMA, "rows": rows}
     _emit(args, json_obj=obj,
           csv_parts=(("alpha_sq", "N", "S_bits", "asymptote_bits"), rows),
@@ -279,18 +285,7 @@ def _cmd_lockkey(args) -> int:
             ]
             _emit(args, json_obj={"schema": SCHEMA, "results": results})
         else:
-            grid = np.linspace(0.0, args.alpha_sq_max, args.points)
-            rows = [
-                {"alpha_sq": float(a2), "N": n,
-                 "S_bits": lockkey.holevo_entropy_finite(math.sqrt(a2), n).bits}
-                for n in n_list
-                for a2 in grid
-            ]
-            series = [
-                (f"N={n}", [r["alpha_sq"] for r in rows if r["N"] == n],
-                 [r["S_bits"] for r in rows if r["N"] == n])
-                for n in n_list
-            ]
+            rows, series = _entropy_grid(n_list, args.alpha_sq_max, args.points)
             _emit(args, json_obj={"schema": SCHEMA, "rows": rows},
                   csv_parts=(("alpha_sq", "N", "S_bits"), rows),
                   svg_series=series,
@@ -466,3 +461,7 @@ def main(argv=None) -> int:
 
 def run() -> None:  # console entry point
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -8,10 +8,14 @@ reduces the count to click / no-click.
 
 Randomness contract: every stochastic entry point accepts either an integer
 seed or a ready ``numpy.random.Generator``.  Seeds feed a counter-based
-Philox stream; inside the vectorized trial engine, trial ``i`` consumes the
-``i``-th fixed-width block of that stream (one uniform per watched detector,
-inverted through the exact Poisson CDF), so trials are independent,
-reproducible and order-independent to aggregate.
+Philox stream; inside the trial engine ``bernoulli_counts``, trial ``i``
+consumes the ``i``-th fixed-width row of that stream (one uniform per
+position, e.g. per watched detector, inverted through the exact Poisson
+CDF), so trials are independent and reproducible.  Rows are drawn in blocks
+of about ``BLOCK_UNIFORMS`` uniforms that consume the stream in order, so
+the result and every later draw equal those of one full-table draw; each
+block is reduced to per-trial counts at once, so memory stays bounded
+whatever the number of trials.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from .linear import CoherentRegister, LinearNetwork, apply_network
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+BLOCK_UNIFORMS = 1 << 18  # uniforms drawn per block by ``bernoulli_counts`` (2 MiB of float64)
 
 
 @dataclass(frozen=True)
@@ -119,19 +124,25 @@ def click_probabilities(means, model: DetectorModel = IDEAL) -> np.ndarray:
     return 1.0 - np.exp(-(model.efficiency * means + model.dark_mean))
 
 
-def click_matrix(means, model: DetectorModel, trials: int, rng) -> np.ndarray:
-    """Boolean (trials, n_detectors) click table, one uniform per entry.
+def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
+    """Per-trial number of hits among independent Bernoulli(p[j]) positions.
 
-    A click happens iff the registered Poisson count is nonzero, which for a
-    single inverse-CDF uniform ``u`` is ``u >= exp(-mean)``; this makes the
-    whole table a deterministic function of the stream layout.
+    Trial ``i`` draws one uniform ``u`` per position and counts ``u < p[j]``;
+    for a click probability ``1 - exp(-mean)`` that is exactly the event that
+    the inverse-CDF Poisson count is nonzero.  Rows come from the stream in
+    blocks of ``BLOCK_UNIFORMS // len(p)`` trials, each reduced to counts
+    before the next is drawn, so no (trials, len(p)) table is ever held.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    p_click = click_probabilities(means, model)
+    p = np.asarray(p, dtype=float)
     gen = stream(rng)
-    u = gen.random((trials, p_click.size))
-    return u < p_click[None, :]
+    rows = max(1, BLOCK_UNIFORMS // max(p.size, 1))
+    counts = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        counts[start:stop] = np.count_nonzero(gen.random((stop - start, p.size)) < p, axis=1)
+    return counts
 
 
 def run_trials(
@@ -154,7 +165,7 @@ def run_trials(
     if any(m < 0 or m >= network.n_modes for m in watched):
         raise ValueError(f"watched modes {watched} out of range for {network.n_modes} modes")
     means = apply_network(network, register).mode_means()[watched]
-    clicks = click_matrix(means, model, trials, rng)
-    successes = int(np.count_nonzero(clicks.any(axis=1)))
+    clicks = bernoulli_counts(click_probabilities(means, model), trials, rng)
+    successes = int(np.count_nonzero(clicks))
     low, high = wilson_interval(successes, trials)
     return TrialStats(successes / trials, low, high, successes, trials)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import IDEAL, DetectorModel, TrialStats, click_matrix, sample_counts, stream, wilson_interval
+from .detection import (IDEAL, DetectorModel, TrialStats, bernoulli_counts, click_probabilities,
+                        sample_counts, stream, wilson_interval)
 from .errors import InvariantError
 from .fock import coherent_fock
 
@@ -105,8 +106,8 @@ def lock_test_pass_rate(key: KeyString, candidate, model: DetectorModel = IDEAL,
     if cand.shape != lock.shape:
         raise ValueError(f"candidate has {cand.size} positions, key has {lock.size}")
     diff_means = np.abs(lock - cand) ** 2 / 2.0
-    clicks = click_matrix(diff_means, model, trials, rng)
-    successes = int(np.count_nonzero(~clicks.any(axis=1)))
+    clicks = bernoulli_counts(click_probabilities(diff_means, model), trials, rng)
+    successes = int(np.count_nonzero(clicks == 0))
     low, high = wilson_interval(successes, trials)
     return TrialStats(successes / trials, low, high, successes, trials)
 

@@ -28,13 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import IDEAL, DetectorModel, stream, wilson_interval
+from .detection import (IDEAL, DetectorModel, bernoulli_counts, click_probabilities, stream,
+                        wilson_interval)
 from .errors import InvariantError
 from .linear import CoherentRegister, apply_network, make_balanced_multiport
 
 VERDICT_ACCEPT = "accept"
 VERDICT_UNSURE = "unsure"
 VERDICT_REJECT = "reject"
+VERDICTS = (VERDICT_ACCEPT, VERDICT_UNSURE, VERDICT_REJECT)
+ACCEPT, UNSURE, REJECT = range(3)  # verdict codes: indices into VERDICTS
 
 
 def _c_pair(z: complex) -> list[float]:
@@ -139,15 +142,25 @@ def trusted_center_distribute(phase_indices, n_phases: int, amplitude: float, co
     return PublicKeyState(out)
 
 
-def verdict_for(errors: int, security_s: float, length: int) -> str:
-    """Accept on zero errors, reject at errors >= s * length, unsure in between."""
+def verdicts(errors, security_s: float, length: int) -> np.ndarray:
+    """Verdict code (an index into ``VERDICTS``) for each error count.
+
+    ACCEPT on zero errors, REJECT at errors >= s * length, UNSURE in between.
+    """
     if not 0.0 < security_s <= 1.0:
         raise ValueError("security parameter must lie in (0, 1]")
-    if errors == 0:
-        return VERDICT_ACCEPT
-    if errors >= security_s * length:
-        return VERDICT_REJECT
-    return VERDICT_UNSURE
+    errors = np.asarray(errors)
+    return np.where(errors == 0, ACCEPT, np.where(errors >= security_s * length, REJECT, UNSURE))
+
+
+def verdict_for(errors: int, security_s: float, length: int) -> str:
+    """Verdict name for one error count (see ``verdicts``)."""
+    return VERDICTS[int(verdicts(errors, security_s, length))]
+
+
+def _split_verdicts(codes_a, codes_b) -> np.ndarray:
+    """True where one party accepts while the other rejects."""
+    return ((codes_a == ACCEPT) & (codes_b == REJECT)) | ((codes_b == ACCEPT) & (codes_a == REJECT))
 
 
 @dataclass(frozen=True)
@@ -224,6 +237,15 @@ class AliceCheatStats:
     errors_to_charlie: int
 
 
+def _center_errors(attack: AliceCenterAttack, trials: int, gen) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's and Charlie's error counts per trial: independent Binomial(positions, 1 - overlap)."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    p_inc = 1.0 - attack.overlap
+    return (gen.binomial(attack.positions, p_inc, size=trials),
+            gen.binomial(attack.positions, p_inc, size=trials))
+
+
 def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float, length: int,
                                     trials: int, rng=0) -> AliceCheatStats:
     """Monte Carlo estimate of the verdict-splitting probability under the center scheme.
@@ -235,16 +257,11 @@ def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float
     against the ``(1/2)^(s M - 1)`` bound and must not exceed it beyond 3
     binomial standard errors.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     if attack.positions > length:
         raise ValueError("cannot attack more positions than the key has")
-    gen = stream(rng)
-    p_inc = 1.0 - attack.overlap
-    e_bob = gen.binomial(attack.positions, p_inc, size=trials)
-    e_charlie = gen.binomial(attack.positions, p_inc, size=trials)
-    threshold = security_s * length
-    disagree = ((e_bob == 0) & (e_charlie >= threshold)) | ((e_charlie == 0) & (e_bob >= threshold))
+    e_bob, e_charlie = _center_errors(attack, trials, stream(rng))
+    disagree = _split_verdicts(verdicts(e_bob, security_s, length),
+                               verdicts(e_charlie, security_s, length))
     successes = int(np.count_nonzero(disagree))
     rate = successes / trials
     bound = cheat_bound(security_s, length)
@@ -394,6 +411,23 @@ class CharlieCheatStats:
     per_position_error_prob: tuple[float, ...]
 
 
+def _bob_counts(alpha, tamper: CharlieTamper, model: DetectorModel, trials: int, gen):
+    """Two-recipient exchange seen by Bob when Charlie's share to him passes ``tamper``.
+
+    Returns the per-position click means and error probabilities, then Bob's
+    per-trial click counts and error counts (drawn in that order).  With
+    ``CharlieTamper("none")`` both probabilities are exactly 0.
+    """
+    kept = alpha / math.sqrt(2.0)
+    received = tamper.apply(kept)
+    click_mean = np.abs(kept - received) ** 2 / 2.0
+    recovered = (kept + received) / math.sqrt(2.0)
+    p_error = np.clip(1.0 - np.exp(-np.abs(recovered - alpha) ** 2), 0.0, 1.0)
+    clicks = bernoulli_counts(click_probabilities(click_mean, model), trials, gen)
+    errors = bernoulli_counts(p_error, trials, gen)
+    return click_mean, p_error, clicks, errors
+
+
 def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length: int,
                                amplitude: float, trials: int, rng=0,
                                model: DetectorModel = IDEAL, n_phases: int = 8) -> CharlieCheatStats:
@@ -404,26 +438,12 @@ def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length:
     click at all (which exposes the tampering).  Bob verifies his recovered
     copy against the honestly announced private key.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     gen = stream(rng)
     phases = gen.integers(0, n_phases, size=length)
     alpha = private_key_amplitudes(phases, n_phases, amplitude)
-
-    kept = alpha / math.sqrt(2.0)
-    received = tamper.apply(alpha / math.sqrt(2.0))
-    click_mean = np.abs(kept - received) ** 2 / 2.0
-    recovered = (kept + received) / math.sqrt(2.0)
-    p_error = np.clip(1.0 - np.exp(-np.abs(recovered - alpha) ** 2), 0.0, 1.0)
-
-    p_click = 1.0 - np.exp(-(model.efficiency * click_mean + model.dark_mean))
-    clicks = gen.random((trials, length)) < p_click[None, :]
-    detected = clicks.any(axis=1)
-    errors = (gen.random((trials, length)) < p_error[None, :]).sum(axis=1)
-    rejected = errors >= security_s * length
-
-    n_rej = int(np.count_nonzero(rejected))
-    n_det = int(np.count_nonzero(detected))
+    click_mean, p_error, clicks, errors = _bob_counts(alpha, tamper, model, trials, gen)
+    n_rej = int(np.count_nonzero(verdicts(errors, security_s, length) == REJECT))
+    n_det = int(np.count_nonzero(clicks))
     return CharlieCheatStats(
         bob_reject_rate=n_rej / trials,
         bob_detection_rate=n_det / trials,
@@ -439,6 +459,17 @@ def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length:
 # protocol drivers for the command-line front end
 # ---------------------------------------------------------------------------
 
+def _trial_rows(e_bob, e_charlie, v_bob, v_charlie, clicks) -> list[dict]:
+    """Per-trial rows of both drivers, built from whole columns."""
+    columns = zip(e_bob.tolist(), e_charlie.tolist(), v_bob.tolist(), v_charlie.tolist(),
+                  clicks.tolist())
+    return [
+        {"trial": i, "e_bob": eb, "e_charlie": ec, "verdict_bob": VERDICTS[vb],
+         "verdict_charlie": VERDICTS[vc], "clicks": k}
+        for i, (eb, ec, vb, vc, k) in enumerate(columns)
+    ]
+
+
 def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: int,
                         security_s: float, trials: int, adversary: str, rng=0):
     """Trusted-center scheme driver: per-trial verdict rows plus a worked transcript."""
@@ -450,40 +481,23 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
     transcript = ProtocolTranscript()
     pubkey = trusted_center_distribute(phases, n_phases, amplitude, copies, transcript=transcript)
 
-    if adversary == "none":
-        e_bob = np.zeros(trials, dtype=int)
-        e_charlie = np.zeros(trials, dtype=int)
-    else:
-        e_bob = gen.binomial(1, 0.5, size=trials)
-        e_charlie = gen.binomial(1, 0.5, size=trials)
+    attack = AliceCenterAttack(positions=0 if adversary == "none" else 1, overlap=0.5)
+    e_bob, e_charlie = _center_errors(attack, trials, gen)
+    if adversary != "none":
+        alpha = private_key_amplitudes(phases, n_phases, amplitude)
         transcript.record("alice", "substitute", position=0,
-                          amplitudes=[coherent_with_overlap(private_key_amplitudes(phases, n_phases, amplitude)[0], 0.5)])
-    threshold = security_s * length
-    verdict_bob = np.where(e_bob == 0, VERDICT_ACCEPT,
-                           np.where(e_bob >= threshold, VERDICT_REJECT, VERDICT_UNSURE))
-    verdict_charlie = np.where(e_charlie == 0, VERDICT_ACCEPT,
-                               np.where(e_charlie >= threshold, VERDICT_REJECT, VERDICT_UNSURE))
-    disagree = ((e_bob == 0) & (e_charlie >= threshold)) | ((e_charlie == 0) & (e_bob >= threshold))
-
-    rows = [
-        {
-            "trial": i,
-            "e_bob": int(e_bob[i]),
-            "e_charlie": int(e_charlie[i]),
-            "verdict_bob": str(verdict_bob[i]),
-            "verdict_charlie": str(verdict_charlie[i]),
-            "clicks": 0,
-        }
-        for i in range(trials)
-    ]
+                          amplitudes=[coherent_with_overlap(alpha[0], attack.overlap)])
+    v_bob = verdicts(e_bob, security_s, length)
+    v_charlie = verdicts(e_charlie, security_s, length)
+    rows = _trial_rows(e_bob, e_charlie, v_bob, v_charlie, np.zeros(trials, dtype=np.int64))
     summary = {
         "scheme": "center",
         "adversary": adversary,
         "copies_uniform": pubkey.is_uniform(),
-        "disagreement_rate": float(np.count_nonzero(disagree)) / trials,
+        "disagreement_rate": float(np.count_nonzero(_split_verdicts(v_bob, v_charlie))) / trials,
         "cheat_bound": cheat_bound(security_s, length),
-        "accept_rate_bob": float(np.count_nonzero(verdict_bob == VERDICT_ACCEPT)) / trials,
-        "accept_rate_charlie": float(np.count_nonzero(verdict_charlie == VERDICT_ACCEPT)) / trials,
+        "accept_rate_bob": float(np.count_nonzero(v_bob == ACCEPT)) / trials,
+        "accept_rate_charlie": float(np.count_nonzero(v_charlie == ACCEPT)) / trials,
     }
     return summary, rows, transcript.events
 
@@ -493,45 +507,20 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
     """No-center scheme driver: per-trial verdict rows plus one full exchange transcript."""
     if adversary not in ("none", "charlie-flip"):
         raise ValueError(f"unsupported adversary {adversary!r} for the distributed scheme")
+    if adversary == "charlie-flip" and recipients != 2:
+        raise ValueError("the charlie-flip adversary is defined for 2 recipients")
     gen = stream(rng)
     phases = gen.integers(0, n_phases, size=length)
     alpha = private_key_amplitudes(phases, n_phases, amplitude)
 
-    tamper = None
-    if adversary == "charlie-flip":
-        if recipients != 2:
-            raise ValueError("the charlie-flip adversary is defined for 2 recipients")
-        tamper = tamper_on_edge(1, 0, CharlieTamper(kind="flip"))
-    parties = distributed_exchange([alpha.copy() for _ in range(recipients)], rng=gen, tamper=tamper)
-
-    kept = alpha / math.sqrt(2.0) if recipients == 2 else None
-    if adversary == "charlie-flip":
-        received = -alpha / math.sqrt(2.0)
-        recovered = (kept + received) / math.sqrt(2.0)
-        p_error = np.clip(1.0 - np.exp(-np.abs(recovered - alpha) ** 2), 0.0, 1.0)
-        p_click = 1.0 - np.exp(-np.abs(kept - received) ** 2 / 2.0)
-    else:
-        p_error = np.zeros(length)
-        p_click = np.zeros(length)
-
-    clicks = (gen.random((trials, length)) < p_click[None, :]).sum(axis=1)
-    e_bob = (gen.random((trials, length)) < p_error[None, :]).sum(axis=1)
-    e_charlie = np.zeros(trials, dtype=int)
-    threshold = security_s * length
-    verdict_bob = np.where(e_bob == 0, VERDICT_ACCEPT,
-                           np.where(e_bob >= threshold, VERDICT_REJECT, VERDICT_UNSURE))
-
-    rows = [
-        {
-            "trial": i,
-            "e_bob": int(e_bob[i]),
-            "e_charlie": int(e_charlie[i]),
-            "verdict_bob": str(verdict_bob[i]),
-            "verdict_charlie": VERDICT_ACCEPT,
-            "clicks": int(clicks[i]),
-        }
-        for i in range(trials)
-    ]
+    tamper = CharlieTamper("flip" if adversary == "charlie-flip" else "none")
+    parties = distributed_exchange([alpha.copy() for _ in range(recipients)], rng=gen,
+                                   tamper=tamper_on_edge(1, 0, tamper))
+    _, _, clicks, e_bob = _bob_counts(alpha, tamper, IDEAL, trials, gen)
+    # Charlie's incoming shares are never tampered, so he recovers his copy exactly.
+    e_charlie = np.zeros(trials, dtype=np.int64)
+    v_bob = verdicts(e_bob, security_s, length)
+    rows = _trial_rows(e_bob, e_charlie, v_bob, verdicts(e_charlie, security_s, length), clicks)
     events = []
     for party in parties:
         events.extend(party.transcript.events)
@@ -539,8 +528,8 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
         "scheme": "distributed",
         "adversary": adversary,
         "recipients": recipients,
-        "bob_reject_rate": float(np.count_nonzero(e_bob >= threshold)) / trials,
-        "bob_detection_rate": float(np.count_nonzero(clicks > 0)) / trials,
+        "bob_reject_rate": float(np.count_nonzero(v_bob == REJECT)) / trials,
+        "bob_detection_rate": float(np.count_nonzero(clicks)) / trials,
         "honest_zero_clicks": bool(all(not p.clicked for p in parties)) if adversary == "none" else None,
     }
     return summary, rows, events

@@ -1,5 +1,10 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +191,89 @@ class TestContracts:
         assert out.read_text().splitlines()[0] == "# schema=1 seed=77"
         obj = run_json(["pkd", "--trials", "10", "--seed", "77"], tmp_path)
         assert obj["seed"] == 77
+
+
+# Fixed-seed CLI outputs and their sha256, recorded before the trial engine
+# was streamed in blocks; see TestGoldenOutputs.
+GOLDEN = [
+    ("lockkey simulate --attack key --M 8 --trials 5000 --seed 0",
+     "4207cabd8c0da07dbb2093c73b684f583adf03dd7d9bdbbe3a039f632df4d043"),
+    ("lockkey simulate --attack vacuum --M 6 --trials 5000 --seed 7",
+     "fcc745ef536518504923e47faf545540240e82ba16397dc8e48fbc4faefa036a"),
+    ("lockkey simulate --attack coherent --beta 0.8 --M 12 --trials 5000 --seed 123",
+     "b8eb7a5960f2d999e4c6246723958e4a237999808a4c4a68f6955768e91ab30e"),
+    ("lockkey simulate --attack key --M 16 --amp 0.5 --efficiency 0.9 --dark-mean 0.02 --threshold-detectors --trials 5000 --seed 7",
+     "6c3bc2efeb776842df66995d5645ac009f4bb8ed10fd39d780defb9cd8e41869"),
+    ("pkd --scheme center --M 6 --trials 300 --seed 0 --format csv",
+     "016dee34762b5e352b7635e624a27ddc82c786a2085ef6fc01c942c5f61d142b"),
+    ("pkd --scheme center --M 6 --trials 300 --seed 0 --format json",
+     "6702cf24baf7401c16850a6751057a870ccbb09ad0550249bcb429f19903c89a"),
+    ("pkd --scheme center --adversary alice-overlap-half --M 2 --s 0.5 --trials 300 --seed 7 --format csv",
+     "c89e377fc4aee8b1392164dcf98dc8fc9ee62591108be9ea0d8d3483a00c0cb2"),
+    ("pkd --scheme center --adversary alice-overlap-half --M 2 --s 0.5 --trials 300 --seed 7 --format json",
+     "a9c259f2f6d520b6e59951ded2165b441c5bf9e28665a0212cd4b577866a498b"),
+    ("pkd --scheme distributed --recipients 3 --M 5 --trials 200 --seed 123 --format csv",
+     "dc6a01de3c1e41604a4d8639f5007d5ff890adfba178e81c3ad5fa92bcd9d80d"),
+    ("pkd --scheme distributed --recipients 3 --M 5 --trials 200 --seed 123 --format json",
+     "c3fade8163a1b9262bbd0b92c184f3b884b14587cf543b12571d8bac4793c900"),
+    ("pkd --scheme distributed --adversary charlie-flip --M 6 --amp 0.7 --s 0.5 --trials 300 --seed 7 --format csv",
+     "5ed1fd686929700adb9f3c59bc344cbedf745f671edab5c39587486f7e384105"),
+    ("pkd --scheme distributed --adversary charlie-flip --M 6 --amp 0.7 --s 0.5 --trials 300 --seed 7 --format json",
+     "d0ecc2233ca691b04dfbc64dd62a9fc165676a68f57b372ae614dbb815918866"),
+    ("lockkey simulate --attack coherent --beta 0.1 --M 64 --amp 0.12 --efficiency 0.9 --dark-mean 0.002 --trials 20000 --seed 5",
+     "6d214bdb25c9869319a5d1912e20d07cfdadd93729a232cd45bb41b5760e42df"),
+    ("pkd --scheme distributed --adversary charlie-flip --M 40 --amp 0.3 --s 0.1 --trials 10000 --seed 11 --format json",
+     "1ce20606c989dc5a1c3119c692813d0249b5f95bd9e740a3cdca8290540f09e2"),
+    ("compare --alpha 1,0.5 --beta -1,0 --sweep-step 0.25 --format csv",
+     "c874c438f9e20dea5ab1447eb44dce7ed9a7304632b030ff2db51c74a54441c5"),
+    ("compare --alpha 1,0.5 --beta -1,0 --sweep-step 0.25 --format svg",
+     "b0f70caea69be4309c4c0b7b3bfbd8b4e26f45b3edc56f8efe8b7e1afee67757"),
+    ("figure2 --max 3 --step 0.25 --format csv",
+     "b98b1ae1d21fde790a0cb008c7d8347a34c883cbaae46ecd961364352fbd75d5"),
+    ("figure2 --max 3 --step 0.25 --format svg",
+     "d473698416d005d32674c97442b6e957b6010af23cd376ef31f08f51b2d59e60"),
+    ("figure4 --N 2 3 5 --alpha-sq-max 9 --points 7 --format csv",
+     "4a06d28f58aedc217512b5a677dae39fb495eb71d07958bf8936abac676219ae"),
+    ("figure4 --N 2 3 5 --alpha-sq-max 9 --points 7 --format svg",
+     "af5a972b64d71c44d66b6c84554ef17ff2fa4b6912a6b9238bab2d88d397d14a"),
+    ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format csv",
+     "dd553644ac786ec2ee16ca7581c566267801c0f405413352b2ba63317fdcf1d4"),
+    ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format svg",
+     "f77831f63de373fd36f858dcc7238f4965c53a1a2f93f5a5c9465a9b2fb09048"),
+]
+
+
+class TestGoldenOutputs:
+    """Pin each fixed-seed output byte for byte across commits, not just across reruns.
+
+    The hashes assume numpy's current Philox bit stream and Generator
+    sampling algorithms (``random``, ``integers``, ``binomial``, ``poisson``)
+    and IEEE-754 doubles with the platform's ``exp``/``log``; a numpy release
+    or math library that changes any of them changes these bytes without any
+    change to qcompare.
+    """
+
+    @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+    def test_output_matches_recorded_hash(self, command, digest, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(command.split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(read(out)).hexdigest() == digest
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run([sys.executable, "-m", "qcompare.cli", *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    def test_python_m_prints_report(self):
+        proc = self.run_module("compare", "--alpha", "1,0", "--beta", "-1,0")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["p_succ"] == pytest.approx(1 - math.exp(-2), abs=1e-9)
+
+    def test_python_m_malformed_amplitude_exits_2(self):
+        proc = self.run_module("compare", "--alpha", "nope", "--beta", "0,0")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qcompare.detection import (
+    BLOCK_UNIFORMS,
     IDEAL,
     DetectionRecord,
     DetectorModel,
+    bernoulli_counts,
     run_trials,
     sample_counts,
     stream,
@@ -121,6 +123,34 @@ class TestRunTrials:
         a = run_trials(reg, make_beam_splitter(0.5), [0, 1], IDEAL, trials=2000, rng=77)
         b = run_trials(reg, make_beam_splitter(0.5), [0, 1], IDEAL, trials=2000, rng=77)
         assert a == b
+
+
+def one_shot_counts(p, trials, gen):
+    """Reference engine: the whole (trials, len(p)) uniform table drawn at once."""
+    return (gen.random((trials, len(p))) < p).sum(axis=1)
+
+
+class TestBernoulliCounts:
+    P = np.linspace(0.05, 0.9, 7)
+    ROWS = BLOCK_UNIFORMS // 7
+
+    def assert_same_stream(self, p, trials, seed):
+        gen, ref = stream(seed), stream(seed)
+        np.testing.assert_array_equal(bernoulli_counts(p, trials, gen), one_shot_counts(p, trials, ref))
+        np.testing.assert_array_equal(gen.random(5), ref.random(5))
+
+    @pytest.mark.parametrize("trials", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+    def test_matches_one_shot_table_across_block_edges(self, trials):
+        self.assert_same_stream(self.P, trials, seed=11)
+
+    def test_one_row_per_block_when_p_exceeds_a_block(self):
+        p = np.linspace(0.0, 1e-4, BLOCK_UNIFORMS + 5)
+        self.assert_same_stream(p, 3, seed=12)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_nonpositive_trials_rejected(self, trials):
+        with pytest.raises(ValueError):
+            bernoulli_counts(self.P, trials, 0)
 
 
 class TestHelpers:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ class TestLockTest:
         expected = attack_pass_probability(amp, beta, n_phases=n_phases)
         assert expected == pytest.approx(attack_pass_probability(amp, beta), abs=1e-10)
         assert abs(rate - expected) < three_sigma(expected, trials_per_key * n_phases)
+
+    def test_pass_rate_memory_is_bounded_in_trials(self):
+        # a full (trials, M) float table would need 512 MB here
+        key = generate_key(64, 8, 0.12, rng=4)
+        tracemalloc.start()
+        try:
+            lock_test_pass_rate(key, np.zeros(64), IDEAL, trials=1_000_000, rng=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_photon_budget_flags_vacuum_forgery(self):
         assert photon_budget_ok(observed_mean_counts=10.2, length=10, amplitude=1.0)

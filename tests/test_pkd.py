@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from qcompare.pkd import (
+    VERDICTS,
     AliceCenterAttack,
     CharlieTamper,
     ProtocolTranscript,
@@ -20,6 +21,7 @@ from qcompare.pkd import (
     tamper_on_edge,
     trusted_center_distribute,
     verdict_for,
+    verdicts,
     verify_against_private,
 )
 
@@ -103,8 +105,12 @@ class TestVerification:
         assert verdict_for(3, 0.5, 10) == "unsure"
         assert verdict_for(5, 0.5, 10) == "reject"
         assert verdict_for(7, 0.5, 10) == "reject"
+        codes = verdicts(np.array([0, 3, 5, 7]), 0.5, 10)
+        assert [VERDICTS[c] for c in codes] == ["accept", "unsure", "reject", "reject"]
         with pytest.raises(ValueError):
             verdict_for(1, 0.0, 10)
+        with pytest.raises(ValueError):
+            verdicts(np.array([1, 2]), 1.5, 10)
 
     def test_overlap_constructor(self):
         alpha = 0.7 + 0.2j
