@@ -18,12 +18,14 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import comparison, fock, lockkey, pkd
 from .detection import DetectorModel
 from .errors import InvariantError
+from .linear import CoherentRegister, apply_network, make_beam_splitter
 from .svg import line_chart
 
 SCHEMA = 1
@@ -135,37 +137,43 @@ def _cmd_compare(args) -> int:
     alpha = _parse_complex(args.alpha)
     beta = _parse_complex(args.beta)
     report = comparison.compare_report([alpha, beta])
-    obj = {
-        "schema": SCHEMA,
-        "alpha": [alpha.real, alpha.imag],
-        "beta": [beta.real, beta.imag],
-        "p_succ": report.p_succ_coherent,
-        "p_asymm": report.p_succ_universal,
-        "p_no_click": list(report.p_no_click),
-        "p_succ_conjugate": comparison.p_success_conjugate(alpha, beta),
-    }
-    rows, series = _delta_sweep(args.sweep_max, args.sweep_step)
-    _emit(args, json_obj=obj, csv_parts=(_DELTA_COLUMNS, rows),
-          svg_series=series, svg_labels=("two-state comparison", "|alpha - beta|", "probability"))
+    if args.format == "json":
+        _emit(args, json_obj={
+            "schema": SCHEMA,
+            "alpha": [alpha.real, alpha.imag],
+            "beta": [beta.real, beta.imag],
+            "p_succ": report.p_succ_coherent,
+            "p_asymm": report.p_succ_universal,
+            "p_no_click": list(report.p_no_click),
+            "p_succ_conjugate": comparison.p_success_conjugate(alpha, beta),
+        })
+    else:
+        rows, series = _delta_sweep(args.sweep_max, args.sweep_step)
+        _emit(args, csv_parts=(_DELTA_COLUMNS, rows), svg_series=series,
+              svg_labels=("two-state comparison", "|alpha - beta|", "probability"))
     return 0
 
 
 def _cmd_multiport(args) -> int:
     amps = [_parse_complex(a) for a in args.amps]
-    pairwise, per_mode, overlap_product = comparison.multiport_success_forms(amps)
+    report = comparison.compare_report(amps)
+    pairwise, per_mode, overlap_product = report.forms
     obj = {
         "schema": SCHEMA,
         "amplitudes": [[a.real, a.imag] for a in amps],
-        "p_succ": comparison.p_success_multiport(amps),
+        "p_succ": report.p_succ_coherent,
         "forms": {"pairwise": pairwise, "per_mode": per_mode, "overlap_product": overlap_product},
-        "p_no_click": [float(p) for p in comparison.no_click_probabilities(amps)],
+        "p_no_click": list(report.p_no_click),
     }
-    if len(amps) <= comparison.MAX_UNIVERSAL_MODES:
-        amgm = comparison.verify_amgm_inequality(amps)
-        obj["p_asymm"] = comparison.p_success_universal(amps)
-        obj["failure_vs_symmetric"] = {"lhs": amgm.lhs, "rhs": amgm.rhs, "holds": amgm.holds}
+    if report.amgm is not None:
+        obj["p_asymm"] = report.p_succ_universal
+        obj["failure_vs_symmetric"] = asdict(report.amgm)
     _emit(args, json_obj=obj)
     return 0
+
+
+def _coherent_pair(a: complex, b: complex, cutoff: int):
+    return fock.product_state(fock.coherent_fock(a, cutoff), fock.coherent_fock(b, cutoff))
 
 
 def _cmd_oracle(args) -> int:
@@ -186,15 +194,11 @@ def _cmd_oracle(args) -> int:
             raise ValueError("coherent mode needs --alpha and --beta")
         alpha = _parse_complex(args.alpha)
         beta = _parse_complex(args.beta)
-        joint = fock.product_state(
-            fock.coherent_fock(alpha, args.cutoff), fock.coherent_fock(beta, args.cutoff)
-        )
+        joint = _coherent_pair(alpha, beta, args.cutoff)
         out = fock.apply_bs_fock(joint, args.transmittance)
-        t, r = math.sqrt(args.transmittance), math.sqrt(1.0 - args.transmittance)
-        gamma_a, gamma_b = t * alpha + r * beta, r * alpha - t * beta
-        analytic = fock.product_state(
-            fock.coherent_fock(gamma_a, args.cutoff), fock.coherent_fock(gamma_b, args.cutoff)
-        )
+        gamma_a, gamma_b = (complex(g) for g in apply_network(
+            make_beam_splitter(args.transmittance), CoherentRegister([alpha, beta])).amplitudes)
+        analytic = _coherent_pair(gamma_a, gamma_b, args.cutoff)
         obj = {
             "schema": SCHEMA,
             "mode": "coherent",

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .linear import CoherentRegister, apply_network, make_balanced_multiport
+from .linear import (CoherentRegister, compose, make_balanced_multiport, make_beam_splitter,
+                     make_phase_shift, output_means)
 
 CLAMP_SLACK = 1e-14
 FORM_AGREEMENT_TOL = 1e-10
@@ -45,10 +46,19 @@ def _amplitudes(values, minimum=2) -> np.ndarray:
     return arr
 
 
+def _log_overlap(a, b):
+    """log <a|b> = -(|a|^2 + |b|^2)/2 + conj(a) b, broadcast over amplitude arrays.
+
+    ``_log_overlap(amps[:, None], amps[None, :])`` is the log Gram matrix.
+    The builtin ``abs`` keeps Python's complex modulus for scalar inputs;
+    numpy's differs from it in the last bit for about a third of inputs.
+    """
+    return -0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b
+
+
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
     """<alpha|beta> = exp(-(|a|^2 + |b|^2)/2 + conj(a) b), phase included."""
-    alpha, beta = complex(alpha), complex(beta)
-    return np.exp(-0.5 * (abs(alpha) ** 2 + abs(beta) ** 2) + np.conj(alpha) * beta)
+    return np.exp(_log_overlap(complex(alpha), complex(beta)))
 
 
 def p_success_two(alpha: complex, beta: complex) -> float:
@@ -75,8 +85,7 @@ def p_success_phase(amplitude: float, delta: float) -> float:
 
 def p_success_conjugate(alpha: complex, beta: complex) -> float:
     """Probability that a click in the sum mode flags alpha != -beta."""
-    d = abs(complex(alpha) + complex(beta))
-    return _clamp_probability(1.0 - math.exp(-0.5 * d * d))
+    return p_success_two(alpha, -complex(beta))
 
 
 def unbalanced_test(alpha: complex, beta: complex, transmittance: float,
@@ -88,21 +97,35 @@ def unbalanced_test(alpha: complex, beta: complex, transmittance: float,
     certifies the corresponding combination is nonzero.  The two means always
     sum to |alpha|^2 + |beta|^2.
     """
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
-    t = math.sqrt(transmittance)
-    r = math.sqrt(1.0 - transmittance)
-    a = complex(alpha) * np.exp(1j * input_phase)
-    b = complex(beta)
-    return float(abs(t * a + r * b) ** 2), float(abs(r * a - t * b) ** 2)
+    net = compose(make_beam_splitter(transmittance), make_phase_shift([input_phase, 0.0]))
+    m0, m1 = output_means(net, CoherentRegister([alpha, beta]))
+    return float(m0), float(m1)
 
 
 def no_click_probabilities(amplitudes) -> np.ndarray:
     """Vacuum probabilities p_k(0) = exp(-|gamma_k|^2) of every multiport output."""
     amps = _amplitudes(amplitudes)
-    net = make_balanced_multiport(amps.size)
-    means = apply_network(net, CoherentRegister(amps)).mode_means()
-    return np.exp(-means)
+    return np.exp(-output_means(make_balanced_multiport(amps.size), CoherentRegister(amps)))
+
+
+def _success_forms(amps: np.ndarray, p_no_click: np.ndarray) -> tuple[float, float, float]:
+    """The three forms of ``multiport_success_forms`` given the outputs' vacuum probabilities."""
+    n = amps.size
+
+    diff = amps[:, None] - amps[None, :]
+    pairwise = 1.0 - math.exp(-float(np.sum(np.abs(diff) ** 2)) / (2.0 * n))
+
+    per_mode = 1.0 - float(np.prod(p_no_click[1:]))
+
+    # The product of N^2 overlaps underflows long before its N-th root does,
+    # so the root is taken of the summed log overlaps.  Their imaginary parts
+    # cancel in pairs; rounding leaves at most a few ulps of sum |a_j| |a_l|.
+    log_prod = complex(np.sum(_log_overlap(amps[:, None], amps[None, :])))
+    if abs(log_prod.imag) > 1e-12 * max(1.0, float(np.sum(np.abs(amps))) ** 2):
+        raise InvariantError(f"overlap product has imaginary residue {log_prod.imag!r}")
+    overlap_product = 1.0 - math.exp(log_prod.real / n)
+
+    return pairwise, per_mode, overlap_product
 
 
 def multiport_success_forms(amplitudes) -> tuple[float, float, float]:
@@ -110,28 +133,20 @@ def multiport_success_forms(amplitudes) -> tuple[float, float, float]:
 
     pairwise:        1 - exp(-(1/2N) sum_{j,l} |a_j - a_l|^2)
     per-mode:        1 - prod_{k=1..N-1} p_k(0), with p_k(0) from the network
-    overlap product: 1 - (prod_{j,l} <a_j|a_l>)^{1/N}
+    overlap product: 1 - (prod_{j,l} <a_j|a_l>)^{1/N}, summed in log space
 
     All three are returned unclamped so tests can compare them directly.
     """
     amps = _amplitudes(amplitudes)
-    n = amps.size
+    return _success_forms(amps, no_click_probabilities(amps))
 
-    diff = amps[:, None] - amps[None, :]
-    pairwise = 1.0 - math.exp(-float(np.sum(np.abs(diff) ** 2)) / (2.0 * n))
 
-    per_mode = 1.0 - float(np.prod(no_click_probabilities(amps)[1:]))
-
-    g = np.exp(
-        -0.5 * (np.abs(amps[:, None]) ** 2 + np.abs(amps[None, :]) ** 2)
-        + np.conj(amps[:, None]) * amps[None, :]
-    )
-    prod = complex(np.prod(g))
-    if abs(prod.imag) > 1e-12 * max(1.0, abs(prod.real)):
-        raise InvariantError(f"overlap product has imaginary residue {prod.imag!r}")
-    overlap_product = 1.0 - prod.real ** (1.0 / n)
-
-    return pairwise, per_mode, overlap_product
+def _agreed(forms: tuple[float, float, float]) -> float:
+    """The clamped pairwise form, once all three forms agree to ``FORM_AGREEMENT_TOL``."""
+    spread = max(forms) - min(forms)
+    if spread > FORM_AGREEMENT_TOL:
+        raise InvariantError(f"success-probability forms disagree by {spread:.3e}")
+    return _clamp_probability(forms[0])
 
 
 def p_success_multiport(amplitudes) -> float:
@@ -140,11 +155,7 @@ def p_success_multiport(amplitudes) -> float:
     Evaluates all three equivalent forms, checks they agree to 1e-10 and
     returns the pairwise-difference form.
     """
-    pairwise, per_mode, overlap_product = multiport_success_forms(amplitudes)
-    spread = max(pairwise, per_mode, overlap_product) - min(pairwise, per_mode, overlap_product)
-    if spread > FORM_AGREEMENT_TOL:
-        raise InvariantError(f"success-probability forms disagree by {spread:.3e}")
-    return _clamp_probability(pairwise)
+    return _agreed(multiport_success_forms(amplitudes))
 
 
 def p_symm(amplitudes) -> float:
@@ -157,10 +168,7 @@ def p_symm(amplitudes) -> float:
     n = amps.size
     if n > MAX_UNIVERSAL_MODES:
         raise ValueError(f"permutation sum limited to {MAX_UNIVERSAL_MODES} states, got {n}")
-    g = np.exp(
-        -0.5 * (np.abs(amps[:, None]) ** 2 + np.abs(amps[None, :]) ** 2)
-        + np.conj(amps[:, None]) * amps[None, :]
-    ).tolist()
+    g = np.exp(_log_overlap(amps[:, None], amps[None, :])).tolist()
     total = 0j
     for perm in itertools.permutations(range(n)):
         term = 1.0 + 0j
@@ -190,6 +198,11 @@ class AmgmReport:
     holds: bool
 
 
+def _amgm(p_succ: float, p_sym: float) -> AmgmReport:
+    lhs = 1.0 - p_succ
+    return AmgmReport(lhs=lhs, rhs=p_sym, holds=lhs <= p_sym + 1e-12)
+
+
 def verify_amgm_inequality(amplitudes) -> AmgmReport:
     """Check that the multiport strategy fails no more often than the universal one.
 
@@ -197,30 +210,48 @@ def verify_amgm_inequality(amplitudes) -> AmgmReport:
     terms whose arithmetic mean is ``p_symm``, so lhs <= rhs always, with
     equality exactly when all amplitudes coincide.
     """
-    lhs = 1.0 - p_success_multiport(amplitudes)
-    rhs = p_symm(amplitudes)
-    return AmgmReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12)
+    return _amgm(p_success_multiport(amplitudes), p_symm(amplitudes))
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Success probabilities of both strategies plus per-mode vacuum probabilities."""
+    """Both strategies' success probabilities, the three multiport forms
+    (pairwise, per_mode, overlap_product), per-mode vacuum probabilities and
+    the dominance check; the universal fields are ``None`` above
+    ``MAX_UNIVERSAL_MODES`` states."""
 
     p_succ_coherent: float
-    p_succ_universal: float
+    p_succ_universal: float | None
     p_no_click: tuple[float, ...]
+    forms: tuple[float, float, float]
+    amgm: AmgmReport | None
 
     def __post_init__(self):
-        if self.p_succ_coherent < self.p_succ_universal - 1e-12:
+        if (self.p_succ_universal is not None
+                and self.p_succ_coherent < self.p_succ_universal - 1e-12):
             raise InvariantError(
                 "coherent-strategy success fell below the universal baseline"
             )
 
 
 def compare_report(amplitudes) -> ComparisonReport:
-    """Full comparison report for a tuple of coherent amplitudes."""
+    """Full comparison report for a tuple of coherent amplitudes.
+
+    Builds the multiport once and runs the permutation sum at most once.
+    """
+    amps = _amplitudes(amplitudes)
+    p_no_click = no_click_probabilities(amps)
+    forms = _success_forms(amps, p_no_click)
+    p_succ = _agreed(forms)
+    p_universal = amgm = None
+    if amps.size <= MAX_UNIVERSAL_MODES:
+        p_sym = p_symm(amps)
+        p_universal = _clamp_probability(1.0 - p_sym)
+        amgm = _amgm(p_succ, p_sym)
     return ComparisonReport(
-        p_succ_coherent=p_success_multiport(amplitudes),
-        p_succ_universal=p_success_universal(amplitudes),
-        p_no_click=tuple(float(p) for p in no_click_probabilities(amplitudes)),
+        p_succ_coherent=p_succ,
+        p_succ_universal=p_universal,
+        p_no_click=tuple(float(p) for p in p_no_click),
+        forms=forms,
+        amgm=amgm,
     )

@@ -100,20 +100,22 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def sample_counts(mean_photon: float, model: DetectorModel = IDEAL, rng=0, size=None):
-    """Sample registered counts for a mode of the given mean photon number.
+def sample_counts(mean_photon, model: DetectorModel = IDEAL, rng=0, size=None):
+    """Sample registered counts for modes of the given mean photon numbers.
 
-    Returns an int (or an int array when ``size`` is given) distributed as
+    ``mean_photon`` is a scalar or an array of means, one independent count
+    per entry, drawn in order.  Returns an int for a scalar mean without
+    ``size``, otherwise an int array, distributed as
     Poisson(efficiency * mean + dark_mean); a non-number-resolving model
     reduces the result to 0/1.
     """
-    if not mean_photon >= 0.0:
+    means = np.asarray(mean_photon, dtype=float)
+    if not np.all(means >= 0.0):
         raise ValueError(f"mean photon number must be nonnegative, got {mean_photon}")
-    gen = stream(rng)
-    counts = gen.poisson(model.registered_mean(mean_photon), size=size)
+    counts = stream(rng).poisson(model.registered_mean(means), size=size)
     if not model.number_resolving:
-        counts = np.minimum(counts, 1) if size is not None else min(int(counts), 1)
-    return counts if size is not None else int(counts)
+        counts = np.minimum(counts, 1)
+    return int(counts) if np.ndim(counts) == 0 else counts
 
 
 def click_probabilities(means, model: DetectorModel = IDEAL) -> np.ndarray:

@@ -11,10 +11,8 @@ Fock-space oracle and the protocol modules all agree on it.  ``compose`` is
 defined so that ``apply_network(compose(outer, inner), x)`` equals applying
 ``inner`` first and ``outer`` second.
 
-Note one consequence of the convention: a phase factor attached to a whole
-matrix column (as in ``make_beam_splitter``'s ``input_phase``) never changes
-output photon means.  A physically acting input phase shifter is obtained by
-composition, e.g. ``compose(make_beam_splitter(0.5), make_phase_shift([theta, 0.0]))``.
+An input phase shifter is obtained by composition, e.g.
+``compose(make_beam_splitter(0.5), make_phase_shift([theta, 0.0]))``.
 """
 
 from __future__ import annotations
@@ -93,21 +91,18 @@ class LinearNetwork:
         return self.matrix.shape[0]
 
 
-def make_beam_splitter(transmittance: float, input_phase: float = 0.0) -> LinearNetwork:
+def make_beam_splitter(transmittance: float) -> LinearNetwork:
     """Two-mode beam splitter with transmittance ``T`` and reflectance ``R = 1 - T``.
 
-    The matrix rows are ``(sqrt(T) e^{i phi}, sqrt(R))`` and
-    ``(sqrt(R) e^{i phi}, -sqrt(T))``.  With ``T = 1/2`` and ``phi = 0`` this
-    is the balanced splitter sending ``(alpha, beta)`` to
-    ``((alpha + beta)/sqrt(2), (alpha - beta)/sqrt(2))``.
+    The matrix rows are ``(sqrt(T), sqrt(R))`` and ``(sqrt(R), -sqrt(T))``.
+    With ``T = 1/2`` this is the balanced splitter sending ``(alpha, beta)``
+    to ``((alpha + beta)/sqrt(2), (alpha - beta)/sqrt(2))``.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     t = np.sqrt(transmittance)
     r = np.sqrt(1.0 - transmittance)
-    ph = np.exp(1j * input_phase)
-    mat = np.array([[t * ph, r], [r * ph, -t]])
-    return LinearNetwork(mat, label=f"BS(T={transmittance:g})")
+    return LinearNetwork(np.array([[t, r], [r, -t]]), label=f"BS(T={transmittance:g})")
 
 
 def make_balanced_multiport(n_modes: int) -> LinearNetwork:

@@ -88,9 +88,8 @@ def lock_test(key: KeyString, candidate, model: DetectorModel = IDEAL, rng=0) ->
     cand = np.atleast_1d(np.asarray(candidate, dtype=complex))
     if cand.shape != lock.shape:
         raise ValueError(f"candidate has {cand.size} positions, key has {lock.size}")
-    gen = stream(rng)
     diff_means = np.abs(lock - cand) ** 2 / 2.0
-    clicks = tuple(sample_counts(float(m), model, gen) for m in diff_means)
+    clicks = tuple(sample_counts(diff_means, model, rng).tolist())
     return LockTestResult(
         passed=not any(clicks),
         clicks=clicks,

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import (IDEAL, DetectorModel, bernoulli_counts, click_probabilities, stream,
-                        wilson_interval)
+from .detection import (IDEAL, DetectorModel, bernoulli_counts, click_probabilities,
+                        sample_counts, stream, wilson_interval)
 from .errors import InvariantError
 from .linear import CoherentRegister, apply_network, make_balanced_multiport
 
@@ -351,10 +351,7 @@ def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0, tamper=Non
             inputs[:, col] = sent[(s, r)]
             col += 1
         gamma = inputs @ u_conj  # row j = multiport outputs at position j
-        means = model.efficiency * np.abs(gamma[:, 1:]) ** 2 + model.dark_mean
-        counts = gen.poisson(means)
-        if not model.number_resolving:
-            counts = np.minimum(counts, 1)
+        counts = sample_counts(np.abs(gamma[:, 1:]) ** 2, model, gen)
         recovered = gamma[:, 0]
         for j in range(length):
             transcript.record(name, "compare", position=j, counts=counts[j])

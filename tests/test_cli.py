@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qcompare import cli
+from qcompare import cli, comparison
 from qcompare.errors import InvariantError
 
 
@@ -55,6 +56,36 @@ class TestMultiportAndOracle:
         forms = obj["forms"]
         assert forms["pairwise"] == pytest.approx(forms["per_mode"], abs=1e-10)
         assert obj["failure_vs_symmetric"]["holds"] is True
+
+    def test_multiport_with_900_close_amplitudes(self, tmp_path):
+        rng = np.random.default_rng(900)
+        amps = [f"{0.8 + x:.6f},{-0.4 + y:.6f}" for x, y in 0.03 * rng.standard_normal((900, 2))]
+        obj = run_json(["multiport", "--amps", *amps], tmp_path)
+        forms = obj["forms"].values()
+        assert max(forms) - min(forms) <= 1e-10
+        assert "p_asymm" not in obj and "failure_vs_symmetric" not in obj
+
+    @pytest.mark.parametrize("args,symm_sums", [
+        (["compare", "--alpha", "1,0.5", "--beta", "-1,0"], 1),
+        (["multiport", "--amps", "1,0", "0.5,0.5", "-1,0", "0,1", "0.2,0", "0,-0.7", "0.3,0.3",
+          "-0.4,0.1"], 1),
+        (["multiport", "--amps", *[f"{0.1 * k},0" for k in range(12)]], 0),
+    ])
+    def test_one_network_build_and_at_most_one_permutation_sum(self, monkeypatch, tmp_path,
+                                                              args, symm_sums):
+        calls = {"network": 0, "p_symm": 0}
+
+        def counted(name, fn):
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return fn(*a, **k)
+            return wrapper
+
+        monkeypatch.setattr(comparison, "make_balanced_multiport",
+                            counted("network", comparison.make_balanced_multiport))
+        monkeypatch.setattr(comparison, "p_symm", counted("p_symm", comparison.p_symm))
+        run_json(args, tmp_path)
+        assert calls == {"network": 1, "p_symm": symm_sums}
 
     def test_oracle_coherent_fidelity(self, tmp_path):
         obj = run_json(["oracle", "--alpha", "0.8,0", "--beta", "0.8,0"], tmp_path)
@@ -240,6 +271,17 @@ GOLDEN = [
      "dd553644ac786ec2ee16ca7581c566267801c0f405413352b2ba63317fdcf1d4"),
     ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format svg",
      "f77831f63de373fd36f858dcc7238f4965c53a1a2f93f5a5c9465a9b2fb09048"),
+    ("compare --alpha 1,0.5 --beta -1,0 --format json",
+     "168af47941298c30993719c4071eebaade78efeb1ac7d4619bacfae0b3aceec9"),
+    ("oracle --alpha 0.8,0.3 --beta -0.5,0.2 --transmittance 0.3 --cutoff 40",
+     "cdc1381d785dc618e0fd1b2ba8d4e6682d94e6e67ab01090d1a7f3a0cfc14d77"),
+    ("oracle --xi1 0.2 --xi2 0.1",
+     "d199f88f191bcf2d8b0b6b6625a5cda32ec9797f732114838398c0a156a409f4"),
+    ("multiport --amps 1,0 1,0 -1,0",
+     "bb962f7ec90600ed339c44c9c29f9eb3ba0ca618b406fba4aa5aaf5bae66b5b4"),
+    ("multiport --amps 0.3,0.1 -0.2,0.4 0.5,-0.5 0.1,0 -0.3,-0.3 0.2,0.2 0,0.6 -0.4,0.1 "
+     "0.7,0 -0.1,-0.6 0.25,0.35 -0.55,0.05",
+     "3efc93dcf97ffab40e108c56bf5efec58391dfc1fa04f135be184c5c3c5a4f61"),
 ]
 
 

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcompare.comparison import (
+    FORM_AGREEMENT_TOL,
+    MAX_UNIVERSAL_MODES,
     coherent_overlap,
     compare_report,
     multiport_success_forms,
@@ -214,3 +218,52 @@ class TestReport:
         assert report.p_succ_universal == pytest.approx((1 - math.exp(-4)) / 2, abs=1e-12)
         assert len(report.p_no_click) == 2
         assert report.p_succ_coherent >= report.p_succ_universal
+
+    def test_report_carries_forms_and_dominance(self):
+        amps = [0.9, -0.3 + 0.4j, 0.1]
+        report = compare_report(amps)
+        assert report.forms == multiport_success_forms(amps)
+        assert report.p_succ_coherent == p_success_multiport(amps)
+        assert report.p_succ_universal == p_success_universal(amps)
+        assert report.amgm == verify_amgm_inequality(amps)
+        assert report.p_no_click == tuple(no_click_probabilities(amps))
+
+    def test_universal_fields_empty_above_the_permutation_limit(self):
+        report = compare_report(random_tuple(MAX_UNIVERSAL_MODES + 1))
+        assert report.p_succ_universal is None and report.amgm is None
+        assert len(report.p_no_click) == MAX_UNIVERSAL_MODES + 1
+
+
+class TestLogDomainForms:
+    def test_forms_agree_for_a_thousand_close_amplitudes(self):
+        # The product of N^2 overlaps underflows here; its N-th root does not.
+        n = 1024
+        rng = np.random.default_rng(1024)
+        amps = complex(*rng.standard_normal(2)) + (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(n)
+        report = compare_report(amps)
+        assert max(report.forms) - min(report.forms) <= FORM_AGREEMENT_TOL
+        assert 0.5 < report.p_succ_coherent < 1.0
+
+    def test_clustered_large_amplitudes_pass_the_residue_check(self):
+        # Rounding leaves an imaginary log-sum residue of about 5e-12 here:
+        # above 1e-12, but tiny next to sum |a_j| |a_l| ~ 1.3e6.
+        amps = 20 + 20j + 0.01 * (np.random.default_rng(0).standard_normal(40) + 1j)
+        forms = multiport_success_forms(amps)
+        assert max(forms) - min(forms) <= FORM_AGREEMENT_TOL
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 64).flatmap(lambda n: st.lists(
+        st.builds(lambda r, phi: r * np.exp(1j * phi),
+                  st.floats(0.0, 30.0), st.floats(0.0, 2 * math.pi)),
+        min_size=n, max_size=n)))
+    def test_forms_agree_and_multiport_dominates(self, amps):
+        report = compare_report(amps)
+        pairwise, per_mode, _ = report.forms
+        assert 0.0 <= pairwise <= 1.0 and 0.0 <= per_mode <= 1.0
+        assert max(report.forms) - min(report.forms) <= FORM_AGREEMENT_TOL
+        if len(amps) <= MAX_UNIVERSAL_MODES:
+            assert report.amgm.holds
+            assert report.p_succ_universal <= report.p_succ_coherent + 1e-12
+        else:
+            assert report.amgm is None

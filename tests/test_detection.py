@@ -78,6 +78,20 @@ class TestSampleCounts:
         b = sample_counts(1.3, IDEAL, rng=42, size=50)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("model", [IDEAL, DetectorModel(0.7, 0.05, number_resolving=False)])
+    def test_array_of_means_equals_scalar_draws_in_order(self, model):
+        means = np.array([[0.0, 2.5, 0.3], [7.0, 0.01, 1.2]])
+        g_scalar, g_array = stream(9), stream(9)
+        scalar = [[sample_counts(float(m), model, g_scalar) for m in row] for row in means]
+        counts = sample_counts(means, model, g_array)
+        assert counts.shape == means.shape
+        assert counts.tolist() == scalar
+        assert g_array.random() == g_scalar.random()
+
+    def test_negative_mean_in_array_rejected(self):
+        with pytest.raises(ValueError):
+            sample_counts([0.5, -0.1], IDEAL, rng=0)
+
 
 class TestRunTrials:
     def test_equal_inputs_never_click(self):

@@ -97,7 +97,8 @@ class TestNetworkInvariants:
             LinearNetwork(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-8]]))
 
     def test_unitarity_of_constructors(self):
-        nets = [make_beam_splitter(0.37, 0.4), make_balanced_multiport(7),
+        nets = [compose(make_beam_splitter(0.37), make_phase_shift([0.4, 0.0])),
+                make_balanced_multiport(7),
                 make_phase_shift([0.1, -2.0, 3.0])]
         for net in nets:
             defect = np.max(np.abs(net.matrix @ net.matrix.conj().T - np.eye(net.n_modes)))
