@@ -98,9 +98,16 @@ def _emit(args, json_obj=None, csv_parts=None, svg_series=None, svg_labels=("", 
 _DELTA_COLUMNS = ("delta_abs", "p_succ", "p_asymm")
 
 
+def _sweep_grid(stop: float, step: float) -> np.ndarray:
+    """0, step, 2 step, ... through ``stop`` (to half a step): the x axis of every scan."""
+    if stop <= 0 or step <= 0:
+        raise ValueError("range and step must be positive")
+    return np.arange(0.0, stop + step / 2, step)
+
+
 def _delta_sweep(max_delta: float, step: float):
     """Rows and SVG series of p_succ and p_asymm against |alpha - beta| from 0 to max_delta."""
-    deltas = np.arange(0.0, max_delta + step / 2, step)
+    deltas = _sweep_grid(max_delta, step)
     rows = [
         {
             "delta_abs": float(d),
@@ -215,8 +222,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_figure2(args) -> int:
-    if args.max <= 0 or args.step <= 0:
-        raise ValueError("range and step must be positive")
     rows, series = _delta_sweep(args.max, args.step)
     obj = {"schema": SCHEMA, "rows": rows}
     _emit(args, json_obj=obj, csv_parts=(_DELTA_COLUMNS, rows),
@@ -296,11 +301,9 @@ def _cmd_lockkey(args) -> int:
                   svg_labels=("key-position entropy", "|alpha|^2", "S (bits)"))
     else:  # attack-scan
         beta_max = args.beta_max if args.beta_max is not None else 2.0 * args.amp + 5.0
-        betas = np.arange(0.0, beta_max + args.step / 2, args.step)
-        rows = [
-            {"beta": float(b), "p_pass": lockkey.attack_pass_probability(args.amp, float(b))}
-            for b in betas
-        ]
+        betas = _sweep_grid(beta_max, args.step)
+        p_pass = lockkey.attack_pass_probability(args.amp, betas)
+        rows = [{"beta": b, "p_pass": p} for b, p in zip(betas.tolist(), p_pass.tolist())]
         best = lockkey.optimal_coherent_attack(args.amp)
         obj = {
             "schema": SCHEMA,

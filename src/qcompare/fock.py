@@ -14,12 +14,14 @@ directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 NORM_SLACK = 1e-12
+# Largest |alpha| whose vacuum amplitude exp(-|alpha|^2/2) is a normal double.
+MAX_COHERENT_AMPLITUDE = math.sqrt(-2.0 * math.log(sys.float_info.min))
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,22 @@ def recommended_cutoff(alpha: complex) -> int:
 
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
-    """Coherent state |alpha> in the number basis: amps[n] = e^{-|a|^2/2} a^n / sqrt(n!)."""
+    """Coherent state |alpha> in the number basis: amps[n] = e^{-|a|^2/2} a^n / sqrt(n!).
+
+    The recurrence starts from the vacuum amplitude, so |alpha| is limited to
+    ``MAX_COHERENT_AMPLITUDE`` (about 37.64), where that amplitude stops being
+    a normal double and the state could no longer be represented faithfully.
+    """
     if cutoff < 1:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     alpha = complex(alpha)
+    vacuum = math.exp(-0.5 * abs(alpha) ** 2)
+    if vacuum < sys.float_info.min:
+        raise ValueError(
+            f"|alpha| = {abs(alpha):g} is outside the representable range "
+            f"|alpha| <= {MAX_COHERENT_AMPLITUDE:.4f} (exp(-|alpha|^2/2) underflows)")
     amps = np.empty(cutoff + 1, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    amps[0] = vacuum
     for n in range(1, cutoff + 1):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return FockVector(amps, cutoff)
@@ -126,29 +138,49 @@ def product_state(a: FockVector, b: FockVector) -> FockVector:
     return FockVector(np.outer(a.amps, b.amps), a.cutoff)
 
 
-@lru_cache(maxsize=None)
-def _bs_block(n_total: int, transmittance: float) -> np.ndarray:
-    """Beam-splitter rotation within the total-photon-number-n block.
+# Beam-splitter blocks 0..n, one list per transmittance seen; a larger cutoff
+# extends the list instead of rebuilding it.
+_BLOCKS: dict[float, list[np.ndarray]] = {}
 
-    Entry [j, k] is the amplitude on output |j>_a |n-j>_b given input
-    |n-k>_a |k>_b, from the binomial expansion of the transformed creation
-    operators; each block is orthogonal.
+
+def _bs_blocks(transmittance: float, n_max: int) -> list[np.ndarray]:
+    """Beam-splitter rotations of the total-photon-number blocks 0..n_max (or more).
+
+    Entry [j, k] of block n is the amplitude on output |j>_a |n-j>_b given
+    input |n-k>_a |k>_b under a^dag -> t a^dag + r b^dag, b^dag -> r a^dag - t b^dag;
+    up to signs each block is the Wigner matrix d^{n/2}(theta) with
+    cos(theta/2) = t, so it is orthogonal.  Block n+1 follows from block n by the spin-1/2 coupling
+    recurrence (Risbo, J. Geodesy 70:383, 1996)
+
+        (n+1) |n+1-k, k> = sqrt(n+1-k) a^dag |n-k, k> + sqrt(k) b^dag |n+1-k, k-1>,
+
+    whose two terms carry squared weights (n+1-k)/(n+1) and k/(n+1) summing
+    to one, so rounding does not grow with n.  (Raising by a^dag alone, or
+    summing the binomial expansion of the transformed operators, loses
+    orthogonality to cancellation from n ~ 80 on.)
     """
+    blocks = _BLOCKS.get(transmittance, [np.ones((1, 1))])
+    if len(blocks) > n_max:
+        return blocks
+    blocks = list(blocks)  # extend a private copy, so concurrent callers never see a partial list
     t = math.sqrt(transmittance)
     r = math.sqrt(1.0 - transmittance)
-    n = n_total
-    # weight[j] = sqrt(j! (n-j)!)
-    log_fac = [math.lgamma(j + 1) for j in range(n + 1)]
-    w_out = np.array([math.exp(0.5 * (log_fac[j] + log_fac[n - j])) for j in range(n + 1)])
-    block = np.empty((n + 1, n + 1))
-    for k in range(n + 1):
-        # (t x + r y)^(n-k) expanded over the x-power p
-        p1 = np.array([math.comb(n - k, p) * t**p * r ** (n - k - p) for p in range(n - k + 1)])
-        # (r x - t y)^k expanded over the x-power q
-        p2 = np.array([math.comb(k, q) * r**q * (-t) ** (k - q) for q in range(k + 1)])
-        col = np.convolve(p1, p2)
-        block[:, k] = col * w_out / math.exp(0.5 * (log_fac[n - k] + log_fac[k]))
-    return block
+    while len(blocks) <= n_max:
+        prev = blocks[-1]
+        n = prev.shape[0] - 1
+        root = np.sqrt(np.arange(n + 2))
+        rise, fall = root[1:], root[:0:-1]  # sqrt(j+1) and sqrt(n+1-j), j = 0..n
+        raised_a = np.zeros((n + 2, n + 1))
+        raised_a[1:] = rise[:, None] * prev
+        raised_b = np.zeros((n + 2, n + 1))
+        raised_b[:-1] = fall[:, None] * prev
+        nxt = np.zeros((n + 2, n + 2))
+        nxt[:, :-1] = (t * raised_a + r * raised_b) * (fall / (n + 1))
+        nxt[:, 1:] += (r * raised_a - t * raised_b) * (rise / (n + 1))
+        nxt.setflags(write=False)
+        blocks.append(nxt)
+    _BLOCKS[transmittance] = blocks
+    return blocks
 
 
 def apply_bs_fock(state: FockVector, transmittance: float) -> FockVector:
@@ -164,6 +196,7 @@ def apply_bs_fock(state: FockVector, transmittance: float) -> FockVector:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     cutoff = state.cutoff
     amps = state.amps
+    blocks = _bs_blocks(float(transmittance), 2 * cutoff)
     out = np.zeros_like(amps)
     for n in range(2 * cutoff + 1):
         lo = max(0, n - cutoff)
@@ -173,7 +206,7 @@ def apply_bs_fock(state: FockVector, transmittance: float) -> FockVector:
         vec[idx] = amps[n - idx, idx]  # index = photon count in mode b
         if not np.any(vec):
             continue
-        rot = _bs_block(n, float(transmittance)) @ vec
+        rot = blocks[n] @ vec
         out[idx, n - idx] = rot[idx]  # index = photon count in mode a
     return FockVector(out, cutoff)
 

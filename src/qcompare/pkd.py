@@ -163,6 +163,11 @@ def _split_verdicts(codes_a, codes_b) -> np.ndarray:
     return ((codes_a == ACCEPT) & (codes_b == REJECT)) | ((codes_b == ACCEPT) & (codes_a == REJECT))
 
 
+def _incorrect_probability(held, target) -> np.ndarray:
+    """Per-position chance that testing |held> against |target> reports "incorrect"."""
+    return np.clip(1.0 - np.exp(-np.abs(held - target) ** 2), 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class VerificationResult:
     errors: int
@@ -184,7 +189,7 @@ def verify_against_private(copy_amplitudes, claimed_phases, n_phases: int, ampli
     if held.shape != target.shape:
         raise ValueError(f"copy has {held.size} positions, claimed key has {target.size}")
     gen = stream(rng)
-    p_incorrect = np.clip(1.0 - np.exp(-np.abs(held - target) ** 2), 0.0, 1.0)
+    p_incorrect = _incorrect_probability(held, target)
     incorrect = gen.random(held.size) < p_incorrect
     errors = int(np.count_nonzero(incorrect))
     if transcript is not None:
@@ -419,7 +424,7 @@ def _bob_counts(alpha, tamper: CharlieTamper, model: DetectorModel, trials: int,
     received = tamper.apply(kept)
     click_mean = np.abs(kept - received) ** 2 / 2.0
     recovered = (kept + received) / math.sqrt(2.0)
-    p_error = np.clip(1.0 - np.exp(-np.abs(recovered - alpha) ** 2), 0.0, 1.0)
+    p_error = _incorrect_probability(recovered, alpha)
     clicks = bernoulli_counts(click_probabilities(click_mean, model), trials, gen)
     errors = bernoulli_counts(p_error, trials, gen)
     return click_mean, p_error, clicks, errors

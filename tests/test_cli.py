@@ -116,6 +116,17 @@ class TestFigures:
     def test_figure2_rejects_bad_range(self):
         assert cli.main(["figure2", "--max", "-1"]) == 2
 
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    @pytest.mark.parametrize("command", [
+        ["compare", "--alpha", "1,0", "--beta", "-1,0", "--format", "csv", "--sweep-step"],
+        ["lockkey", "attack-scan", "--amp", "2", "--format", "csv", "--step"],
+    ], ids=["compare", "attack-scan"])
+    def test_scans_reject_nonpositive_step(self, command, step, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main(command + [step, "--out", str(out)]) == 2
+        assert "range and step must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_figure2_svg(self, tmp_path):
         out = tmp_path / "fig2.svg"
         assert cli.main(["figure2", "--format", "svg", "--out", str(out)]) == 0
@@ -274,7 +285,7 @@ GOLDEN = [
     ("compare --alpha 1,0.5 --beta -1,0 --format json",
      "168af47941298c30993719c4071eebaade78efeb1ac7d4619bacfae0b3aceec9"),
     ("oracle --alpha 0.8,0.3 --beta -0.5,0.2 --transmittance 0.3 --cutoff 40",
-     "cdc1381d785dc618e0fd1b2ba8d4e6682d94e6e67ab01090d1a7f3a0cfc14d77"),
+     "b40a23ac0d7db4347df9ef72df449f680eccd7153cdce22e089462f1d5b19562"),
     ("oracle --xi1 0.2 --xi2 0.1",
      "d199f88f191bcf2d8b0b6b6625a5cda32ec9797f732114838398c0a156a409f4"),
     ("multiport --amps 1,0 1,0 -1,0",

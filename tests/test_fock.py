@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcompare.fock import (
     FockVector,
@@ -16,7 +18,8 @@ from qcompare.fock import (
     squeezed_vacuum_fock,
     su2_pass_state,
 )
-from qcompare.fock import _bs_block
+from qcompare import fock
+from qcompare.fock import _bs_blocks
 from qcompare.linear import CoherentRegister, apply_network, make_beam_splitter
 
 RNG = np.random.default_rng(905)
@@ -56,6 +59,12 @@ class TestCoherentFock:
         expect = np.array([math.exp(-1.0) / math.factorial(n) for n in range(31)])
         assert np.max(np.abs(dist - expect)) < 1e-9
 
+    def test_domain_ends_where_vacuum_term_underflows(self):
+        assert coherent_fock(37.6, recommended_cutoff(37.6)).deficit < 1e-10
+        for alpha, cutoff in ((38.0, 2000), (40.0, 100), (40j, 2000)):
+            with pytest.raises(ValueError, match="representable range"):
+                coherent_fock(alpha, cutoff)
+
 
 class TestSqueezedVacuum:
     def test_zero_squeezing_is_vacuum(self):
@@ -83,11 +92,11 @@ class TestSqueezedVacuum:
 
 class TestBeamSplitterBlocks:
     def test_blocks_are_orthogonal(self):
-        for n in range(12):
-            block = _bs_block(n, 0.5)
-            assert np.max(np.abs(block @ block.T - np.eye(n + 1))) < 1e-12
-        block = _bs_block(9, 0.3)
-        assert np.max(np.abs(block @ block.T - np.eye(10))) < 1e-12
+        for transmittance in (0.05, 0.3, 0.5):
+            blocks = _bs_blocks(transmittance, 240)
+            for n in range(241):
+                err = np.max(np.abs(blocks[n] @ blocks[n].T - np.eye(n + 1)))
+                assert err < 1e-12, (transmittance, n, err)
 
     def test_single_photon_split(self):
         state = FockVector(np.eye(6, dtype=complex) * 0, 5)
@@ -121,6 +130,32 @@ class TestBeamSplitterBlocks:
     def test_rejects_single_mode_state(self):
         with pytest.raises(ValueError):
             apply_bs_fock(coherent_fock(1.0, 10), 0.5)
+
+    def test_exact_at_recommended_cutoff_for_large_amplitudes(self):
+        # blocks up to n = 150: the binomial-sum builder lost orthogonality here and
+        # the output norm^2 exceeded 1
+        alpha, beta = 5.0, 4.0j
+        cutoff = recommended_cutoff(5.0)
+        out = apply_bs_fock(coherent_pair(alpha, beta, cutoff), 0.5)
+        g = apply_network(make_beam_splitter(0.5), CoherentRegister([alpha, beta])).amplitudes
+        assert fidelity(out, coherent_pair(g[0], g[1], cutoff)) >= 1 - 1e-12
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 3.0), st.floats(0.0, 2 * math.pi), st.floats(0.0, 3.0),
+           st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0))
+    def test_property_coherent_pairs_map_exactly(self, mag_a, phase_a, mag_b, phase_b,
+                                                 transmittance):
+        alpha, beta = mag_a * np.exp(1j * phase_a), mag_b * np.exp(1j * phase_b)
+        cutoff = recommended_cutoff(mag_a + mag_b)
+        state = coherent_pair(alpha, beta, cutoff)
+        try:
+            out = apply_bs_fock(state, transmittance)
+        finally:
+            fock._BLOCKS.pop(transmittance, None)  # fifty transmittances would hold ~1 GB
+        g = apply_network(make_beam_splitter(transmittance),
+                          CoherentRegister([alpha, beta])).amplitudes
+        assert out.norm_sq <= state.norm_sq + 1e-12
+        assert fidelity(out, coherent_pair(g[0], g[1], cutoff)) >= 1 - 1e-9
 
 
 class TestSqueezedComparison:

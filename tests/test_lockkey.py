@@ -1,10 +1,13 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import i0 as scipy_i0
+from scipy.special import i0e as scipy_i0e
 
 from qcompare.detection import IDEAL
 from qcompare.lockkey import (
@@ -13,6 +16,7 @@ from qcompare.lockkey import (
     attack_candidate,
     attack_pass_probability,
     bessel_i0,
+    bessel_i0_scaled,
     entropy_by_diagonalization,
     forgery_string_probability,
     generate_key,
@@ -138,6 +142,15 @@ class TestBesselI0:
         for x in xs:
             assert bessel_i0(float(x)) == pytest.approx(float(scipy_i0(x)), rel=1e-12)
 
+    def test_scaled_array_against_scipy(self):
+        xs = np.concatenate([np.linspace(0.0, 900.0, 90_001), [14.999999, 15.0, 15.000001]])
+        values = bessel_i0_scaled(xs)
+        assert values.shape == xs.shape
+        assert np.max(np.abs(values / scipy_i0e(xs) - 1.0)) < 1e-12
+        grid = xs[:6].reshape(2, 3)
+        assert bessel_i0_scaled(grid).shape == (2, 3)
+        assert [bessel_i0_scaled(float(x)) for x in xs[::997]] == values[::997].tolist()
+
     def test_asymptotic_normalization(self):
         x = 50.0
         assert bessel_i0(x) * math.sqrt(2 * math.pi * x) * math.exp(-x) == pytest.approx(
@@ -208,6 +221,15 @@ class TestOptimalAttack:
 
         assert curvature(1.35) < 0
         assert curvature(1.45) > 0
+
+    def test_matches_recorded_scalar_scan(self):
+        # (amplitude, beta_star, p_star) from the scalar scan (one Bessel call per grid
+        # point) at the acceptance-criterion 6/7 amplitudes and at 0.8, 4, 8, 12, 16, 20
+        table = json.loads((Path(__file__).parent / "data" / "attack_optima.json").read_text())
+        for amp, beta_star, p_star in table:
+            result = optimal_coherent_attack(amp)
+            assert abs(result.beta_star - beta_star) <= 1e-12, amp
+            assert abs(result.p_star - p_star) <= 1e-15 * p_star, amp
 
     def test_large_amplitude_pass_probability(self):
         result = optimal_coherent_attack(5.0)
