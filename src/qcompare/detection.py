@@ -11,16 +11,21 @@ seed or a ready ``numpy.random.Generator``.  Seeds feed a counter-based
 Philox stream; inside the trial engine ``bernoulli_counts``, trial ``i``
 consumes the ``i``-th fixed-width row of that stream (one uniform per
 position, e.g. per watched detector, inverted through the exact Poisson
-CDF), so trials are independent and reproducible.  Rows are drawn in blocks
-of about ``BLOCK_UNIFORMS`` uniforms that consume the stream in order, so
-the result and every later draw equal those of one full-table draw; each
-block is reduced to per-trial counts at once, so memory stays bounded
-whatever the number of trials.
+CDF), so trials are independent and reproducible.  Contiguous ranges of
+rows are filled in parallel, one thread per available CPU, each from a
+Philox generator placed at its range's first uniform (the stream can be
+entered at any position), so the result and every later draw equal those
+of one full-table draw whatever the number of CPUs.  Each range is drawn in
+blocks that together hold about ``BLOCK_UNIFORMS`` uniforms and are reduced
+to per-trial counts at once, so memory stays bounded whatever the number of
+trials.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +33,7 @@ import numpy as np
 from .linear import CoherentRegister, LinearNetwork, apply_network
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-BLOCK_UNIFORMS = 1 << 18  # uniforms drawn per block by ``bernoulli_counts`` (2 MiB of float64)
+BLOCK_UNIFORMS = 1 << 18  # uniforms in flight in ``bernoulli_counts``, all threads (2 MiB of float64)
 
 
 @dataclass(frozen=True)
@@ -126,24 +131,97 @@ def click_probabilities(means, model: DetectorModel = IDEAL) -> np.ndarray:
     return 1.0 - np.exp(-(model.efficiency * means + model.dark_mean))
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _philox_at(state: dict, offset: int) -> np.random.Generator:
+    """A Philox generator placed ``offset`` uniforms past the stream position ``state``.
+
+    Each counter value yields four uniforms: the rest of the current
+    buffer is used first, whole counter blocks are skipped by ``advance``
+    (which clears the buffer and the spare 32-bit draw), and the last 0-3
+    uniforms are drawn raw.
+    """
+    bits = np.random.Philox(key=0)
+    bits.state = state
+    buffered = min(offset, 4 - state["buffer_pos"])
+    bits.random_raw(buffered)
+    if offset > buffered:
+        blocks, rest = divmod(offset - buffered, 4)
+        bits.advance(blocks)
+        bits.random_raw(rest)
+        placed = bits.state
+        placed["has_uint32"], placed["uinteger"] = state["has_uint32"], state["uinteger"]
+        bits.state = placed
+    return np.random.Generator(bits)
+
+
+def _fill_counts(gen: np.random.Generator, p: np.ndarray, out: np.ndarray, rows: int) -> None:
+    """Write the hit counts of ``out.size`` consecutive trials into ``out``, ``rows`` at a time."""
+    rows = min(rows, out.size)
+    uniforms = np.empty((rows, p.size))
+    hits = np.empty((rows, p.size), dtype=bool)
+    for start in range(0, out.size, rows):
+        n = min(rows, out.size - start)
+        gen.random(out=uniforms[:n])
+        np.less(uniforms[:n], p, out=hits[:n])
+        np.sum(hits[:n], axis=1, out=out[start:start + n])
+
+
 def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
     """Per-trial number of hits among independent Bernoulli(p[j]) positions.
 
     Trial ``i`` draws one uniform ``u`` per position and counts ``u < p[j]``;
     for a click probability ``1 - exp(-mean)`` that is exactly the event that
-    the inverse-CDF Poisson count is nonzero.  Rows come from the stream in
-    blocks of ``BLOCK_UNIFORMS // len(p)`` trials, each reduced to counts
-    before the next is drawn, so no (trials, len(p)) table is ever held.
+    the inverse-CDF Poisson count is nonzero.  The trials are split into
+    contiguous ranges, one per available CPU (at most one per block of
+    ``BLOCK_UNIFORMS`` uniforms).  The calling thread fills the first range
+    with the caller's generator; a thread per further range fills it from a
+    Philox generator placed at the range's first uniform.  Each range is
+    drawn in blocks of ``BLOCK_UNIFORMS // ranges`` uniforms, reduced to
+    counts before the next, so no (trials, len(p)) table is ever held.  The
+    counts, and the caller's stream position afterwards, equal those of one
+    full-table draw whatever the number of CPUs.  A generator other than
+    Philox fills a single range.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     p = np.asarray(p, dtype=float)
     gen = stream(rng)
-    rows = max(1, BLOCK_UNIFORMS // max(p.size, 1))
+    width = max(p.size, 1)
+    blocks = -(-trials // max(1, BLOCK_UNIFORMS // width))
+    philox = isinstance(gen.bit_generator, np.random.Philox)
+    ranges = min(_available_cpus(), blocks) if philox else 1
+    rows = max(1, BLOCK_UNIFORMS // ranges // width)
+    bounds = [trials * k // ranges for k in range(ranges + 1)]
+    state = gen.bit_generator.state
+    gens = [gen] + [_philox_at(state, start * p.size) for start in bounds[1:-1]]
     counts = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        counts[start:stop] = np.count_nonzero(gen.random((stop - start, p.size)) < p, axis=1)
+    errors = []
+
+    def fill(k):
+        try:
+            _fill_counts(gens[k], p, counts[bounds[k]:bounds[k + 1]], rows)
+        except BaseException as exc:  # re-raised by the calling thread below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=fill, args=(k,)) for k in range(1, ranges)]
+    for worker in workers:
+        worker.start()
+    try:
+        _fill_counts(gen, p, counts[:bounds[1]], rows)
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+    # The last range's generator stops where one full-table draw would.
+    gen.bit_generator.state = gens[-1].bit_generator.state
     return counts
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,9 +139,12 @@ def product_state(a: FockVector, b: FockVector) -> FockVector:
     return FockVector(np.outer(a.amps, b.amps), a.cutoff)
 
 
-# Beam-splitter blocks 0..n, one list per transmittance seen; a larger cutoff
-# extends the list instead of rebuilding it.
+# Beam-splitter blocks 0..n for the most recently used transmittances, least
+# recent first; a larger cutoff extends a list instead of rebuilding it.  One
+# transmittance at cutoff 96 holds about 19 MB of blocks.
+BLOCK_CACHE_TRANSMITTANCES = 3
 _BLOCKS: dict[float, list[np.ndarray]] = {}
+_BLOCKS_LOCK = threading.Lock()
 
 
 def _bs_blocks(transmittance: float, n_max: int) -> list[np.ndarray]:
@@ -159,10 +163,11 @@ def _bs_blocks(transmittance: float, n_max: int) -> list[np.ndarray]:
     summing the binomial expansion of the transformed operators, loses
     orthogonality to cancellation from n ~ 80 on.)
     """
-    blocks = _BLOCKS.get(transmittance, [np.ones((1, 1))])
-    if len(blocks) > n_max:
-        return blocks
-    blocks = list(blocks)  # extend a private copy, so concurrent callers never see a partial list
+    with _BLOCKS_LOCK:
+        blocks = _BLOCKS.pop(transmittance, None)
+        _evict_blocks(BLOCK_CACHE_TRANSMITTANCES - 1)  # room for this one, before building
+    # Extend a private copy, so concurrent callers never see a partial list.
+    blocks = list(blocks or [np.ones((1, 1))])
     t = math.sqrt(transmittance)
     r = math.sqrt(1.0 - transmittance)
     while len(blocks) <= n_max:
@@ -179,8 +184,16 @@ def _bs_blocks(transmittance: float, n_max: int) -> list[np.ndarray]:
         nxt[:, 1:] += (r * raised_a - t * raised_b) * (rise / (n + 1))
         nxt.setflags(write=False)
         blocks.append(nxt)
-    _BLOCKS[transmittance] = blocks
+    with _BLOCKS_LOCK:
+        _BLOCKS[transmittance] = blocks
+        _evict_blocks(BLOCK_CACHE_TRANSMITTANCES)  # concurrent builders may have published
     return blocks
+
+
+def _evict_blocks(keep: int) -> None:
+    """Drop the least recently used transmittances beyond ``keep``; hold ``_BLOCKS_LOCK``."""
+    while len(_BLOCKS) > keep:
+        del _BLOCKS[next(iter(_BLOCKS))]
 
 
 def apply_bs_fock(state: FockVector, transmittance: float) -> FockVector:

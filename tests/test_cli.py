@@ -314,12 +314,19 @@ class TestGoldenOutputs:
 
 
 class TestModuleEntryPoint:
-    def run_module(self, *args):
+    def run_module(self, *args, module="qcompare.cli"):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        return subprocess.run([sys.executable, "-m", "qcompare.cli", *args], capture_output=True,
+        return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
                               text=True, env=env, timeout=120)
+
+    def test_python_m_package_runs_the_cli(self):
+        proc = self.run_module("compare", "--alpha", "1,0", "--beta", "-1,0", module="qcompare")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["p_succ"] == pytest.approx(1 - math.exp(-2), abs=1e-9)
+        assert self.run_module("compare", "--alpha", "nope", "--beta", "0,0",
+                               module="qcompare").returncode == 2
 
     def test_python_m_prints_report(self):
         proc = self.run_module("compare", "--alpha", "1,0", "--beta", "-1,0")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcompare import comparison
 from qcompare.comparison import (
     FORM_AGREEMENT_TOL,
     MAX_UNIVERSAL_MODES,
@@ -22,6 +23,7 @@ from qcompare.comparison import (
     verify_amgm_inequality,
 )
 from qcompare.detection import IDEAL, run_trials
+from qcompare.errors import InvariantError
 from qcompare.linear import CoherentRegister, make_balanced_multiport
 
 RNG = np.random.default_rng(31415)
@@ -251,6 +253,34 @@ class TestLogDomainForms:
         amps = 20 + 20j + 0.01 * (np.random.default_rng(0).standard_normal(40) + 1j)
         forms = multiport_success_forms(amps)
         assert max(forms) - min(forms) <= FORM_AGREEMENT_TOL
+
+    def test_many_equal_large_amplitudes_agree_within_rounding(self):
+        # The overlap product loses ~N |a|^2 eps = 3.2e-10 here and its spread
+        # reached 2.3e-10; a fixed 1e-10 tolerance raised InvariantError.
+        n, shift = 2000, 1e-3
+        amps = np.full(n, 27 * np.exp(1j * 9 * math.pi / 8))
+        amps[-1] += shift
+        forms = multiport_success_forms(amps)
+        assert max(forms) - min(forms) > FORM_AGREEMENT_TOL
+        expected = -math.expm1(-(n - 1) / n * shift**2)
+        assert p_success_multiport(amps) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 64])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_a_form_off_by_1e_8_still_raises(self, monkeypatch, n, which):
+        amps = 30.0 * np.exp(2j * math.pi * np.arange(n) / n)
+        honest = comparison._success_forms
+
+        def perturbed(*args):
+            forms = list(honest(*args))
+            forms[which] += 1e-8
+            return tuple(forms)
+
+        monkeypatch.setattr(comparison, "_success_forms", perturbed)
+        with pytest.raises(InvariantError, match="disagree"):
+            compare_report(amps)
+        with pytest.raises(InvariantError, match="disagree"):
+            p_success_multiport(amps)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.integers(2, 64).flatmap(lambda n: st.lists(

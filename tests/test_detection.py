@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from qcompare import detection
 from qcompare.detection import (
     BLOCK_UNIFORMS,
     IDEAL,
@@ -147,6 +150,7 @@ def one_shot_counts(p, trials, gen):
 class TestBernoulliCounts:
     P = np.linspace(0.05, 0.9, 7)
     ROWS = BLOCK_UNIFORMS // 7
+    TRIALS = 4 * ROWS + 7  # five blocks; no multiple of 2, 3 or 5
 
     def assert_same_stream(self, p, trials, seed):
         gen, ref = stream(seed), stream(seed)
@@ -165,6 +169,89 @@ class TestBernoulliCounts:
     def test_nonpositive_trials_rejected(self, trials):
         with pytest.raises(ValueError):
             bernoulli_counts(self.P, trials, 0)
+
+    @pytest.fixture
+    def placed(self, monkeypatch):
+        """Offsets at which worker ranges got their Philox generators; threads switch often."""
+        offsets = []
+        philox_at = detection._philox_at
+
+        def recording(state, offset):
+            offsets.append(offset)
+            return philox_at(state, offset)
+
+        monkeypatch.setattr(detection, "_philox_at", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # to expose any race between the range threads
+        try:
+            yield offsets
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def set_cpus(monkeypatch, n):
+        monkeypatch.setattr(detection, "_available_cpus", lambda: n)
+
+    @staticmethod
+    def predraw(doubles, int32s, *gens):
+        for gen in gens:
+            gen.random(doubles)
+            gen.integers(0, 1000, size=int32s, dtype=np.int32)
+
+    @staticmethod
+    def assert_same_next_draws(gen, ref):
+        # int32 first: a spare half of a 64-bit draw must carry over
+        np.testing.assert_array_equal(gen.integers(0, 2**31, size=3, dtype=np.int32),
+                                      ref.integers(0, 2**31, size=3, dtype=np.int32))
+        np.testing.assert_array_equal(gen.random(5), ref.random(5))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("doubles", range(6))
+    @pytest.mark.parametrize("int32s", [0, 3])
+    def test_matches_one_shot_table_for_any_worker_count(self, monkeypatch, placed, workers,
+                                                         doubles, int32s):
+        self.set_cpus(monkeypatch, workers)
+        gen, ref = stream(21), stream(21)
+        self.predraw(doubles, int32s, gen, ref)
+        np.testing.assert_array_equal(bernoulli_counts(self.P, self.TRIALS, gen),
+                                      one_shot_counts(self.P, self.TRIALS, ref))
+        assert len(placed) == workers - 1
+        self.assert_same_next_draws(gen, ref)
+
+    def test_consecutive_calls_continue_the_stream(self, monkeypatch, placed):
+        self.set_cpus(monkeypatch, 3)
+        p2 = np.linspace(0.9, 0.1, 13)
+        gen, ref = stream(22), stream(22)
+        self.predraw(1, 1, gen, ref)
+        for p, trials in ((self.P, self.TRIALS), (p2, 3 * BLOCK_UNIFORMS // 13 + 2)):
+            np.testing.assert_array_equal(bernoulli_counts(p, trials, gen),
+                                          one_shot_counts(p, trials, ref))
+        self.assert_same_next_draws(gen, ref)
+
+    def test_other_generators_fill_one_range(self, monkeypatch, placed):
+        self.set_cpus(monkeypatch, 5)
+        gen, ref = np.random.default_rng(23), np.random.default_rng(23)
+        self.predraw(3, 1, gen, ref)
+        np.testing.assert_array_equal(bernoulli_counts(self.P, self.TRIALS, gen),
+                                      one_shot_counts(self.P, self.TRIALS, ref))
+        assert placed == []
+        self.assert_same_next_draws(gen, ref)
+
+    def test_worker_exception_propagates(self, monkeypatch, placed):
+        self.set_cpus(monkeypatch, 3)
+        real_fill = detection._fill_counts
+
+        def fill(gen, p, out, rows):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            real_fill(gen, p, out, rows)
+
+        monkeypatch.setattr(detection, "_fill_counts", fill)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            bernoulli_counts(self.P, self.TRIALS, stream(24))
+        assert len(placed) == 2
+        assert threading.active_count() == threads
 
 
 class TestHelpers:

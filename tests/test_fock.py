@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +143,60 @@ class TestBeamSplitterBlocks:
         g = apply_network(make_beam_splitter(0.5), CoherentRegister([alpha, beta])).amplitudes
         assert fidelity(out, coherent_pair(g[0], g[1], cutoff)) >= 1 - 1e-12
 
+    def test_block_cache_keeps_only_recent_transmittances(self, monkeypatch):
+        # unbounded, ten transmittances at cutoff 96 held 193.6 MB of blocks
+        monkeypatch.setattr(fock, "_BLOCKS", {})
+        state = coherent_pair(0.3, -0.2j, 96)
+        sweep = [float(t) for t in np.linspace(0.05, 0.95, 10)]
+        tracemalloc.start()
+        try:
+            for transmittance in sweep:
+                apply_bs_fock(state, transmittance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(fock._BLOCKS) == sweep[-fock.BLOCK_CACHE_TRANSMITTANCES:]
+        assert peak < 80e6, peak
+
+    def test_block_cache_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(fock, "_BLOCKS", {})
+        kept = [0.1 * (k + 1) for k in range(fock.BLOCK_CACHE_TRANSMITTANCES)]
+        for transmittance in kept + [kept[0], 0.99]:
+            _bs_blocks(transmittance, 4)
+        assert list(fock._BLOCKS) == kept[2:] + [kept[0], 0.99]
+
+    def test_block_cache_under_concurrent_callers(self, monkeypatch):
+        monkeypatch.setattr(fock, "_BLOCKS", {})
+        transmittances = [0.1, 0.2, 0.3, 0.4, 0.5]
+        reference = {t: [b.copy() for b in _bs_blocks(t, 30)] for t in transmittances}
+        failures, sizes = [], []
+
+        def caller(k):
+            try:
+                for i in range(60):
+                    t = transmittances[(k + i) % len(transmittances)]
+                    n_max = 10 + (i * 7 + k) % 21
+                    blocks = _bs_blocks(t, n_max)
+                    sizes.append(len(fock._BLOCKS))
+                    assert len(blocks) > n_max
+                    assert all(np.array_equal(b, r) for b, r in zip(blocks, reference[t]))
+            except AssertionError as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(sizes) == 6 * 60 and max(sizes) <= fock.BLOCK_CACHE_TRANSMITTANCES
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.floats(0.0, 3.0), st.floats(0.0, 2 * math.pi), st.floats(0.0, 3.0),
            st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0))
@@ -148,10 +205,7 @@ class TestBeamSplitterBlocks:
         alpha, beta = mag_a * np.exp(1j * phase_a), mag_b * np.exp(1j * phase_b)
         cutoff = recommended_cutoff(mag_a + mag_b)
         state = coherent_pair(alpha, beta, cutoff)
-        try:
-            out = apply_bs_fock(state, transmittance)
-        finally:
-            fock._BLOCKS.pop(transmittance, None)  # fifty transmittances would hold ~1 GB
+        out = apply_bs_fock(state, transmittance)
         g = apply_network(make_beam_splitter(transmittance),
                           CoherentRegister([alpha, beta])).amplitudes
         assert out.norm_sq <= state.norm_sq + 1e-12
