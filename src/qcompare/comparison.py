@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .linear import (CoherentRegister, compose, make_balanced_multiport, make_beam_splitter,
-                     make_phase_shift, output_means)
+from .linear import CoherentRegister, compose, make_beam_splitter, make_phase_shift, output_means
 
 CLAMP_SLACK = 1e-14
 FORM_AGREEMENT_TOL = 1e-10
@@ -34,11 +33,18 @@ FORM_AGREEMENT_TOL = 1e-10
 # tolerance grows to this multiple of the estimate when it exceeds 1e-10.
 FORM_ROUNDING_FACTOR = 8.0
 MAX_UNIVERSAL_MODES = 8
+# Largest accepted |a_j|.  The residue check squares sum_j |a_j| and the
+# overlap form sums N^2 terms of size up to |a_j|^2; at this bound both stay
+# below the float limit 1.8e308 for any N under 1e54.
+MAX_AMPLITUDE = 1e100
+# The overlap-product form sums the log Gram matrix over row blocks of at
+# most this many entries, so its memory does not grow with N^2.
+GRAM_BLOCK_ENTRIES = 1 << 16
 
 
 def _clamp_probability(value: float) -> float:
-    """Round float noise into [0, 1]; anything beyond slack is a logic bug."""
-    if value < -CLAMP_SLACK or value > 1.0 + CLAMP_SLACK:
+    """Round float noise into [0, 1]; anything beyond slack, or NaN, is a logic bug."""
+    if not -CLAMP_SLACK <= value <= 1.0 + CLAMP_SLACK:
         raise InvariantError(f"probability {value!r} outside [0, 1] beyond slack")
     return min(1.0, max(0.0, value))
 
@@ -49,6 +55,8 @@ def _amplitudes(values, minimum=2) -> np.ndarray:
         raise ValueError(f"need at least {minimum} amplitudes")
     if not np.all(np.isfinite(arr)):
         raise ValueError("amplitudes must be finite")
+    if np.max(np.abs(arr)) > MAX_AMPLITUDE:
+        raise ValueError(f"amplitudes must satisfy |a| <= MAX_AMPLITUDE = {MAX_AMPLITUDE:g}")
     return arr
 
 
@@ -109,27 +117,45 @@ def unbalanced_test(alpha: complex, beta: complex, transmittance: float,
 
 
 def no_click_probabilities(amplitudes) -> np.ndarray:
-    """Vacuum probabilities p_k(0) = exp(-|gamma_k|^2) of every multiport output."""
+    """Vacuum probabilities p_k(0) = exp(-|gamma_k|^2) of every multiport output.
+
+    The balanced multiport is the DFT ``u[k, l] = exp(2 pi i k l / N) / sqrt(N)``
+    of ``linear.make_balanced_multiport``, so its outputs
+    ``gamma_k = sum_l conj(u[l, k]) a_l`` are ``fft(a) / sqrt(N)``: O(N log N)
+    time and O(N) memory, with no N x N matrix built.
+    """
     amps = _amplitudes(amplitudes)
-    return np.exp(-output_means(make_balanced_multiport(amps.size), CoherentRegister(amps)))
+    gamma = np.fft.fft(amps) / math.sqrt(amps.size)
+    return np.exp(-np.abs(gamma) ** 2)
+
+
+def _log_gram_sum(amps: np.ndarray) -> complex:
+    """sum_{j,l} log <a_j|a_l>, summed over row blocks of ``GRAM_BLOCK_ENTRIES``."""
+    rows = max(1, GRAM_BLOCK_ENTRIES // amps.size)
+    return sum(complex(np.sum(_log_overlap(amps[start:start + rows, None], amps[None, :])))
+               for start in range(0, amps.size, rows))
 
 
 def _success_forms(amps: np.ndarray, p_no_click: np.ndarray) -> tuple[float, float, float]:
     """The three forms of ``multiport_success_forms`` given the outputs' vacuum probabilities."""
     n = amps.size
 
-    diff = amps[:, None] - amps[None, :]
-    pairwise = 1.0 - math.exp(-float(np.sum(np.abs(diff) ** 2)) / (2.0 * n))
+    # sum_{j,l} |a_j - a_l|^2 / (2N) = sum_j |d_j - mean(d)|^2 with d_j = a_j - a_0.
+    # Within a tight cluster the d_j are exact, so its offset never enters.
+    d = amps - amps[0]
+    pairwise = 1.0 - math.exp(-float(np.sum(np.abs(d - np.mean(d)) ** 2)))
 
     per_mode = 1.0 - float(np.prod(p_no_click[1:]))
 
     # The product of N^2 overlaps underflows long before its N-th root does,
     # so the root is taken of the summed log overlaps.  Their imaginary parts
     # cancel in pairs; rounding leaves at most a few ulps of sum |a_j| |a_l|.
-    log_prod = complex(np.sum(_log_overlap(amps[:, None], amps[None, :])))
+    log_prod = _log_gram_sum(amps)
     if abs(log_prod.imag) > 1e-12 * max(1.0, float(np.sum(np.abs(amps))) ** 2):
         raise InvariantError(f"overlap product has imaginary residue {log_prod.imag!r}")
-    overlap_product = 1.0 - math.exp(log_prod.real / n)
+    # The log sum is -N sum_j |a_j - mean|^2 <= 0; rounding can lift it above
+    # zero, for a cluster near |a| = 1e15 far enough to overflow exp.
+    overlap_product = 1.0 - math.exp(min(0.0, log_prod.real / n))
 
     return pairwise, per_mode, overlap_product
 
@@ -137,9 +163,9 @@ def _success_forms(amps: np.ndarray, p_no_click: np.ndarray) -> tuple[float, flo
 def multiport_success_forms(amplitudes) -> tuple[float, float, float]:
     """The multiport success probability by three independent routes.
 
-    pairwise:        1 - exp(-(1/2N) sum_{j,l} |a_j - a_l|^2)
-    per-mode:        1 - prod_{k=1..N-1} p_k(0), with p_k(0) from the network
-    overlap product: 1 - (prod_{j,l} <a_j|a_l>)^{1/N}, summed in log space
+    pairwise:        1 - exp(-(1/2N) sum_{j,l} |a_j - a_l|^2), as a centred O(N) sum
+    per-mode:        1 - prod_{k=1..N-1} p_k(0), with p_k(0) from the FFT outputs
+    overlap product: 1 - (prod_{j,l} <a_j|a_l>)^{1/N}, summed in log space by row blocks
 
     All three are returned unclamped so tests can compare them directly.
     """
@@ -250,7 +276,8 @@ class ComparisonReport:
 def compare_report(amplitudes) -> ComparisonReport:
     """Full comparison report for a tuple of coherent amplitudes.
 
-    Builds the multiport once and runs the permutation sum at most once.
+    Propagates the amplitudes through the multiport once, by FFT (no N x N
+    matrix), and runs the permutation sum at most once.
     """
     amps = _amplitudes(amplitudes)
     p_no_click = no_click_probabilities(amps)

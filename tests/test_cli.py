@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcompare import cli, comparison
+from qcompare import cli, comparison, linear
 from qcompare.errors import InvariantError
 
 
@@ -71,8 +71,8 @@ class TestMultiportAndOracle:
           "-0.4,0.1"], 1),
         (["multiport", "--amps", *[f"{0.1 * k},0" for k in range(12)]], 0),
     ])
-    def test_one_network_build_and_at_most_one_permutation_sum(self, monkeypatch, tmp_path,
-                                                              args, symm_sums):
+    def test_no_dense_network_and_at_most_one_permutation_sum(self, monkeypatch, tmp_path,
+                                                             args, symm_sums):
         calls = {"network": 0, "p_symm": 0}
 
         def counted(name, fn):
@@ -81,11 +81,26 @@ class TestMultiportAndOracle:
                 return fn(*a, **k)
             return wrapper
 
-        monkeypatch.setattr(comparison, "make_balanced_multiport",
-                            counted("network", comparison.make_balanced_multiport))
+        # Every network, the dense DFT included, is checked for unitarity here.
+        monkeypatch.setattr(linear.LinearNetwork, "__post_init__",
+                            counted("network", linear.LinearNetwork.__post_init__))
         monkeypatch.setattr(comparison, "p_symm", counted("p_symm", comparison.p_symm))
         run_json(args, tmp_path)
-        assert calls == {"network": 1, "p_symm": symm_sums}
+        assert calls == {"network": 0, "p_symm": symm_sums}
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--alpha", "1e200,0", "--beta", "0,0"],
+        ["multiport", "--amps", "1e200,0", "0,0"],
+        ["multiport", "--amps", "1e160,0", "0,0", "1,0"],
+    ])
+    def test_amplitude_beyond_the_bound_exits_2(self, args, capsys):
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "MAX_AMPLITUDE" in err and "Traceback" not in err
+
+    def test_large_amplitude_inside_the_bound(self, tmp_path):
+        obj = run_json(["multiport", "--amps", "1e15,0", "0,0"], tmp_path)
+        assert obj["p_succ"] == 1.0
 
     def test_oracle_coherent_fidelity(self, tmp_path):
         obj = run_json(["oracle", "--alpha", "0.8,0", "--beta", "0.8,0"], tmp_path)
@@ -289,10 +304,10 @@ GOLDEN = [
     ("oracle --xi1 0.2 --xi2 0.1",
      "d199f88f191bcf2d8b0b6b6625a5cda32ec9797f732114838398c0a156a409f4"),
     ("multiport --amps 1,0 1,0 -1,0",
-     "bb962f7ec90600ed339c44c9c29f9eb3ba0ca618b406fba4aa5aaf5bae66b5b4"),
+     "3ef45b07b3adaf65bac6a74361c24d6b8a9a866700a239b3071660ee1f0f2c70"),
     ("multiport --amps 0.3,0.1 -0.2,0.4 0.5,-0.5 0.1,0 -0.3,-0.3 0.2,0.2 0,0.6 -0.4,0.1 "
      "0.7,0 -0.1,-0.6 0.25,0.35 -0.55,0.05",
-     "3efc93dcf97ffab40e108c56bf5efec58391dfc1fa04f135be184c5c3c5a4f61"),
+     "4057ef7cdb3d2ec83dd2a02b946a0cfc305a874e550f1408470988925a7c82bd"),
 ]
 
 

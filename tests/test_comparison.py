@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from qcompare import comparison
 from qcompare.comparison import (
     FORM_AGREEMENT_TOL,
+    FORM_ROUNDING_FACTOR,
+    MAX_AMPLITUDE,
     MAX_UNIVERSAL_MODES,
     coherent_overlap,
     compare_report,
@@ -31,6 +35,13 @@ RNG = np.random.default_rng(31415)
 
 def random_tuple(n, scale=2.0):
     return scale * (RNG.standard_normal(n) + 1j * RNG.standard_normal(n)) / np.sqrt(2)
+
+
+def _seeded_cluster(n, seed, centre, spread):
+    """n amplitudes around ``centre`` with sum_j |a_j - mean|^2 about ``spread``^2."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return centre * np.exp(2j * math.pi * rng.random()) + spread * z / math.sqrt(2 * n)
 
 
 class TestTwoState:
@@ -128,6 +139,17 @@ class TestMultiport:
         assert np.allclose(p0, np.exp(-means), atol=1e-12)
         assert p_success_multiport(amps) == pytest.approx(1 - np.prod(p0[1:]), abs=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 1024])
+    def test_no_click_probabilities_match_dense_multiport_entrywise(self, n):
+        rng = np.random.default_rng(n)
+        amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        p0 = no_click_probabilities(amps)
+        dense = np.exp(-np.abs(make_balanced_multiport(n).matrix.conj().T @ amps) ** 2)
+        assert np.max(np.abs(p0 - dense)) < 1e-12
+        if n > 2:
+            # Reversing modes 1..N-1 (an ifft in place of the fft) would fail above.
+            assert np.max(np.abs(p0[1:] - p0[:0:-1])) > 1e-3
+
     def test_monte_carlo_agreement(self):
         cases = {
             2: [0.75, -0.75],
@@ -143,6 +165,19 @@ class TestMultiport:
     def test_too_few_amplitudes_rejected(self):
         with pytest.raises(ValueError):
             p_success_multiport([1.0])
+
+    @pytest.mark.parametrize("amps", [[np.nextafter(MAX_AMPLITUDE, math.inf), 0.0],
+                                      [1e160, 0.0, 1.0], [0.0, 1e200j]])
+    def test_amplitudes_beyond_the_bound_rejected(self, amps):
+        with pytest.raises(ValueError, match="MAX_AMPLITUDE"):
+            compare_report(amps)
+
+    @pytest.mark.parametrize("amps", [[MAX_AMPLITUDE, 0.0], [MAX_AMPLITUDE, 0.0, 1.0],
+                                      np.full(2000, MAX_AMPLITUDE * 1j)])
+    def test_amplitudes_at_the_bound_stay_finite(self, amps):
+        with np.errstate(over="raise", invalid="raise"):
+            report = compare_report(amps)
+        assert all(math.isfinite(f) for f in report.forms)
 
 
 class TestUniversal:
@@ -247,6 +282,40 @@ class TestLogDomainForms:
         assert max(report.forms) - min(report.forms) <= FORM_AGREEMENT_TOL
         assert 0.5 < report.p_succ_coherent < 1.0
 
+    @pytest.mark.parametrize("n", [4000, 10_000])
+    def test_forms_agree_in_bounded_memory_at_thousands_of_modes(self, n):
+        rng = np.random.default_rng(n)
+        amps = complex(*rng.standard_normal(2)) + (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(n)
+        tracemalloc.start()
+        try:
+            report = compare_report(amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One N x N complex table alone would take 256 MB at N = 4000.
+        assert peak < 8e6
+        assert max(report.forms) - min(report.forms) <= FORM_AGREEMENT_TOL
+        assert comparison._agreed(report.forms, amps) == report.p_succ_coherent
+        assert 0.5 < report.p_succ_coherent < 1.0
+
+    @pytest.mark.parametrize("amps,expected", [
+        ([1e15, 1e15 + 1, 1e15], -math.expm1(-2 / 3)),
+        ([1e15, 1e15 + 1e5, 1e15], 1.0),
+    ])
+    def test_tight_cluster_far_from_the_origin(self, amps, expected):
+        # Centring on the rounded mean would move p_succ by 1e-2 in the first
+        # case; in the second the overlap product's exponent overflowed exp.
+        assert p_success_multiport(amps) == pytest.approx(expected, abs=1e-15)
+
+    def test_nan_probability_is_an_invariant_failure(self):
+        # The permutation sum of the far cluster above overflows to NaN; it
+        # must not be clamped into [0, 1] as if it were rounding noise.
+        with pytest.raises(InvariantError, match="nan"):
+            comparison._clamp_probability(math.nan)
+        with np.errstate(over="ignore"), pytest.raises(InvariantError):
+            compare_report([1e15, 1e15 + 1e5, 1e15])
+
     def test_clustered_large_amplitudes_pass_the_residue_check(self):
         # Rounding leaves an imaginary log-sum residue of about 5e-12 here:
         # above 1e-12, but tiny next to sum |a_j| |a_l| ~ 1.3e6.
@@ -283,16 +352,25 @@ class TestLogDomainForms:
             p_success_multiport(amps)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(st.integers(2, 64).flatmap(lambda n: st.lists(
-        st.builds(lambda r, phi: r * np.exp(1j * phi),
-                  st.floats(0.0, 30.0), st.floats(0.0, 2 * math.pi)),
-        min_size=n, max_size=n)))
+    @given(st.one_of(
+        st.integers(2, 64).flatmap(lambda n: st.lists(
+            st.builds(lambda r, phi: r * np.exp(1j * phi),
+                      st.floats(0.0, 30.0), st.floats(0.0, 2 * math.pi)),
+            min_size=n, max_size=n)),
+        st.builds(_seeded_cluster, st.integers(65, 2000), st.integers(0, 2**32 - 1),
+                  st.floats(0.0, 30.0), st.floats(0.0, 30.0))))
     def test_forms_agree_and_multiport_dominates(self, amps):
         report = compare_report(amps)
         pairwise, per_mode, _ = report.forms
         assert 0.0 <= pairwise <= 1.0 and 0.0 <= per_mode <= 1.0
-        assert max(report.forms) - min(report.forms) <= FORM_AGREEMENT_TOL
-        if len(amps) <= MAX_UNIVERSAL_MODES:
+        n = len(amps)
+        spread = max(report.forms) - min(report.forms)
+        if n <= 64:
+            assert spread <= FORM_AGREEMENT_TOL
+        else:
+            rounding = n * float(np.max(np.abs(amps))) ** 2 * sys.float_info.epsilon
+            assert spread <= max(FORM_AGREEMENT_TOL, FORM_ROUNDING_FACTOR * rounding)
+        if n <= MAX_UNIVERSAL_MODES:
             assert report.amgm.holds
             assert report.p_succ_universal <= report.p_succ_coherent + 1e-12
         else:
