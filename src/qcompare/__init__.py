@@ -2,6 +2,7 @@
 
 Modules
 -------
+domain      the input domain: range guards, MAX_AMPLITUDE and the work budget
 linear      lossless networks (beam splitters, balanced multiports) on coherent amplitudes
 fock        truncated number-basis simulator, the package's brute-force oracle
 detection   detector models and the Monte Carlo click engine
@@ -37,7 +38,6 @@ from .fock import (
 )
 from .detection import (
     IDEAL,
-    DetectionRecord,
     DetectorModel,
     TrialStats,
     run_trials,
@@ -69,7 +69,6 @@ from .lockkey import (
     LockTestResult,
     attack_candidate,
     attack_pass_probability,
-    bessel_i0,
     entropy_by_diagonalization,
     forgery_string_probability,
     generate_key,

@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import comparison, fock, lockkey, pkd
+from . import comparison, domain, fock, lockkey, pkd
 from .detection import DetectorModel
 from .errors import InvariantError
 from .linear import CoherentRegister, apply_network, make_beam_splitter
@@ -82,13 +82,11 @@ def _emit(args, json_obj=None, csv_parts=None, svg_series=None, svg_labels=("", 
             raise ValueError("this command has no CSV output")
         columns, rows = csv_parts
         _write(args, _csv_text(columns, rows, seed=args.seed))
-    elif fmt == "svg":
+    else:  # svg, the last of argparse's choices
         if svg_series is None:
             raise ValueError("this command has no SVG output")
         title, x_label, y_label = svg_labels
         _write(args, line_chart(svg_series, title=title, x_label=x_label, y_label=y_label))
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +96,17 @@ def _emit(args, json_obj=None, csv_parts=None, svg_series=None, svg_labels=("", 
 _DELTA_COLUMNS = ("delta_abs", "p_succ", "p_asymm")
 
 
-def _sweep_grid(stop: float, step: float) -> np.ndarray:
-    """0, step, 2 step, ... through ``stop`` (to half a step): the x axis of every scan."""
-    if stop <= 0 or step <= 0:
-        raise ValueError("range and step must be positive")
+def _sweep_grid(stop: float, step: float, columns: int) -> np.ndarray:
+    """0, step, ... through ``stop`` (to half a step): a scan's x axis, for rows of ``columns``."""
+    stop = domain.magnitude(stop, "sweep range", positive=True)
+    step = domain.magnitude(step, "sweep step", positive=True)
+    domain.size((stop / step + 1) * columns * domain.REPORT_ENTRIES, "the report table")
     return np.arange(0.0, stop + step / 2, step)
 
 
 def _delta_sweep(max_delta: float, step: float):
     """Rows and SVG series of p_succ and p_asymm against |alpha - beta| from 0 to max_delta."""
-    deltas = _sweep_grid(max_delta, step)
+    deltas = _sweep_grid(max_delta, step, len(_DELTA_COLUMNS))
     rows = [
         {
             "delta_abs": float(d),
@@ -125,6 +124,9 @@ def _delta_sweep(max_delta: float, step: float):
 
 def _entropy_grid(n_list, alpha_sq_max: float, points: int):
     """Rows and SVG series (one per N) of the key-position entropy over a |alpha|^2 grid."""
+    alpha_sq_max = domain.magnitude(alpha_sq_max, "alpha_sq_max", limit=domain.MAX_AMPLITUDE**2)
+    points = domain.integer(points, "points", 2)
+    domain.size(points * len(n_list) * 4 * domain.REPORT_ENTRIES, "the report table")
     grid = np.linspace(0.0, alpha_sq_max, points)
     rows = [
         {"alpha_sq": float(a2), "N": n,
@@ -231,10 +233,7 @@ def _cmd_figure2(args) -> int:
 
 
 def _cmd_figure4(args) -> int:
-    n_list = [int(n) for n in args.N]
-    if not n_list or any(n < 2 for n in n_list):
-        raise ValueError("every N must be at least 2")
-    rows, series = _entropy_grid(n_list, args.alpha_sq_max, args.points)
+    rows, series = _entropy_grid(args.N, args.alpha_sq_max, args.points)
     for r in rows:
         r["asymptote_bits"] = math.log2(r["N"])
     obj = {"schema": SCHEMA, "rows": rows}
@@ -259,14 +258,12 @@ def _cmd_lockkey(args) -> int:
         if args.attack == "key":
             candidate = key.amplitudes()
             analytic = 1.0
-        elif args.attack == "vacuum":
-            candidate = lockkey.attack_candidate(lockkey.AttackSpec("vacuum"), args.M)
-            analytic = math.exp(-args.M * args.amp**2 / 2.0)
         else:
-            spec = lockkey.AttackSpec("coherent", magnitude=args.beta)
+            spec = lockkey.AttackSpec(args.attack,
+                                      magnitude=args.beta if args.attack == "coherent" else 0.0)
             candidate = lockkey.attack_candidate(spec, args.M)
             analytic = lockkey.forgery_string_probability(
-                lockkey.attack_pass_probability(args.amp, args.beta), args.M
+                lockkey.attack_pass_probability(args.amp, spec.magnitude), args.M
             )
         stats = lockkey.lock_test_pass_rate(
             key, candidate, _detector_from(args), trials=args.trials, rng=args.seed + 1
@@ -285,26 +282,27 @@ def _cmd_lockkey(args) -> int:
         }
         _emit(args, json_obj=obj)
     elif args.action == "entropy":
-        n_list = [int(n) for n in args.N]
         if args.alpha_sq is not None:
+            amplitude = math.sqrt(domain.magnitude(args.alpha_sq, "alpha_sq",
+                                                   limit=domain.MAX_AMPLITUDE ** 2))
             results = [
                 {"N": n, "alpha_sq": args.alpha_sq,
-                 "S_bits": lockkey.holevo_entropy_finite(math.sqrt(args.alpha_sq), n).bits}
-                for n in n_list
+                 "S_bits": lockkey.holevo_entropy_finite(amplitude, n).bits}
+                for n in args.N
             ]
             _emit(args, json_obj={"schema": SCHEMA, "results": results})
         else:
-            rows, series = _entropy_grid(n_list, args.alpha_sq_max, args.points)
+            rows, series = _entropy_grid(args.N, args.alpha_sq_max, args.points)
             _emit(args, json_obj={"schema": SCHEMA, "rows": rows},
                   csv_parts=(("alpha_sq", "N", "S_bits"), rows),
                   svg_series=series,
                   svg_labels=("key-position entropy", "|alpha|^2", "S (bits)"))
     else:  # attack-scan
+        best = lockkey.optimal_coherent_attack(args.amp)
         beta_max = args.beta_max if args.beta_max is not None else 2.0 * args.amp + 5.0
-        betas = _sweep_grid(beta_max, args.step)
+        betas = _sweep_grid(beta_max, args.step, 2)
         p_pass = lockkey.attack_pass_probability(args.amp, betas)
         rows = [{"beta": b, "p_pass": p} for b, p in zip(betas.tolist(), p_pass.tolist())]
-        best = lockkey.optimal_coherent_attack(args.amp)
         obj = {
             "schema": SCHEMA,
             "amp": args.amp,
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure4", parents=[common],
                        help="key-position entropy vs mean photon number")
-    p.add_argument("--N", nargs="+", default=[2, 3, 4, 5, 6])
+    p.add_argument("--N", nargs="+", type=int, default=[2, 3, 4, 5, 6])
     p.add_argument("--alpha-sq-max", type=float, default=25.0)
     p.add_argument("--points", type=int, default=51)
     p.set_defaults(func=_cmd_figure4)
@@ -426,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_lockkey)
 
     pe = action.add_parser("entropy", parents=[common], help="information bound per key position")
-    pe.add_argument("--N", nargs="+", default=[2, 3, 4, 5, 6])
+    pe.add_argument("--N", nargs="+", type=int, default=[2, 3, 4, 5, 6])
     pe.add_argument("--alpha-sq", type=float, default=None)
     pe.add_argument("--alpha-sq-max", type=float, default=25.0)
     pe.add_argument("--points", type=int, default=51)

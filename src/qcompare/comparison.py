@@ -17,26 +17,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import domain
 from .errors import InvariantError
 from .linear import CoherentRegister, compose, make_beam_splitter, make_phase_shift, output_means
 
 CLAMP_SLACK = 1e-14
 FORM_AGREEMENT_TOL = 1e-10
-# The overlap-product form cancels N^2 log overlaps of size up to max |a_j|^2
-# and loses about N max|a_j|^2 eps to rounding: ratios of spread to that
-# estimate up to 2.1 were seen at N = 100-2000, |a_j| = 10-30.  The agreement
-# tolerance grows to this multiple of the estimate when it exceeds 1e-10.
-FORM_ROUNDING_FACTOR = 8.0
 MAX_UNIVERSAL_MODES = 8
-# Largest accepted |a_j|.  The residue check squares sum_j |a_j| and the
-# overlap form sums N^2 terms of size up to |a_j|^2; at this bound both stay
-# below the float limit 1.8e308 for any N under 1e54.
-MAX_AMPLITUDE = 1e100
 # The overlap-product form sums the log Gram matrix over row blocks of at
 # most this many entries, so its memory does not grow with N^2.
 GRAM_BLOCK_ENTRIES = 1 << 16
@@ -47,17 +38,6 @@ def _clamp_probability(value: float) -> float:
     if not -CLAMP_SLACK <= value <= 1.0 + CLAMP_SLACK:
         raise InvariantError(f"probability {value!r} outside [0, 1] beyond slack")
     return min(1.0, max(0.0, value))
-
-
-def _amplitudes(values, minimum=2) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=complex))
-    if arr.ndim != 1 or arr.size < minimum:
-        raise ValueError(f"need at least {minimum} amplitudes")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("amplitudes must be finite")
-    if np.max(np.abs(arr)) > MAX_AMPLITUDE:
-        raise ValueError(f"amplitudes must satisfy |a| <= MAX_AMPLITUDE = {MAX_AMPLITUDE:g}")
-    return arr
 
 
 def _log_overlap(a, b):
@@ -72,7 +52,7 @@ def _log_overlap(a, b):
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
     """<alpha|beta> = exp(-(|a|^2 + |b|^2)/2 + conj(a) b), phase included."""
-    return np.exp(_log_overlap(complex(alpha), complex(beta)))
+    return np.exp(_log_overlap(*domain.amplitudes([alpha, beta]).tolist()))
 
 
 def p_success_two(alpha: complex, beta: complex) -> float:
@@ -81,7 +61,8 @@ def p_success_two(alpha: complex, beta: complex) -> float:
     The difference mode carries |(alpha - beta)/sqrt(2)>, so the click
     probability is ``1 - exp(-|alpha - beta|^2 / 2)``.
     """
-    d = abs(complex(alpha) - complex(beta))
+    a, b = domain.amplitudes([alpha, beta]).tolist()
+    d = abs(a - b)
     return _clamp_probability(1.0 - math.exp(-0.5 * d * d))
 
 
@@ -91,8 +72,7 @@ def p_success_phase(amplitude: float, delta: float) -> float:
     For a fixed target probability the resolvable phase difference scales as
     1/amplitude.
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    amplitude = domain.magnitude(amplitude, "amplitude")
     s = math.sin(0.5 * delta)
     return _clamp_probability(1.0 - math.exp(-(amplitude * amplitude) * s * s))
 
@@ -122,10 +102,13 @@ def no_click_probabilities(amplitudes) -> np.ndarray:
     The balanced multiport is the DFT ``u[k, l] = exp(2 pi i k l / N) / sqrt(N)``
     of ``linear.make_balanced_multiport``, so its outputs
     ``gamma_k = sum_l conj(u[l, k]) a_l`` are ``fft(a) / sqrt(N)``: O(N log N)
-    time and O(N) memory, with no N x N matrix built.
+    time and O(N) memory, with no N x N matrix built.  It is taken of
+    ``a - a_0``, exact inside a tight cluster; ``a_0`` reaches mode 0 alone.
     """
-    amps = _amplitudes(amplitudes)
-    gamma = np.fft.fft(amps) / math.sqrt(amps.size)
+    amps = domain.amplitudes(amplitudes, minimum=2)
+    root_n = math.sqrt(amps.size)
+    gamma = np.fft.fft(amps - amps[0]) / root_n
+    gamma[0] += root_n * amps[0]
     return np.exp(-np.abs(gamma) ** 2)
 
 
@@ -140,8 +123,9 @@ def _success_forms(amps: np.ndarray, p_no_click: np.ndarray) -> tuple[float, flo
     """The three forms of ``multiport_success_forms`` given the outputs' vacuum probabilities."""
     n = amps.size
 
-    # sum_{j,l} |a_j - a_l|^2 / (2N) = sum_j |d_j - mean(d)|^2 with d_j = a_j - a_0.
-    # Within a tight cluster the d_j are exact, so its offset never enters.
+    # Every form is unchanged by a common shift, so each is taken of d = a - a_0:
+    # exact inside a tight cluster, where raw log overlaps of size |a|^2 cancel.
+    # sum_{j,l} |a_j - a_l|^2 / (2N) = sum_j |d_j - mean(d)|^2.
     d = amps - amps[0]
     pairwise = 1.0 - math.exp(-float(np.sum(np.abs(d - np.mean(d)) ** 2)))
 
@@ -149,12 +133,12 @@ def _success_forms(amps: np.ndarray, p_no_click: np.ndarray) -> tuple[float, flo
 
     # The product of N^2 overlaps underflows long before its N-th root does,
     # so the root is taken of the summed log overlaps.  Their imaginary parts
-    # cancel in pairs; rounding leaves at most a few ulps of sum |a_j| |a_l|.
-    log_prod = _log_gram_sum(amps)
-    if abs(log_prod.imag) > 1e-12 * max(1.0, float(np.sum(np.abs(amps))) ** 2):
+    # cancel in pairs; rounding leaves at most a few ulps of sum |d_j| |d_l|.
+    log_prod = _log_gram_sum(d)
+    if abs(log_prod.imag) > 1e-12 * max(1.0, float(np.sum(np.abs(d))) ** 2):
         raise InvariantError(f"overlap product has imaginary residue {log_prod.imag!r}")
-    # The log sum is -N sum_j |a_j - mean|^2 <= 0; rounding can lift it above
-    # zero, for a cluster near |a| = 1e15 far enough to overflow exp.
+    # The log sum is -N sum_j |d_j - mean(d)|^2 <= 0; rounding may lift it
+    # a few ulps above zero.
     overlap_product = 1.0 - math.exp(min(0.0, log_prod.real / n))
 
     return pairwise, per_mode, overlap_product
@@ -169,21 +153,16 @@ def multiport_success_forms(amplitudes) -> tuple[float, float, float]:
 
     All three are returned unclamped so tests can compare them directly.
     """
-    amps = _amplitudes(amplitudes)
+    amps = domain.amplitudes(amplitudes, minimum=2)
     return _success_forms(amps, no_click_probabilities(amps))
 
 
-def _agreed(forms: tuple[float, float, float], amps: np.ndarray) -> float:
-    """The clamped pairwise form, once all three forms agree.
-
-    They must agree to ``FORM_AGREEMENT_TOL``, or to the overlap product's
-    rounding ``FORM_ROUNDING_FACTOR * N * max|a_j|^2 * eps`` where that is larger.
-    """
-    scale = amps.size * float(np.max(np.abs(amps))) ** 2 * sys.float_info.epsilon
-    tol = max(FORM_AGREEMENT_TOL, FORM_ROUNDING_FACTOR * scale)
+def _agreed(forms: tuple[float, float, float]) -> float:
+    """The clamped pairwise form, once all three forms agree to ``FORM_AGREEMENT_TOL``."""
     spread = max(forms) - min(forms)
-    if spread > tol:
-        raise InvariantError(f"success-probability forms disagree by {spread:.3e} > {tol:.3e}")
+    if not spread <= FORM_AGREEMENT_TOL:
+        raise InvariantError(f"success-probability forms disagree by {spread:.3e} "
+                             f"> {FORM_AGREEMENT_TOL:.0e}")
     return _clamp_probability(forms[0])
 
 
@@ -193,21 +172,21 @@ def p_success_multiport(amplitudes) -> float:
     Evaluates all three equivalent forms, checks they agree (see ``_agreed``)
     and returns the pairwise-difference form.
     """
-    amps = _amplitudes(amplitudes)
-    return _agreed(multiport_success_forms(amps), amps)
+    return _agreed(multiport_success_forms(amplitudes))
 
 
 def p_symm(amplitudes) -> float:
     """Probability that the coherent product lies in the symmetric subspace.
 
     Explicit sum of Gram-matrix products over all N! permutations, exact at
-    desk scale; guarded at N <= 8 against factorial blowup.
+    desk scale; guarded at N <= 8 against factorial blowup.  A common shift
+    only adds phases to the overlaps that cancel in every product, so the sum
+    is taken of ``a - a_0``.
     """
-    amps = _amplitudes(amplitudes)
-    n = amps.size
-    if n > MAX_UNIVERSAL_MODES:
-        raise ValueError(f"permutation sum limited to {MAX_UNIVERSAL_MODES} states, got {n}")
-    g = np.exp(_log_overlap(amps[:, None], amps[None, :])).tolist()
+    amps = domain.amplitudes(amplitudes, minimum=2)
+    n = domain.integer(amps.size, "states in the permutation sum", 2, MAX_UNIVERSAL_MODES)
+    d = amps - amps[0]
+    g = np.exp(_log_overlap(d[:, None], d[None, :])).tolist()
     total = 0j
     for perm in itertools.permutations(range(n)):
         term = 1.0 + 0j
@@ -279,10 +258,10 @@ def compare_report(amplitudes) -> ComparisonReport:
     Propagates the amplitudes through the multiport once, by FFT (no N x N
     matrix), and runs the permutation sum at most once.
     """
-    amps = _amplitudes(amplitudes)
+    amps = domain.amplitudes(amplitudes, minimum=2)
     p_no_click = no_click_probabilities(amps)
     forms = _success_forms(amps, p_no_click)
-    p_succ = _agreed(forms, amps)
+    p_succ = _agreed(forms)
     p_universal = amgm = None
     if amps.size <= MAX_UNIVERSAL_MODES:
         p_sym = p_symm(amps)

@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import domain
 from .linear import CoherentRegister, LinearNetwork, apply_network
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BLOCK_UNIFORMS = 1 << 18  # uniforms in flight in ``bernoulli_counts``, all threads (2 MiB of float64)
+MAX_POISSON_MEAN = 9.2e18  # numpy's Poisson sampler accepts means up to about 9.22e18
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,8 @@ class DetectorModel:
     number_resolving: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if not self.dark_mean >= 0.0:
-            raise ValueError(f"dark_mean must be nonnegative, got {self.dark_mean}")
+        domain.fraction(self.efficiency, "efficiency")
+        domain.magnitude(self.dark_mean, "dark_mean")
 
     def registered_mean(self, mean_photon: float) -> float:
         """Mean of the registered count distribution for a given incident mean."""
@@ -56,21 +56,6 @@ class DetectorModel:
 
 
 IDEAL = DetectorModel()
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """Counts registered on a set of modes in a single detection window."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def clicked(self) -> bool:
-        return any(c > 0 for c in self.counts)
 
 
 @dataclass(frozen=True)
@@ -88,16 +73,13 @@ def stream(seed) -> np.random.Generator:
     """Counter-based random stream for a seed; Generators pass through unchanged."""
     if isinstance(seed, np.random.Generator):
         return seed
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = domain.integer(seed, "seed", 0, 2**128 - 1)  # Philox keys are 128-bit
     return np.random.Generator(np.random.Philox(key=seed))
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = domain.integer(trials, "trials", 1)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -114,10 +96,9 @@ def sample_counts(mean_photon, model: DetectorModel = IDEAL, rng=0, size=None):
     Poisson(efficiency * mean + dark_mean); a non-number-resolving model
     reduces the result to 0/1.
     """
-    means = np.asarray(mean_photon, dtype=float)
-    if not np.all(means >= 0.0):
-        raise ValueError(f"mean photon number must be nonnegative, got {mean_photon}")
-    counts = stream(rng).poisson(model.registered_mean(means), size=size)
+    means = domain.magnitude(mean_photon, "mean photon number", limit=math.inf)
+    registered = domain.magnitude(model.registered_mean(means), "mean count", limit=MAX_POISSON_MEAN)
+    counts = stream(rng).poisson(registered, size=size)
     if not model.number_resolving:
         counts = np.minimum(counts, 1)
     return int(counts) if np.ndim(counts) == 0 else counts
@@ -125,9 +106,7 @@ def sample_counts(mean_photon, model: DetectorModel = IDEAL, rng=0, size=None):
 
 def click_probabilities(means, model: DetectorModel = IDEAL) -> np.ndarray:
     """Per-detector click probabilities 1 - exp(-(efficiency * mean + dark))."""
-    means = np.asarray(means, dtype=float)
-    if np.any(means < 0):
-        raise ValueError("mean photon numbers must be nonnegative")
+    means = domain.magnitude(means, "mean photon number", limit=math.inf)
     return 1.0 - np.exp(-(model.efficiency * means + model.dark_mean))
 
 
@@ -189,8 +168,8 @@ def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
     full-table draw whatever the number of CPUs.  A generator other than
     Philox fills a single range.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = domain.integer(trials, "trials", 1)
+    domain.size(trials, "the per-trial counts")
     p = np.asarray(p, dtype=float)
     gen = stream(rng)
     width = max(p.size, 1)
@@ -199,7 +178,7 @@ def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
     ranges = min(_available_cpus(), blocks) if philox else 1
     rows = max(1, BLOCK_UNIFORMS // ranges // width)
     bounds = [trials * k // ranges for k in range(ranges + 1)]
-    state = gen.bit_generator.state
+    state = gen.bit_generator.state if ranges > 1 else None
     gens = [gen] + [_philox_at(state, start * p.size) for start in bounds[1:-1]]
     counts = np.empty(trials, dtype=np.int64)
     errors = []
@@ -220,8 +199,8 @@ def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
             worker.join()
     if errors:
         raise errors[0]
-    # The last range's generator stops where one full-table draw would.
-    gen.bit_generator.state = gens[-1].bit_generator.state
+    if ranges > 1:  # the last range's generator stops where one full-table draw would
+        gen.bit_generator.state = gens[-1].bit_generator.state
     return counts
 
 
@@ -239,11 +218,9 @@ def run_trials(
     the fraction of trials in which at least one watched detector registered
     a count, with a Wilson 95% interval.
     """
-    watched = sorted(set(int(m) for m in watched_modes))
-    if not watched:
-        raise ValueError("watched_modes must not be empty")
-    if any(m < 0 or m >= network.n_modes for m in watched):
-        raise ValueError(f"watched modes {watched} out of range for {network.n_modes} modes")
+    watched = sorted({domain.integer(m, "watched mode", 0, network.n_modes - 1)
+                      for m in watched_modes})
+    domain.integer(len(watched), "number of watched modes", 1)
     means = apply_network(network, register).mode_means()[watched]
     clicks = bernoulli_counts(click_probabilities(means, model), trials, rng)
     successes = int(np.count_nonzero(clicks))

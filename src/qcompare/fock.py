@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import domain
+
 NORM_SLACK = 1e-12
 # Largest |alpha| whose vacuum amplitude exp(-|alpha|^2/2) is a normal double.
 MAX_COHERENT_AMPLITUDE = math.sqrt(-2.0 * math.log(sys.float_info.min))
@@ -39,15 +41,11 @@ class FockVector:
 
     def __post_init__(self):
         arr = np.asarray(self.amps, dtype=complex)
-        d = self.cutoff + 1
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be at least 1, got {self.cutoff}")
+        d = domain.integer(self.cutoff, "cutoff", 1) + 1
         if arr.shape not in ((d,), (d, d)):
             raise ValueError(f"amps shape {arr.shape} does not match cutoff {self.cutoff}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(arr) ** 2))
-        if norm_sq > 1.0 + NORM_SLACK:
+        if not norm_sq <= 1.0 + NORM_SLACK:  # a NaN or infinite amplitude fails too
             raise ValueError(f"norm^2 = {norm_sq} exceeds 1 beyond slack")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
@@ -91,16 +89,11 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     ``MAX_COHERENT_AMPLITUDE`` (about 37.64), where that amplitude stops being
     a normal double and the state could no longer be represented faithfully.
     """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
-    alpha = complex(alpha)
-    vacuum = math.exp(-0.5 * abs(alpha) ** 2)
-    if vacuum < sys.float_info.min:
-        raise ValueError(
-            f"|alpha| = {abs(alpha):g} is outside the representable range "
-            f"|alpha| <= {MAX_COHERENT_AMPLITUDE:.4f} (exp(-|alpha|^2/2) underflows)")
+    cutoff = domain.integer(cutoff, "cutoff", 1)
+    domain.size(cutoff + 1, "the coherent state")
+    alpha = complex(domain.amplitudes(alpha, "alpha", limit=MAX_COHERENT_AMPLITUDE)[0])
     amps = np.empty(cutoff + 1, dtype=complex)
-    amps[0] = vacuum
+    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, cutoff + 1):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return FockVector(amps, cutoff)
@@ -114,11 +107,10 @@ def squeezed_vacuum_fock(xi: complex, cutoff: int) -> tuple[FockVector, float]:
     constant is ``s = (1 - 4 |xi|^2)^{1/4}``; ``s`` is returned alongside the
     state.  The cutoff must be even so the top populated level is complete.
     """
-    xi = complex(xi)
-    if abs(xi) >= 0.5:
-        raise ValueError(f"|xi| must be below 1/2 for a normalizable state, got {abs(xi)}")
-    if cutoff < 2 or cutoff % 2 != 0:
-        raise ValueError(f"cutoff must be an even integer >= 2, got {cutoff}")
+    xi = complex(domain.amplitudes(xi, "xi", limit=math.nextafter(0.5, 0.0))[0])  # |xi| < 1/2
+    if domain.integer(cutoff, "cutoff", 2) % 2:
+        raise ValueError(f"cutoff must be even, got {cutoff}")
+    domain.size(cutoff + 1, "the squeezed state")
     s = (1.0 - 4.0 * abs(xi) ** 2) ** 0.25
     amps = np.zeros(cutoff + 1, dtype=complex)
     coeff = complex(s)
@@ -136,6 +128,7 @@ def product_state(a: FockVector, b: FockVector) -> FockVector:
         raise ValueError("product_state needs two single-mode states")
     if a.cutoff != b.cutoff:
         raise ValueError("cutoffs differ")
+    domain.size((a.cutoff + 1) ** 2, "the two-mode product state")
     return FockVector(np.outer(a.amps, b.amps), a.cutoff)
 
 
@@ -163,6 +156,8 @@ def _bs_blocks(transmittance: float, n_max: int) -> list[np.ndarray]:
     summing the binomial expansion of the transformed operators, loses
     orthogonality to cancellation from n ~ 80 on.)
     """
+    # Blocks 0..n_max hold sum_{n <= n_max} (n+1)^2 entries.
+    domain.size((n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6, "the beam-splitter blocks")
     with _BLOCKS_LOCK:
         blocks = _BLOCKS.pop(transmittance, None)
         _evict_blocks(BLOCK_CACHE_TRANSMITTANCES - 1)  # room for this one, before building
@@ -205,11 +200,10 @@ def apply_bs_fock(state: FockVector, transmittance: float) -> FockVector:
     """
     if state.modes != 2:
         raise ValueError("apply_bs_fock needs a two-mode state")
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
+    transmittance = domain.fraction(transmittance, "transmittance")
     cutoff = state.cutoff
     amps = state.amps
-    blocks = _bs_blocks(float(transmittance), 2 * cutoff)
+    blocks = _bs_blocks(transmittance, 2 * cutoff)
     out = np.zeros_like(amps)
     for n in range(2 * cutoff + 1):
         lo = max(0, n - cutoff)
@@ -229,8 +223,7 @@ def photon_distribution(state: FockVector, mode: int = 0) -> np.ndarray:
 
     Nonnegative and summing to ``1 - deficit``.
     """
-    if mode not in range(state.modes):
-        raise ValueError(f"mode {mode} out of range for a {state.modes}-mode state")
+    mode = domain.integer(mode, "mode", 0, state.modes - 1)
     probs = np.abs(state.amps) ** 2
     if state.modes == 1:
         return probs
@@ -260,10 +253,8 @@ def su2_pass_state(n: int, cutoff: int) -> FockVector:
     mixtures) always pass the two-state comparison test even though they are
     not coherent.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cutoff:
-        raise ValueError(f"n = {n} exceeds cutoff {cutoff}")
+    n = domain.integer(n, "n", 0, cutoff)
+    domain.size((cutoff + 1) ** 2, "the two-mode state")
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     scale = 2.0 ** (-0.5 * n)
     for k in range(n + 1):
@@ -277,10 +268,10 @@ def squeezed_pass_state(m: int, n: int, cutoff: int) -> FockVector:
     These states always pass the squeezed-vacuum comparison: after the
     forward splitter both output photon numbers are even with certainty.
     """
-    if m < 0 or n < 0 or m % 2 or n % 2:
-        raise ValueError(f"m and n must be even and nonnegative, got ({m}, {n})")
-    if m + n > cutoff:
-        raise ValueError(f"m + n = {m + n} exceeds cutoff {cutoff}")
+    if domain.integer(m, "m", 0) % 2 or domain.integer(n, "n", 0) % 2:
+        raise ValueError(f"m and n must be even, got ({m}, {n})")
+    domain.integer(m + n, "m + n", 0, cutoff)
+    domain.size((cutoff + 1) ** 2, "the two-mode state")
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     pref = 1.0 / math.sqrt(2.0**m * math.factorial(m)) / math.sqrt(2.0**n * math.factorial(n))
     for k in range(m + 1):

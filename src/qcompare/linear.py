@@ -21,26 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import domain
+
 UNITARITY_TOL = 1e-10
-
-
-def _complex_vector(values) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=complex))
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("expected a non-empty 1-D sequence of amplitudes")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("amplitudes must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
 class CoherentRegister:
-    """Ordered mode amplitudes of an N-mode coherent product state."""
+    """Ordered mode amplitudes of an N-mode coherent product state (any finite values:
+    a network's outputs may exceed ``domain.MAX_AMPLITUDE``)."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _complex_vector(self.amplitudes)
+        arr = domain.amplitudes(self.amplitudes, limit=np.inf)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -98,8 +92,7 @@ def make_beam_splitter(transmittance: float) -> LinearNetwork:
     With ``T = 1/2`` this is the balanced splitter sending ``(alpha, beta)``
     to ``((alpha + beta)/sqrt(2), (alpha - beta)/sqrt(2))``.
     """
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
+    transmittance = domain.fraction(transmittance, "transmittance")
     t = np.sqrt(transmittance)
     r = np.sqrt(1.0 - transmittance)
     return LinearNetwork(np.array([[t, r], [r, -t]]), label=f"BS(T={transmittance:g})")
@@ -112,8 +105,8 @@ def make_balanced_multiport(n_modes: int) -> LinearNetwork:
     entering any port with equal probability over all outputs, and it is the
     N-mode generalization of the balanced beam splitter.
     """
-    if n_modes < 2:
-        raise ValueError(f"a multiport needs at least 2 modes, got {n_modes}")
+    n_modes = domain.integer(n_modes, "multiport modes", 2)
+    domain.size(n_modes * n_modes, "the multiport matrix")
     k = np.arange(n_modes)
     mat = np.exp(2j * np.pi * np.outer(k, k) / n_modes) / np.sqrt(n_modes)
     return LinearNetwork(mat, label=f"DFT({n_modes})")
@@ -125,10 +118,8 @@ def make_phase_shift(phases) -> LinearNetwork:
     Stored as ``diag(exp(-i phases))`` so that the package-wide application
     convention produces the ``+i phases`` rotation on amplitudes.
     """
-    ph = np.atleast_1d(np.asarray(phases, dtype=float))
-    if ph.ndim != 1 or ph.size < 1:
-        raise ValueError("phases must be a non-empty 1-D sequence")
-    mat = np.diag(np.exp(-1j * ph))
+    # LinearNetwork rejects what is not a non-empty 1-D sequence (np.diag of it is not square).
+    mat = np.diag(np.exp(-1j * np.atleast_1d(np.asarray(phases, dtype=float))))
     return LinearNetwork(mat, label="phase")
 
 

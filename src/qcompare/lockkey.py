@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import domain
 from .detection import (IDEAL, DetectorModel, TrialStats, bernoulli_counts, click_probabilities,
                         sample_counts, stream, wilson_interval)
 from .errors import InvariantError
-from .fock import coherent_fock
+from .fock import MAX_COHERENT_AMPLITUDE, coherent_fock
 
 # ---------------------------------------------------------------------------
 # keys and lock tests
@@ -34,21 +35,20 @@ from .fock import coherent_fock
 
 @dataclass(frozen=True)
 class KeyString:
-    """M-position coherent key: common magnitude plus a phase index per position."""
+    """M-position coherent key: common magnitude plus a phase index per position (ints)."""
 
     n_phases: int
     amplitude: float
     phases: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n_phases < 2:
-            raise ValueError(f"phase alphabet must have at least 2 entries, got {self.n_phases}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
-        if len(self.phases) < 1:
-            raise ValueError("key must have at least one position")
-        if any(not 0 <= k < self.n_phases for k in self.phases):
-            raise ValueError("phase indices out of range")
+        n_phases = domain.integer(self.n_phases, "n_phases", 2)
+        phases = tuple(domain.integer(k, "phase index", 0, n_phases - 1)
+                       for k in np.atleast_1d(self.phases).tolist())
+        domain.integer(len(phases), "key length", 1)
+        object.__setattr__(self, "n_phases", n_phases)
+        object.__setattr__(self, "amplitude", domain.magnitude(self.amplitude, "amplitude"))
+        object.__setattr__(self, "phases", phases)
 
     @property
     def length(self) -> int:
@@ -62,11 +62,10 @@ class KeyString:
 
 def generate_key(length: int, n_phases: int, amplitude: float, rng=0) -> KeyString:
     """Draw a key with i.i.d. uniform phase indices."""
-    if length < 1:
-        raise ValueError("length must be positive")
-    gen = stream(rng)
-    phases = tuple(int(k) for k in gen.integers(0, n_phases, size=length))
-    return KeyString(n_phases=n_phases, amplitude=float(amplitude), phases=phases)
+    length = domain.integer(length, "key length", 1)
+    domain.size(length, "the key")
+    n_phases = domain.integer(n_phases, "n_phases", 2)
+    return KeyString(n_phases, amplitude, stream(rng).integers(0, n_phases, size=length))
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,15 @@ class LockTestResult:
     passed: bool
     clicks: tuple[int, ...]
     recovered: np.ndarray  # (lock + candidate)/2 per position, valid on a silent test
+
+
+def _compared(key: KeyString, candidate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lock and candidate amplitudes, and the mean photon number of each difference mode."""
+    lock = key.amplitudes()
+    cand = domain.amplitudes(candidate, "candidate")
+    if cand.shape != lock.shape:
+        raise ValueError(f"candidate has {cand.size} positions, key has {lock.size}")
+    return lock, cand, np.abs(lock - cand) ** 2 / 2.0
 
 
 def lock_test(key: KeyString, candidate, model: DetectorModel = IDEAL, rng=0) -> LockTestResult:
@@ -84,11 +92,7 @@ def lock_test(key: KeyString, candidate, model: DetectorModel = IDEAL, rng=0) ->
     in both halves, which equals the original lock state when the candidate
     matched; the per-position recovered amplitudes are reported either way.
     """
-    lock = key.amplitudes()
-    cand = np.atleast_1d(np.asarray(candidate, dtype=complex))
-    if cand.shape != lock.shape:
-        raise ValueError(f"candidate has {cand.size} positions, key has {lock.size}")
-    diff_means = np.abs(lock - cand) ** 2 / 2.0
+    lock, cand, diff_means = _compared(key, candidate)
     clicks = tuple(sample_counts(diff_means, model, rng).tolist())
     return LockTestResult(
         passed=not any(clicks),
@@ -100,11 +104,7 @@ def lock_test(key: KeyString, candidate, model: DetectorModel = IDEAL, rng=0) ->
 def lock_test_pass_rate(key: KeyString, candidate, model: DetectorModel = IDEAL,
                         trials: int = 10_000, rng=0) -> TrialStats:
     """Empirical probability that the candidate silently passes the lock test."""
-    lock = key.amplitudes()
-    cand = np.atleast_1d(np.asarray(candidate, dtype=complex))
-    if cand.shape != lock.shape:
-        raise ValueError(f"candidate has {cand.size} positions, key has {lock.size}")
-    diff_means = np.abs(lock - cand) ** 2 / 2.0
+    _, _, diff_means = _compared(key, candidate)
     clicks = bernoulli_counts(click_probabilities(diff_means, model), trials, rng)
     successes = int(np.count_nonzero(clicks == 0))
     low, high = wilson_interval(successes, trials)
@@ -122,8 +122,7 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ("vacuum", "coherent"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be nonnegative")
+        domain.magnitude(self.magnitude, "attack magnitude")
 
 
 def attack_candidate(spec: AttackSpec, length: int) -> np.ndarray:
@@ -201,9 +200,7 @@ def bessel_i0_scaled(x):
     Takes a scalar (returns a float) or an array (returns an array of its
     shape); each element stops summing at its own termination test.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("argument must be nonnegative")
+    x = np.asarray(domain.magnitude(x, "Bessel argument", limit=math.inf))
     flat = x.ravel()
     out = np.empty_like(flat)
     small = flat < 15.0
@@ -212,11 +209,6 @@ def bessel_i0_scaled(x):
     out[~small] = _i0_asymptotic(xl) / np.sqrt(2.0 * np.pi * xl)
     out = out.reshape(x.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero."""
-    return math.exp(x) * bessel_i0_scaled(x)
 
 
 def attack_pass_probability(amplitude: float, beta_mag, n_phases: int | None = None):
@@ -228,12 +220,11 @@ def attack_pass_probability(amplitude: float, beta_mag, n_phases: int | None = N
     result then has its shape).  Passing ``n_phases`` averages over the
     discrete N-phase alphabet instead (cross-check path; beta taken real).
     """
-    beta_mag = np.asarray(beta_mag, dtype=float)
-    if amplitude < 0 or np.any(beta_mag < 0):
-        raise ValueError("magnitudes must be nonnegative")
+    amplitude = domain.magnitude(amplitude, "amplitude")
+    beta_mag = np.asarray(domain.magnitude(beta_mag, "beta magnitude"))
     if n_phases is not None:
-        if n_phases < 2:
-            raise ValueError("n_phases must be at least 2")
+        n_phases = domain.integer(n_phases, "n_phases", 2)
+        domain.size(n_phases * beta_mag.size, "the phase average")
         k = np.arange(n_phases)
         keys = amplitude * np.exp(2j * np.pi * k / n_phases)
         p = np.mean(np.exp(-0.5 * np.abs(np.subtract.outer(keys, beta_mag)) ** 2), axis=0)
@@ -275,13 +266,14 @@ def optimal_coherent_attack(amplitude: float) -> AttackOptimum:
     optimum is the vacuum; above it the optimum moves out to just under the
     key amplitude and the pass probability decays like 1/(sqrt(2 pi) amplitude).
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    amplitude = domain.magnitude(amplitude, "amplitude")
+    step = 1e-3
+    # The scan holds about a dozen float arrays of the grid's length at once.
+    domain.size(12 * ((2.0 * amplitude + 5.0) / step + 2), "the attack scan")
 
     def p(beta: float) -> float:
         return attack_pass_probability(amplitude, beta)
 
-    step = 1e-3
     grid = np.arange(0.0, 2.0 * amplitude + 5.0 + step, step)
     values = attack_pass_probability(amplitude, grid)
     best = int(np.argmax(values))
@@ -297,11 +289,7 @@ def optimal_coherent_attack(amplitude: float) -> AttackOptimum:
 
 def forgery_string_probability(p_single: float, length: int) -> float:
     """Chance a forgery passes all positions: p_single ** length."""
-    if not 0.0 <= p_single <= 1.0:
-        raise ValueError("p_single must lie in [0, 1]")
-    if length < 1:
-        raise ValueError("length must be positive")
-    return p_single**length
+    return domain.fraction(p_single, "p_single") ** domain.integer(length, "key length", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +325,9 @@ def holevo_entropy_finite(amplitude: float, n_phases: int) -> EntropyReport:
     bounds what any measurement on one position of one key copy can reveal,
     rising from 0 at a = 0 toward log2 N for large amplitude.
     """
-    if n_phases < 2:
-        raise ValueError("n_phases must be at least 2")
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    amplitude = domain.magnitude(amplitude, "amplitude")
+    n_phases = domain.integer(n_phases, "n_phases", 2)
+    domain.size(n_phases * n_phases, "the phase-state mixture")
     k = np.arange(n_phases)
     weights = np.exp(-(amplitude**2) * (1.0 - np.exp(2j * np.pi * k / n_phases)))
     phases = np.exp(2j * np.pi * np.outer(np.arange(n_phases), k) / n_phases)
@@ -360,10 +347,11 @@ def holevo_entropy_infinite(amplitude: float) -> EntropyReport:
     The randomized state is diagonal in the number basis with Poisson(a^2)
     eigenvalues, so the entropy is the Poisson Shannon entropy in bits,
     ``a^2 log2 e - e^{-a^2} sum_k (a^{2k}/k!) log2(a^{2k}/k!)``; the series is
-    truncated once the Poisson tail drops below 1e-14.
+    truncated once the Poisson tail drops below 1e-14.  It starts from
+    exp(-a^2), so a^2 is limited to 708.4, where that stops being a normal double.
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    amplitude = domain.magnitude(amplitude, "amplitude",
+                                 limit=MAX_COHERENT_AMPLITUDE / math.sqrt(2.0))
     lam = amplitude * amplitude
     if lam == 0.0:
         return EntropyReport(bits=0.0, eigenvalues=(1.0,), method="infinite")
@@ -387,8 +375,7 @@ def stirling_entropy_approx(amplitude: float) -> float:
     Gaussian (Stirling) approximation to the Poisson entropy; within 5% of
     the exact value once the mean photon number reaches 10.
     """
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    amplitude = domain.magnitude(amplitude, "amplitude", positive=True)
     return 0.5 * math.log2(2.0 * math.pi * math.e * amplitude * amplitude)
 
 
@@ -397,8 +384,9 @@ def entropy_by_diagonalization(amplitude: float, n_phases: int, cutoff: int = 30
 
     Independent of the analytic eigenvalue route; used to arbitrate it.
     """
-    if n_phases < 2:
-        raise ValueError("n_phases must be at least 2")
+    n_phases = domain.integer(n_phases, "n_phases", 2)
+    cutoff = domain.integer(cutoff, "cutoff", 1)
+    domain.size((n_phases + cutoff + 1) * (cutoff + 1), "the phase-state mixture")
     vecs = [
         coherent_fock(amplitude * np.exp(2j * np.pi * k / n_phases), cutoff).amps
         for k in range(n_phases)

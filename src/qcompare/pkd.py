@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import domain
 from .detection import (IDEAL, DetectorModel, bernoulli_counts, click_probabilities,
                         sample_counts, stream, wilson_interval)
 from .errors import InvariantError
 from .linear import CoherentRegister, apply_network, make_balanced_multiport
+from .lockkey import KeyString, generate_key
 
 VERDICT_ACCEPT = "accept"
 VERDICT_UNSURE = "unsure"
@@ -79,8 +81,7 @@ class PublicKeyState:
         arr = np.atleast_2d(np.asarray(self.amplitudes, dtype=complex))
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("expected a (copies, length) amplitude array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes must be finite")
+        domain.amplitudes(arr.ravel(), "public-key amplitudes", limit=math.inf)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -102,14 +103,7 @@ class PublicKeyState:
 
 def private_key_amplitudes(phase_indices, n_phases: int, amplitude: float) -> np.ndarray:
     """Coherent string encoded by a private key: amplitude * exp(2 pi i k_j / N)."""
-    k = np.atleast_1d(np.asarray(phase_indices, dtype=float))
-    if k.size < 1:
-        raise ValueError("key must have at least one position")
-    if n_phases < 2:
-        raise ValueError("n_phases must be at least 2")
-    if np.any((k < 0) | (k >= n_phases)):
-        raise ValueError("phase indices out of range")
-    return amplitude * np.exp(2j * np.pi * k / n_phases)
+    return KeyString(n_phases, amplitude, phase_indices).amplitudes()
 
 
 def trusted_center_distribute(phase_indices, n_phases: int, amplitude: float, copies: int,
@@ -121,10 +115,11 @@ def trusted_center_distribute(phase_indices, n_phases: int, amplitude: float, co
     vacuum, so every output mode carries exactly ``alpha_j``.  Mean photon
     number is conserved: T |alpha_j|^2 in, |alpha_j|^2 per copy out.
     """
-    if copies < 1:
-        raise ValueError("copies must be at least 1")
+    copies = domain.integer(copies, "copies", 1)
     alpha = private_key_amplitudes(phase_indices, n_phases, amplitude)
     m = alpha.size
+    recorded = 0 if transcript is None else (copies + 1) * m
+    domain.size(copies * m + domain.REPORT_ENTRIES * recorded, "the public-key copies")
     if transcript is not None:
         transcript.record("alice", "prepare", amplitudes=np.sqrt(copies) * alpha)
     if copies == 1:
@@ -147,8 +142,7 @@ def verdicts(errors, security_s: float, length: int) -> np.ndarray:
 
     ACCEPT on zero errors, REJECT at errors >= s * length, UNSURE in between.
     """
-    if not 0.0 < security_s <= 1.0:
-        raise ValueError("security parameter must lie in (0, 1]")
+    domain.fraction(security_s, "security parameter s", positive=True)
     errors = np.asarray(errors)
     return np.where(errors == 0, ACCEPT, np.where(errors >= security_s * length, REJECT, UNSURE))
 
@@ -175,32 +169,25 @@ class VerificationResult:
 
 
 def verify_against_private(copy_amplitudes, claimed_phases, n_phases: int, amplitude: float,
-                           security_s: float, rng=0,
-                           transcript: ProtocolTranscript | None = None,
-                           party: str = "recipient") -> VerificationResult:
+                           security_s: float, rng=0) -> VerificationResult:
     """Test a held public-key copy against a revealed private key.
 
     Each position is measured with the two-outcome test {|target><target|,
     1 - |target><target|}; the incorrect outcome fires with probability
-    ``1 - |<target|held>|^2 = 1 - exp(-|held - target|^2)``.
+    ``1 - |<target|held>|^2 = 1 - exp(-|held - target|^2)``.  The outcomes
+    are one trial of the trial engine, ``bernoulli_counts``.
     """
-    held = np.atleast_1d(np.asarray(copy_amplitudes, dtype=complex))
+    held = domain.amplitudes(copy_amplitudes, "held copy", limit=math.inf)
     target = private_key_amplitudes(claimed_phases, n_phases, amplitude)
     if held.shape != target.shape:
         raise ValueError(f"copy has {held.size} positions, claimed key has {target.size}")
-    gen = stream(rng)
-    p_incorrect = _incorrect_probability(held, target)
-    incorrect = gen.random(held.size) < p_incorrect
-    errors = int(np.count_nonzero(incorrect))
-    if transcript is not None:
-        transcript.record(party, "verify", counts=incorrect.astype(int))
+    errors = int(bernoulli_counts(_incorrect_probability(held, target), 1, rng)[0])
     return VerificationResult(errors=errors, verdict=verdict_for(errors, security_s, held.size))
 
 
 def coherent_with_overlap(alpha: complex, overlap: float) -> complex:
     """A coherent amplitude whose state has squared overlap ``overlap`` with |alpha>."""
-    if not 0.0 < overlap <= 1.0:
-        raise ValueError("overlap must lie in (0, 1]")
+    overlap = domain.fraction(overlap, "overlap", positive=True)
     return complex(alpha) + math.sqrt(-math.log(overlap))
 
 
@@ -225,10 +212,8 @@ class AliceCenterAttack:
     overlap: float = 0.5
 
     def __post_init__(self):
-        if self.positions < 0:
-            raise ValueError("positions must be nonnegative")
-        if not 0.0 < self.overlap <= 1.0:
-            raise ValueError("overlap must lie in (0, 1]")
+        domain.integer(self.positions, "attacked positions", 0)
+        domain.fraction(self.overlap, "overlap", positive=True)
 
 
 @dataclass(frozen=True)
@@ -244,8 +229,8 @@ class AliceCheatStats:
 
 def _center_errors(attack: AliceCenterAttack, trials: int, gen) -> tuple[np.ndarray, np.ndarray]:
     """Bob's and Charlie's error counts per trial: independent Binomial(positions, 1 - overlap)."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = domain.integer(trials, "trials", 1)
+    domain.size(2 * trials, "the per-trial error counts")
     p_inc = 1.0 - attack.overlap
     return (gen.binomial(attack.positions, p_inc, size=trials),
             gen.binomial(attack.positions, p_inc, size=trials))
@@ -262,8 +247,7 @@ def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float
     against the ``(1/2)^(s M - 1)`` bound and must not exceed it beyond 3
     binomial standard errors.
     """
-    if attack.positions > length:
-        raise ValueError("cannot attack more positions than the key has")
+    domain.integer(attack.positions, "attacked positions", 0, length)
     e_bob, e_charlie = _center_errors(attack, trials, stream(rng))
     disagree = _split_verdicts(verdicts(e_bob, security_s, length),
                                verdicts(e_charlie, security_s, length))
@@ -305,6 +289,13 @@ class Party:
         return bool(np.any(self.clicks > 0))
 
 
+def _exchange_recipients(recipients, length: int) -> int:
+    """Recipient count T of an exchange whose parties record ~2 T numbers per position."""
+    recipients = domain.integer(recipients, "recipients", 2)
+    domain.size(domain.REPORT_ENTRIES * 2 * recipients**2 * length, "the exchange transcripts")
+    return recipients
+
+
 def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0, tamper=None) -> list[Party]:
     """Run the two-phase distributed comparison among T recipients.
 
@@ -315,10 +306,8 @@ def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0, tamper=Non
     amplitude, modes 1..T-1 are watched by detectors.  ``tamper(s, r, shares)``
     may replace what sender s forwards to recipient r.
     """
-    arrs = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in copies]
-    t_count = len(arrs)
-    if t_count < 2:
-        raise ValueError("the distributed exchange needs at least 2 recipients")
+    arrs = [domain.amplitudes(c, "public-key copy", limit=math.inf) for c in copies]
+    t_count = _exchange_recipients(len(arrs), arrs[0].size if arrs else 0)
     length = arrs[0].size
     if any(a.shape != (length,) for a in arrs):
         raise ValueError("all copies must have the same number of positions")
@@ -441,8 +430,7 @@ def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length:
     copy against the honestly announced private key.
     """
     gen = stream(rng)
-    phases = gen.integers(0, n_phases, size=length)
-    alpha = private_key_amplitudes(phases, n_phases, amplitude)
+    alpha = generate_key(length, n_phases, amplitude, gen).amplitudes()
     click_mean, p_error, clicks, errors = _bob_counts(alpha, tamper, model, trials, gen)
     n_rej = int(np.count_nonzero(verdicts(errors, security_s, length) == REJECT))
     n_det = int(np.count_nonzero(clicks))
@@ -477,18 +465,20 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
     """Trusted-center scheme driver: per-trial verdict rows plus a worked transcript."""
     if adversary not in ("none", "alice-overlap-half"):
         raise ValueError(f"unsupported adversary {adversary!r} for the center scheme")
+    # A per-trial row takes about as much memory as one formatted report number.
+    domain.size(domain.REPORT_ENTRIES * domain.integer(trials, "trials", 1), "the per-trial rows")
     gen = stream(rng)
-    phases = gen.integers(0, n_phases, size=length)
+    key = generate_key(length, n_phases, amplitude, gen)
 
     transcript = ProtocolTranscript()
-    pubkey = trusted_center_distribute(phases, n_phases, amplitude, copies, transcript=transcript)
+    pubkey = trusted_center_distribute(key.phases, n_phases, amplitude, copies,
+                                       transcript=transcript)
 
     attack = AliceCenterAttack(positions=0 if adversary == "none" else 1, overlap=0.5)
     e_bob, e_charlie = _center_errors(attack, trials, gen)
     if adversary != "none":
-        alpha = private_key_amplitudes(phases, n_phases, amplitude)
         transcript.record("alice", "substitute", position=0,
-                          amplitudes=[coherent_with_overlap(alpha[0], attack.overlap)])
+                          amplitudes=[coherent_with_overlap(key.amplitudes()[0], attack.overlap)])
     v_bob = verdicts(e_bob, security_s, length)
     v_charlie = verdicts(e_charlie, security_s, length)
     rows = _trial_rows(e_bob, e_charlie, v_bob, v_charlie, np.zeros(trials, dtype=np.int64))
@@ -511,9 +501,10 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
         raise ValueError(f"unsupported adversary {adversary!r} for the distributed scheme")
     if adversary == "charlie-flip" and recipients != 2:
         raise ValueError("the charlie-flip adversary is defined for 2 recipients")
+    domain.size(domain.REPORT_ENTRIES * domain.integer(trials, "trials", 1), "the per-trial rows")
     gen = stream(rng)
-    phases = gen.integers(0, n_phases, size=length)
-    alpha = private_key_amplitudes(phases, n_phases, amplitude)
+    alpha = generate_key(length, n_phases, amplitude, gen).amplitudes()
+    recipients = _exchange_recipients(recipients, length)
 
     tamper = CharlieTamper("flip" if adversary == "charlie-flip" else "none")
     parties = distributed_exchange([alpha.copy() for _ in range(recipients)], rng=gen,

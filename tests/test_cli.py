@@ -1,15 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcompare import cli, comparison, linear
+from qcompare.domain import WORK_BUDGET
 from qcompare.errors import InvariantError
 
 
@@ -139,7 +145,7 @@ class TestFigures:
     def test_scans_reject_nonpositive_step(self, command, step, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert cli.main(command + [step, "--out", str(out)]) == 2
-        assert "range and step must be positive" in capsys.readouterr().err
+        assert "sweep step must lie in (0, " in capsys.readouterr().err
         assert not out.exists()
 
     def test_figure2_svg(self, tmp_path):
@@ -298,16 +304,16 @@ GOLDEN = [
     ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format svg",
      "f77831f63de373fd36f858dcc7238f4965c53a1a2f93f5a5c9465a9b2fb09048"),
     ("compare --alpha 1,0.5 --beta -1,0 --format json",
-     "168af47941298c30993719c4071eebaade78efeb1ac7d4619bacfae0b3aceec9"),
+     "ea4a8f32234e103ed004decbf1112e7f450658beeed76ecaed8d85d9e346f340"),
     ("oracle --alpha 0.8,0.3 --beta -0.5,0.2 --transmittance 0.3 --cutoff 40",
      "b40a23ac0d7db4347df9ef72df449f680eccd7153cdce22e089462f1d5b19562"),
     ("oracle --xi1 0.2 --xi2 0.1",
      "d199f88f191bcf2d8b0b6b6625a5cda32ec9797f732114838398c0a156a409f4"),
     ("multiport --amps 1,0 1,0 -1,0",
-     "3ef45b07b3adaf65bac6a74361c24d6b8a9a866700a239b3071660ee1f0f2c70"),
+     "7a703d48e6a9e2a6ddb7e50546a63c47a49c361f68d375a9784365df60d2cf96"),
     ("multiport --amps 0.3,0.1 -0.2,0.4 0.5,-0.5 0.1,0 -0.3,-0.3 0.2,0.2 0,0.6 -0.4,0.1 "
      "0.7,0 -0.1,-0.6 0.25,0.35 -0.55,0.05",
-     "4057ef7cdb3d2ec83dd2a02b946a0cfc305a874e550f1408470988925a7c82bd"),
+     "1712234ccc101b8ba5417f95c4f50c76a33cecbe5548e1e3d3691cbdcc98a2b1"),
 ]
 
 
@@ -352,3 +358,161 @@ class TestModuleEntryPoint:
         proc = self.run_module("compare", "--alpha", "nope", "--beta", "0,0")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)``; argparse errors count as exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Library wording that leaked into stderr before the inputs were guarded.
+LEAKED_WORDING = ("Traceback", "numpy", "math domain", "arange", "high <=", "lam value",
+                  "Numerical result")
+
+
+class TestInputDomain:
+    @pytest.mark.parametrize("argv,message", [
+        (["lockkey", "simulate", "--amp", "nan"], "amplitude must lie in [0, MAX_AMPLITUDE"),
+        (["lockkey", "simulate", "--amp", "1e200", "--trials", "10"], "got 1e+200"),
+        (["lockkey", "simulate", "--N", "0"], "n_phases must be an integer >= 2, got 0"),
+        (["lockkey", "entropy", "--alpha-sq", "-1"], "alpha_sq must lie in [0, "),
+        (["figure2", "--max", "nan"], "sweep range must lie in (0, "),
+        (["figure4", "--points", "0"], "points must be an integer >= 2, got 0"),
+        (["lockkey", "attack-scan", "--amp", "1e6"], "WORK_BUDGET"),
+        (["oracle", "--alpha", "30,0", "--beta", "0,0", "--cutoff", "5000"], "WORK_BUDGET"),
+        (["oracle", "--alpha", "1e200,0", "--beta", "0,0"], "alpha must be finite"),
+    ])
+    def test_out_of_domain_input_exits_2_by_name(self, argv, message, tmp_path):
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code, _, err = run_captured(argv + ["--out", str(out)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and message in err
+        assert not any(word in err for word in LEAKED_WORDING), err
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_generated_arguments_exit_cleanly_and_reproducibly(self, data):
+        # Every option gets a small in-domain value (or its default); at most
+        # one gets an edge value: 0, -1, nan, inf, 1e200 or an over-budget count.
+        prefix, options, formats = data.draw(st.sampled_from(FUZZ_COMMANDS))
+        edged = data.draw(st.sampled_from([None] + [o for o, (_, e, _) in options.items() if e]))
+        argv = list(prefix)
+        for option, (in_domain, edges, required) in options.items():
+            if option == edged:
+                values = data.draw(st.sampled_from(edges))
+            elif required or data.draw(st.booleans()):
+                values = data.draw(in_domain)
+            else:
+                continue
+            argv += [option, *([values] if isinstance(values, str) else values)]
+        argv += ["--format", data.draw(st.sampled_from(formats))]
+        first = run_captured(argv)
+        assert first == run_captured(argv), argv
+        code, _, err = first
+        assert code == 0 if edged is None else code in (0, 2), (argv, code, err)
+        assert not any(word in err for word in LEAKED_WORDING), (argv, err)
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi).map(lambda x: f"{x:.3f}")
+
+
+def _counts(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_AMPLITUDE = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(lambda z: f"{z[0]:.3f},{z[1]:.3f}")
+_EDGE_REALS = ("0", "-1", "nan", "inf", "1e200")
+_EDGE_COUNTS = ("0", "-1", str(WORK_BUDGET + 1), str(10**18))
+_EDGE_AMPLITUDES = ("0,0", "-1,0", "nan,0", "inf,0", "1e200,0")
+_SEED = (_counts(0, 1000), _EDGE_COUNTS, False)
+
+# (argv prefix, option -> (in-domain values, edge values, required), formats).
+FUZZ_COMMANDS = [
+    (["compare"], {
+        "--alpha": (_AMPLITUDE, _EDGE_AMPLITUDES, True),
+        "--beta": (_AMPLITUDE, _EDGE_AMPLITUDES, True),
+        "--sweep-max": (_reals(0.5, 4.0), _EDGE_REALS, False),
+        "--sweep-step": (_reals(0.1, 1.0), _EDGE_REALS, False),
+    }, ("json", "csv", "svg")),
+    (["multiport"], {
+        "--amps": (st.lists(_AMPLITUDE, min_size=2, max_size=5),
+                   [[a, "0.5,0"] for a in _EDGE_AMPLITUDES] + [["1,0"]], True),
+    }, ("json",)),
+    (["oracle"], {
+        "--alpha": (_AMPLITUDE, _EDGE_AMPLITUDES, True),
+        "--beta": (_AMPLITUDE, _EDGE_AMPLITUDES, True),
+        "--transmittance": (_reals(0.0, 1.0), _EDGE_REALS, False),
+        "--cutoff": (_counts(10, 20), _EDGE_COUNTS, False),
+    }, ("json",)),
+    (["oracle"], {
+        "--xi1": (_reals(0.0, 0.4), _EDGE_REALS, True),
+        "--xi2": (_reals(0.0, 0.4), _EDGE_REALS, True),
+        "--cutoff": (st.sampled_from(("10", "16", "20")), _EDGE_COUNTS, False),
+    }, ("json",)),
+    (["figure2"], {
+        "--max": (_reals(0.5, 4.0), _EDGE_REALS, False),
+        "--step": (_reals(0.1, 1.0), _EDGE_REALS, False),
+        "--seed": _SEED,
+    }, ("json", "csv", "svg")),
+    (["figure4"], {
+        "--N": (st.lists(_counts(2, 8), min_size=1, max_size=3), [[c] for c in _EDGE_COUNTS],
+                False),
+        "--alpha-sq-max": (_reals(0.0, 25.0), _EDGE_REALS, False),
+        "--points": (_counts(2, 6), _EDGE_COUNTS, False),
+    }, ("json", "csv", "svg")),
+    (["lockkey", "simulate"], {
+        "--M": (_counts(1, 8), _EDGE_COUNTS, False),
+        "--N": (_counts(2, 8), _EDGE_COUNTS, False),
+        "--amp": (_reals(0.0, 2.0), _EDGE_REALS, False),
+        "--attack": (st.sampled_from(("key", "vacuum", "coherent")), (), True),
+        "--beta": (_reals(0.0, 2.0), _EDGE_REALS, False),
+        "--trials": (_counts(1, 200), _EDGE_COUNTS, True),
+        "--efficiency": (_reals(0.0, 1.0), _EDGE_REALS, False),
+        "--dark-mean": (_reals(0.0, 0.1), _EDGE_REALS, False),
+        "--seed": _SEED,
+    }, ("json",)),
+    (["lockkey", "entropy"], {
+        "--N": (st.lists(_counts(2, 8), min_size=1, max_size=3), [[c] for c in _EDGE_COUNTS],
+                False),
+        "--alpha-sq": (_reals(0.0, 25.0), _EDGE_REALS, True),
+    }, ("json",)),
+    (["lockkey", "entropy"], {
+        "--N": (st.lists(_counts(2, 8), min_size=1, max_size=3), [[c] for c in _EDGE_COUNTS],
+                False),
+        "--alpha-sq-max": (_reals(0.0, 25.0), _EDGE_REALS, False),
+        "--points": (_counts(2, 6), _EDGE_COUNTS, False),
+    }, ("json", "csv", "svg")),
+    (["lockkey", "attack-scan"], {
+        "--amp": (_reals(0.0, 6.0), _EDGE_REALS, True),
+        "--beta-max": (_reals(0.5, 10.0), _EDGE_REALS, False),
+        "--step": (_reals(0.05, 1.0), _EDGE_REALS, False),
+    }, ("json", "csv", "svg")),
+    (["pkd", "--scheme", "center"], {
+        "--recipients": (_counts(1, 4), _EDGE_COUNTS, False),
+        "--M": (_counts(1, 6), _EDGE_COUNTS, False),
+        "--N": (_counts(2, 8), _EDGE_COUNTS, False),
+        "--amp": (_reals(0.0, 2.0), _EDGE_REALS, False),
+        "--s": (_reals(0.2, 1.0), _EDGE_REALS, False),
+        "--trials": (_counts(1, 50), _EDGE_COUNTS, True),
+        "--adversary": (st.sampled_from(("none", "alice-overlap-half")), (), False),
+        "--seed": _SEED,
+    }, ("json", "csv")),
+    (["pkd", "--scheme", "distributed"], {
+        "--recipients": (_counts(2, 4), _EDGE_COUNTS, False),
+        "--M": (_counts(1, 6), _EDGE_COUNTS, False),
+        "--N": (_counts(2, 8), _EDGE_COUNTS, False),
+        "--amp": (_reals(0.0, 2.0), _EDGE_REALS, False),
+        "--s": (_reals(0.2, 1.0), _EDGE_REALS, False),
+        "--trials": (_counts(1, 50), _EDGE_COUNTS, True),
+        "--seed": _SEED,
+    }, ("json", "csv")),
+]

@@ -9,7 +9,6 @@ from qcompare import detection
 from qcompare.detection import (
     BLOCK_UNIFORMS,
     IDEAL,
-    DetectionRecord,
     DetectorModel,
     bernoulli_counts,
     run_trials,
@@ -36,11 +35,6 @@ class TestDetectorModel:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             DetectorModel(**kwargs)
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            DetectionRecord(counts=(0, -1))
-        assert DetectionRecord(counts=(0, 2)).clicked
 
 
 class TestSampleCounts:

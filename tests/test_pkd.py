@@ -100,6 +100,27 @@ class TestVerification:
         )
         assert abs(errs / trials - expected) < three_sigma(expected, trials)
 
+    def test_engine_draw_matches_a_direct_uniform_table(self):
+        # One trial of bernoulli_counts reads one uniform per position, as the
+        # former ``gen.random(M) < p`` table did: same errors, same next draw.
+        from qcompare.detection import stream
+
+        phases = [0, 3, 5, 1, 7, 2]
+        target = private_key_amplitudes(phases, 8, 1.0)
+        held = target + np.array([0.0, 0.3, 0.8j, 1.2, -0.5 + 0.5j, 2.0])
+        p_incorrect = 1.0 - np.exp(-np.abs(held - target) ** 2)
+        for seed in range(300):
+            gen, reference = stream(seed), stream(seed)
+            result = verify_against_private(held, phases, 8, 1.0, 0.5, rng=gen)
+            assert result.errors == np.count_nonzero(reference.random(held.size) < p_incorrect)
+            assert gen.random() == reference.random()
+
+    def test_non_integer_phase_index_rejected(self):
+        with pytest.raises(ValueError, match="phase index"):
+            private_key_amplitudes([0, 1.5], 4, 1.0)
+        assert np.array_equal(private_key_amplitudes([0.0, 2.0], 4, 1.0),
+                              private_key_amplitudes([0, 2], 4, 1.0))
+
     def test_verdict_thresholds(self):
         assert verdict_for(0, 0.5, 10) == "accept"
         assert verdict_for(3, 0.5, 10) == "unsure"
