@@ -7,15 +7,16 @@ Two families are covered.  The beam-splitter / multiport strategy exploits
 the promise that inputs are coherent; its failure probability is a product
 of per-mode vacuum probabilities.  The universal strategy assumes nothing
 and projects onto the symmetric subspace; its success probability is
-``1 - p_symm`` with ``p_symm`` a permanent-type sum over all permutations of
-the coherent-state Gram matrix.  The multiport strategy always dominates:
-``1 - p_succ`` is the geometric mean of the same permutation terms whose
-arithmetic mean is ``p_symm``.
+``1 - p_symm`` with ``p_symm = per(G) / N!``, the mean over all permutations
+of products of the coherent-state Gram matrix G, evaluated by Glynn's
+formula.  The multiport strategy always dominates: ``1 - p_succ`` is the
+geometric mean of the same permutation terms whose arithmetic mean is
+``p_symm``.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,20 +97,26 @@ def unbalanced_test(alpha: complex, beta: complex, transmittance: float,
     return float(m0), float(m1)
 
 
-def no_click_probabilities(amplitudes) -> np.ndarray:
-    """Vacuum probabilities p_k(0) = exp(-|gamma_k|^2) of every multiport output.
+def multiport_outputs(amps: np.ndarray) -> np.ndarray:
+    """Outputs gamma of the balanced multiport fed the amplitudes on the last axis.
 
     The balanced multiport is the DFT ``u[k, l] = exp(2 pi i k l / N) / sqrt(N)``
     of ``linear.make_balanced_multiport``, so its outputs
     ``gamma_k = sum_l conj(u[l, k]) a_l`` are ``fft(a) / sqrt(N)``: O(N log N)
     time and O(N) memory, with no N x N matrix built.  It is taken of
-    ``a - a_0``, exact inside a tight cluster; ``a_0`` reaches mode 0 alone.
+    ``a - a_0``, exact inside a tight cluster (equal inputs give exactly zero
+    in modes 1..N-1); ``a_0`` reaches mode 0 alone, as sqrt(N) times itself.
     """
+    root_n = math.sqrt(amps.shape[-1])
+    gamma = np.fft.fft(amps - amps[..., :1]) / root_n
+    gamma[..., 0] += root_n * amps[..., 0]
+    return gamma
+
+
+def no_click_probabilities(amplitudes) -> np.ndarray:
+    """Vacuum probabilities p_k(0) = exp(-|gamma_k|^2) of every multiport output."""
     amps = domain.amplitudes(amplitudes, minimum=2)
-    root_n = math.sqrt(amps.size)
-    gamma = np.fft.fft(amps - amps[0]) / root_n
-    gamma[0] += root_n * amps[0]
-    return np.exp(-np.abs(gamma) ** 2)
+    return np.exp(-np.abs(multiport_outputs(amps)) ** 2)
 
 
 def _log_gram_sum(amps: np.ndarray) -> complex:
@@ -175,25 +182,40 @@ def p_success_multiport(amplitudes) -> float:
     return _agreed(multiport_success_forms(amplitudes))
 
 
+@functools.lru_cache(maxsize=None)
+def _glynn_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Glynn's 2^(N-1) sign vectors d (d_0 = +1) as the columns of an N-row
+    table, and each vector's sign product; built once per N."""
+    bits = (np.arange(1 << (n - 1)) >> np.arange(n - 1)[:, None]) & 1
+    # Complex, so that the product with the complex Gram matrix needs no cast.
+    signs = np.ones((n, 1 << (n - 1)), dtype=complex)
+    signs[1:] -= 2 * bits
+    products = np.multiply.reduce(signs, axis=0)
+    signs.setflags(write=False)
+    products.setflags(write=False)
+    return signs, products
+
+
 def p_symm(amplitudes) -> float:
     """Probability that the coherent product lies in the symmetric subspace.
 
-    Explicit sum of Gram-matrix products over all N! permutations, exact at
-    desk scale; guarded at N <= 8 against factorial blowup.  A common shift
-    only adds phases to the overlaps that cancel in every product, so the sum
-    is taken of ``a - a_0``.
+    ``per(G) / N!`` for the Gram matrix G, by Glynn's formula
+    ``per(G) = 2^-(N-1) sum_d (prod_k d_k) prod_i sum_j G[i, j] d_j`` over the
+    sign vectors d with d_0 = +1: O(2^(N-1) N^2) work in place of the
+    O(N! N) permutation sum; capped at ``MAX_UNIVERSAL_MODES`` states.  A
+    common shift only adds phases to the overlaps that cancel in every
+    product, so the sum is taken of ``a - a_0``.
     """
     amps = domain.amplitudes(amplitudes, minimum=2)
     n = domain.integer(amps.size, "states in the permutation sum", 2, MAX_UNIVERSAL_MODES)
     d = amps - amps[0]
-    g = np.exp(_log_overlap(d[:, None], d[None, :])).tolist()
-    total = 0j
-    for perm in itertools.permutations(range(n)):
-        term = 1.0 + 0j
-        for j, pj in enumerate(perm):
-            term *= g[j][pj]
-        total += term
-    total /= math.factorial(n)
+    signs, products = _glynn_signs(n)
+    g = np.exp(_log_overlap(d[:, None], d[None, :]))
+    # Row i of G @ signs holds sum_j G[i, j] d_j for every d; multiplying the
+    # rows together (axis 0, the vectorised direction) gives every d's term.
+    terms = np.multiply.reduce(g.dot(signs), axis=0)
+    # Dividing by 2^(N-1) is exact; N! is divided out once, at the end.
+    total = complex(products.dot(terms)) / (1 << (n - 1)) / math.factorial(n)
     if abs(total.imag) > 1e-12:
         raise InvariantError(f"p_symm has imaginary residue {total.imag!r}")
     return _clamp_probability(total.real)
@@ -256,7 +278,7 @@ def compare_report(amplitudes) -> ComparisonReport:
     """Full comparison report for a tuple of coherent amplitudes.
 
     Propagates the amplitudes through the multiport once, by FFT (no N x N
-    matrix), and runs the permutation sum at most once.
+    matrix), and evaluates ``p_symm`` at most once.
     """
     amps = domain.amplitudes(amplitudes, minimum=2)
     p_no_click = no_click_probabilities(amps)

@@ -29,12 +29,19 @@ def _limit_text(limit: float) -> str:
 def amplitudes(values, name: str = "amplitudes", *, minimum: int = 1,
                limit: float = MAX_AMPLITUDE) -> np.ndarray:
     """A 1-D complex array of at least ``minimum`` finite entries with |a| <= ``limit``."""
-    arr = np.atleast_1d(np.asarray(values, dtype=complex))
+    # asarray plus a reshape costs half of atleast_1d, and this guard runs once
+    # per point of the figure2/compare sweeps.
+    arr = np.asarray(values, dtype=complex)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size < minimum:
         raise ValueError(f"{name} must be a 1-D sequence of length >= {minimum}, "
                          f"got shape {arr.shape}")
-    with np.errstate(over="ignore"):  # |a| overflowing to inf is out of range anyway
-        inside = np.isfinite(arr) & (np.abs(arr) <= limit)
+    if limit < math.inf:  # NaN and infinite entries fail |a| <= limit; no isfinite pass
+        with np.errstate(over="ignore"):  # |a| overflowing to inf is out of range anyway
+            inside = np.abs(arr) <= limit
+    else:
+        inside = np.isfinite(arr)
     if not inside.all():
         raise ValueError(f"{name} must be finite with magnitude <= {_limit_text(limit)}, "
                          f"got {complex(arr[~inside][0])}")

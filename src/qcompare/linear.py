@@ -17,6 +17,7 @@ An input phase shifter is obtained by composition, e.g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,43 @@ class CoherentRegister:
         return np.abs(self.amplitudes) ** 2
 
 
+def _gram_defect(mat: np.ndarray) -> float:
+    """max |U U^dagger - I|, by the O(N^3) Gram product."""
+    return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
+
+
+def _fourier_certificate(mat: np.ndarray) -> float:
+    """An upper bound on ``_gram_defect(mat)`` from one O(N^2 log N) FFT.
+
+    ``P = fft(U, axis=1) / sqrt(N)`` is ``U F^dagger`` for the unitary DFT F
+    of ``make_balanced_multiport``, so ``U U^dagger = P P^dagger``.  With
+    ``E = P - I`` every entry of ``U U^dagger - I = E + E^dagger + E E^dagger``
+    is at most ``2 eta + eta^2`` for any ``eta >= ||E||_F``.  The computed P
+    differs from the exact one by at most a few ``eps log2(N) ||U||_F``;
+    ``eta`` adds a hundred times that.  The bound is tight only when U is
+    close to the DFT, and is then far below ``UNITARITY_TOL``.  Any other
+    matrix already has ``|E[0, 0]| > UNITARITY_TOL`` in most cases, read off
+    in O(N), and gets ``inf`` without the FFT.
+    """
+    n = mat.shape[0]
+    if not abs(mat[0].sum() / math.sqrt(n) - 1.0) <= UNITARITY_TOL:
+        return math.inf
+    p = np.fft.fft(mat, axis=1, norm="ortho")
+    p.flat[::n + 1] -= 1.0
+    rounding = 100.0 * np.finfo(float).eps * max(1.0, math.log2(n)) * np.linalg.norm(mat)
+    eta = float(np.linalg.norm(p)) + rounding
+    return 2.0 * eta + eta * eta
+
+
 @dataclass(frozen=True)
 class LinearNetwork:
     """N-mode network described by its unitary mode-mixing matrix.
 
     Construction checks unitarity to ``UNITARITY_TOL`` and rejects anything
-    worse; all downstream analytics assume exact unitarity.
+    worse; all downstream analytics assume exact unitarity.  A matrix close to
+    the DFT is accepted by ``_fourier_certificate``, an upper bound on the
+    defect, without the O(N^3) Gram product; any other is judged by
+    ``_gram_defect``, which the error message reports.
     """
 
     matrix: np.ndarray
@@ -72,11 +104,12 @@ class LinearNetwork:
             raise ValueError("network matrix must be square and non-empty")
         if not np.all(np.isfinite(mat)):
             raise ValueError("network matrix must be finite")
-        defect = float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
-        if defect >= UNITARITY_TOL:
-            raise ValueError(
-                f"matrix is not unitary: defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
-            )
+        if _fourier_certificate(mat) >= UNITARITY_TOL:
+            defect = _gram_defect(mat)
+            if defect >= UNITARITY_TOL:
+                raise ValueError(
+                    f"matrix is not unitary: defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
+                )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -108,7 +141,13 @@ def make_balanced_multiport(n_modes: int) -> LinearNetwork:
     n_modes = domain.integer(n_modes, "multiport modes", 2)
     domain.size(n_modes * n_modes, "the multiport matrix")
     k = np.arange(n_modes)
-    mat = np.exp(2j * np.pi * np.outer(k, k) / n_modes) / np.sqrt(n_modes)
+    # u[k, l] depends on k l mod N only: gather it from the N scaled roots of
+    # unity, each evaluated once at an argument below 2 pi.
+    roots = np.exp(2j * np.pi * k / n_modes) / math.sqrt(n_modes)
+    index = np.outer(k, k)
+    index %= n_modes
+    mat = roots[index]
+    del index  # freed before the unitarity check allocates its FFT
     return LinearNetwork(mat, label=f"DFT({n_modes})")
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domain
+from .comparison import multiport_outputs
 from .detection import (IDEAL, DetectorModel, bernoulli_counts, click_probabilities,
                         sample_counts, stream, wilson_interval)
 from .errors import InvariantError
@@ -312,9 +313,6 @@ def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0, tamper=Non
     if any(a.shape != (length,) for a in arrs):
         raise ValueError("all copies must have the same number of positions")
     gen = stream(rng)
-    net = make_balanced_multiport(t_count)
-    u_conj = net.matrix.conj()
-
     shares = [a / math.sqrt(t_count) for a in arrs]
     sent = {}
     for s in range(t_count):
@@ -344,7 +342,7 @@ def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0, tamper=Non
                 continue
             inputs[:, col] = sent[(s, r)]
             col += 1
-        gamma = inputs @ u_conj  # row j = multiport outputs at position j
+        gamma = multiport_outputs(inputs)  # row j = multiport outputs at position j
         counts = sample_counts(np.abs(gamma[:, 1:]) ** 2, model, gen)
         recovered = gamma[:, 0]
         for j in range(length):

@@ -208,6 +208,15 @@ class TestPkd:
                         "--M", "8", "--trials", "20"], tmp_path)
         assert obj["summary"]["honest_zero_clicks"] is True
 
+    @pytest.mark.parametrize("amp", ["1e20", "1e30"])
+    def test_distributed_honest_at_large_amplitude(self, amp, tmp_path):
+        # Through the dense multiport, rounding left watched means of about
+        # (eps amp)^2: clicks at 1e20, a mean count above the Poisson limit
+        # (exit 2) at 1e30.
+        obj = run_json(["pkd", "--scheme", "distributed", "--amp", amp, "--trials", "5"],
+                       tmp_path)
+        assert obj["summary"]["honest_zero_clicks"] is True
+
 
 class TestContracts:
     def test_byte_identical_reruns(self, tmp_path):
@@ -278,15 +287,15 @@ GOLDEN = [
     ("pkd --scheme distributed --recipients 3 --M 5 --trials 200 --seed 123 --format csv",
      "dc6a01de3c1e41604a4d8639f5007d5ff890adfba178e81c3ad5fa92bcd9d80d"),
     ("pkd --scheme distributed --recipients 3 --M 5 --trials 200 --seed 123 --format json",
-     "c3fade8163a1b9262bbd0b92c184f3b884b14587cf543b12571d8bac4793c900"),
+     "2a749282e94988e716d5dcafc7015c7ece43de7c504716b9808da7ffc797b160"),
     ("pkd --scheme distributed --adversary charlie-flip --M 6 --amp 0.7 --s 0.5 --trials 300 --seed 7 --format csv",
-     "5ed1fd686929700adb9f3c59bc344cbedf745f671edab5c39587486f7e384105"),
+     "148b9248ae08c7b974a7e51e4413350f56e532b9bfa44fa62f5e0767168f9a68"),
     ("pkd --scheme distributed --adversary charlie-flip --M 6 --amp 0.7 --s 0.5 --trials 300 --seed 7 --format json",
-     "d0ecc2233ca691b04dfbc64dd62a9fc165676a68f57b372ae614dbb815918866"),
+     "d04a408159c85e79d995ef089e02ec5016a1cd68d8ff064073b7eb651b3c70cb"),
     ("lockkey simulate --attack coherent --beta 0.1 --M 64 --amp 0.12 --efficiency 0.9 --dark-mean 0.002 --trials 20000 --seed 5",
      "6d214bdb25c9869319a5d1912e20d07cfdadd93729a232cd45bb41b5760e42df"),
     ("pkd --scheme distributed --adversary charlie-flip --M 40 --amp 0.3 --s 0.1 --trials 10000 --seed 11 --format json",
-     "1ce20606c989dc5a1c3119c692813d0249b5f95bd9e740a3cdca8290540f09e2"),
+     "1ba3c11516c96545ac72aba97e3f043742df9deb996ca1bcafdc05d4cee1d407"),
     ("compare --alpha 1,0.5 --beta -1,0 --sweep-step 0.25 --format csv",
      "c874c438f9e20dea5ab1447eb44dce7ed9a7304632b030ff2db51c74a54441c5"),
     ("compare --alpha 1,0.5 --beta -1,0 --sweep-step 0.25 --format svg",
@@ -387,6 +396,8 @@ class TestInputDomain:
         (["lockkey", "attack-scan", "--amp", "1e6"], "WORK_BUDGET"),
         (["oracle", "--alpha", "30,0", "--beta", "0,0", "--cutoff", "5000"], "WORK_BUDGET"),
         (["oracle", "--alpha", "1e200,0", "--beta", "0,0"], "alpha must be finite"),
+        (["pkd", "--scheme", "center", "--M", "1", "--s", "0.5"],
+         "s * length must be at least 1, got 0.5"),
     ])
     def test_out_of_domain_input_exits_2_by_name(self, argv, message, tmp_path):
         out = tmp_path / "out"
@@ -412,7 +423,7 @@ class TestInputDomain:
                 values = data.draw(in_domain)
             else:
                 continue
-            argv += [option, *([values] if isinstance(values, str) else values)]
+            argv += _option_argv(option, values)
         argv += ["--format", data.draw(st.sampled_from(formats))]
         first = run_captured(argv)
         assert first == run_captured(argv), argv
@@ -434,6 +445,19 @@ _EDGE_REALS = ("0", "-1", "nan", "inf", "1e200")
 _EDGE_COUNTS = ("0", "-1", str(WORK_BUDGET + 1), str(10**18))
 _EDGE_AMPLITUDES = ("0,0", "-1,0", "nan,0", "inf,0", "1e200,0")
 _SEED = (_counts(0, 1000), _EDGE_COUNTS, False)
+# pkd center rejects s * M < 1 by design (cheat_bound, exit 2), so --M and --s
+# are drawn together: s from [1/M, 1], rounded up to the printed 3 decimals.
+_M_AND_S = (st.integers(1, 6).flatmap(lambda m: st.tuples(
+                st.just(str(m)), _reals(math.ceil(1000 / m) / 1000, 1.0))),
+            [(e, "1.000") for e in _EDGE_COUNTS] + [("6", e) for e in _EDGE_REALS], False)
+
+
+def _option_argv(option, values):
+    """argv tokens for one table entry; a tuple of options takes one value each."""
+    if isinstance(option, tuple):
+        return [token for pair in zip(option, values) for token in pair]
+    return [option, *([values] if isinstance(values, str) else values)]
+
 
 # (argv prefix, option -> (in-domain values, edge values, required), formats).
 FUZZ_COMMANDS = [
@@ -498,10 +522,9 @@ FUZZ_COMMANDS = [
     }, ("json", "csv", "svg")),
     (["pkd", "--scheme", "center"], {
         "--recipients": (_counts(1, 4), _EDGE_COUNTS, False),
-        "--M": (_counts(1, 6), _EDGE_COUNTS, False),
+        ("--M", "--s"): _M_AND_S,
         "--N": (_counts(2, 8), _EDGE_COUNTS, False),
         "--amp": (_reals(0.0, 2.0), _EDGE_REALS, False),
-        "--s": (_reals(0.2, 1.0), _EDGE_REALS, False),
         "--trials": (_counts(1, 50), _EDGE_COUNTS, True),
         "--adversary": (st.sampled_from(("none", "alice-overlap-half")), (), False),
         "--seed": _SEED,

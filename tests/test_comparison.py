@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -40,6 +41,19 @@ def _seeded_cluster(n, seed, centre, spread):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return centre * np.exp(2j * math.pi * rng.random()) + spread * z / math.sqrt(2 * n)
+
+
+def permutation_sum(amps):
+    """p_symm as the explicit sum of Gram products over all N! permutations."""
+    d = np.asarray(amps, dtype=complex) - amps[0]
+    g = np.exp(comparison._log_overlap(d[:, None], d[None, :])).tolist()
+    total = 0j
+    for perm in itertools.permutations(range(len(g))):
+        term = 1.0 + 0j
+        for j, pj in enumerate(perm):
+            term *= g[j][pj]
+        total += term
+    return total / math.factorial(len(g))
 
 
 class TestTwoState:
@@ -148,6 +162,18 @@ class TestMultiport:
             # Reversing modes 1..N-1 (an ifft in place of the fft) would fail above.
             assert np.max(np.abs(p0[1:] - p0[:0:-1])) > 1e-3
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_multiport_outputs_act_row_by_row(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        rows[0] = 0.3 - 0.2j  # equal inputs leave modes 1..N-1 exactly dark
+        gamma = comparison.multiport_outputs(rows)
+        dense = rows @ make_balanced_multiport(n).matrix.conj()
+        assert np.max(np.abs(gamma - dense)) < 1e-12
+        assert np.all(gamma[0, 1:] == 0)
+        for row, out in zip(rows, gamma):
+            assert np.array_equal(comparison.multiport_outputs(row), out)
+
     def test_monte_carlo_agreement(self):
         cases = {
             2: [0.75, -0.75],
@@ -207,6 +233,14 @@ class TestUniversal:
     def test_factorial_guard(self):
         with pytest.raises(ValueError):
             p_success_universal(np.ones(9))
+
+    @pytest.mark.parametrize("n", range(2, MAX_UNIVERSAL_MODES + 1))
+    def test_glynn_matches_the_permutation_sum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+            for amps in (2 * z, 5 + 0.3 * z, 1e15 + z):
+                assert p_symm(amps) == pytest.approx(permutation_sum(amps).real, abs=1e-13)
 
 
 class TestDominance:

@@ -36,6 +36,11 @@ class TestGuards:
         with pytest.raises(ValueError):
             domain.amplitudes([math.inf], limit=math.inf)
         assert domain.amplitudes([1e300], limit=math.inf).tolist() == [1e300]
+        with pytest.raises(ValueError):
+            domain.amplitudes([complex(0.0, math.inf)])
+        assert domain.amplitudes(2.0).tolist() == [2.0]
+        with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
+            domain.amplitudes([[1.0]])
 
     def test_magnitude(self):
         assert domain.magnitude(0, "x") == 0.0 and isinstance(domain.magnitude(2, "x"), float)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from qcompare import linear
 from qcompare.linear import (
     CoherentRegister,
     LinearNetwork,
@@ -135,3 +136,58 @@ class TestNetworkInvariants:
     def test_output_means_helper(self):
         means = output_means(make_beam_splitter(0.5), CoherentRegister([1.0, -1.0]))
         assert means[1] == pytest.approx(2.0, abs=1e-12)
+
+
+def dense_dft(n):
+    """The DFT matrix by N^2 complex exponentials of 2 pi k l / N."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+
+
+class TestFourierCertificate:
+    SIZES = [2, 3, 7, 64, 97, 1009, 1024]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gathered_multiport_is_the_dft(self, n):
+        assert np.max(np.abs(make_balanced_multiport(n).matrix - dense_dft(n))) < 1e-13
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bound_covers_the_gram_defect(self, n):
+        rng = np.random.default_rng(n)
+        dft = make_balanced_multiport(n).matrix
+        # A unitary far from the DFT (the row-reversed DFT where sampling one costs seconds).
+        matrices = [dft, unitary_group.rvs(n, random_state=rng) if n <= 97 else dft[::-1]]
+        for scale in (1e-13, 1e-11, 1e-9, 1e-6):
+            noise = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            if scale == 1e-13:
+                matrices.append(dft + noise)
+            # Row 0 kept exact, so the FFT bound is evaluated, not the O(N) shortcut.
+            noise[0] = 0.0
+            matrices.append(dft + noise)
+        for mat in matrices:
+            assert linear._fourier_certificate(mat) >= linear._gram_defect(mat)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_the_dft_is_certified(self, n):
+        assert linear._fourier_certificate(make_balanced_multiport(n).matrix) < 1e-10
+
+    def test_budget_maximum_dft_is_certified(self):
+        # N^2 <= WORK_BUDGET: the largest multiport the domain admits.
+        assert linear._fourier_certificate(make_balanced_multiport(3162).matrix) < 1e-10
+
+    def test_one_perturbed_entry_is_still_rejected(self):
+        mat = make_balanced_multiport(64).matrix.copy()
+        mat[3, 5] += 1e-9
+        with pytest.raises(ValueError, match=r"defect 1\.250e-10 exceeds"):
+            LinearNetwork(mat)
+
+    def test_large_multiport_is_accurate_without_the_gram_product(self, monkeypatch):
+        def refuse(mat):
+            raise AssertionError("the Gram product was evaluated")
+
+        gram_defect = linear._gram_defect
+        monkeypatch.setattr(linear, "_gram_defect", refuse)
+        mat = make_balanced_multiport(1024).matrix
+        # The N^2 exponentials of dense_dft reach 7.6e-14 here; the gathered
+        # roots stay at rounding.
+        assert gram_defect(mat) <= 1e-14

@@ -200,6 +200,14 @@ class TestDistributedExchange:
             assert not party.clicked
             assert np.allclose(party.held, alpha, atol=1e-12)
 
+    @pytest.mark.parametrize("amp", [1e20, 1e30])
+    def test_honest_run_is_silent_at_large_amplitude(self, amp):
+        # Equal shares cancel exactly in the watched modes, whatever |amp|.
+        alpha = private_key_amplitudes([0, 3, 5, 1, 7, 2], 8, amp)
+        for party in distributed_exchange([alpha.copy() for _ in range(3)], rng=0):
+            assert not party.clicked
+            assert np.allclose(party.held, alpha, rtol=1e-12, atol=0)
+
     def test_split_phase_amplitudes(self):
         alpha = private_key_amplitudes([0, 1], 4, 1.0)
         parties = distributed_exchange([alpha.copy(), alpha.copy()], rng=0)
