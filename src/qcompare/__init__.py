@@ -93,7 +93,6 @@ from .pkd import (
     private_key_amplitudes,
     simulate_dishonest_alice_center,
     simulate_dishonest_charlie,
-    tamper_on_edge,
     trusted_center_distribute,
     verify_against_private,
 )

@@ -5,7 +5,8 @@ that certifies the inputs were not all identical.  Silence is inconclusive.
 
 Two families are covered.  The beam-splitter / multiport strategy exploits
 the promise that inputs are coherent; its failure probability is a product
-of per-mode vacuum probabilities.  The universal strategy assumes nothing
+of per-mode vacuum probabilities, read off the outputs of
+``linear.multiport_outputs``.  The universal strategy assumes nothing
 and projects onto the symmetric subspace; its success probability is
 ``1 - p_symm`` with ``p_symm = per(G) / N!``, the mean over all permutations
 of products of the coherent-state Gram matrix G, evaluated by Glynn's
@@ -24,7 +25,8 @@ import numpy as np
 
 from . import domain
 from .errors import InvariantError
-from .linear import CoherentRegister, compose, make_beam_splitter, make_phase_shift, output_means
+from .linear import (CoherentRegister, compose, make_beam_splitter, make_phase_shift,
+                     multiport_outputs, output_means)
 
 CLAMP_SLACK = 1e-14
 FORM_AGREEMENT_TOL = 1e-10
@@ -97,24 +99,11 @@ def unbalanced_test(alpha: complex, beta: complex, transmittance: float,
     return float(m0), float(m1)
 
 
-def multiport_outputs(amps: np.ndarray) -> np.ndarray:
-    """Outputs gamma of the balanced multiport fed the amplitudes on the last axis.
-
-    The balanced multiport is the DFT ``u[k, l] = exp(2 pi i k l / N) / sqrt(N)``
-    of ``linear.make_balanced_multiport``, so its outputs
-    ``gamma_k = sum_l conj(u[l, k]) a_l`` are ``fft(a) / sqrt(N)``: O(N log N)
-    time and O(N) memory, with no N x N matrix built.  It is taken of
-    ``a - a_0``, exact inside a tight cluster (equal inputs give exactly zero
-    in modes 1..N-1); ``a_0`` reaches mode 0 alone, as sqrt(N) times itself.
-    """
-    root_n = math.sqrt(amps.shape[-1])
-    gamma = np.fft.fft(amps - amps[..., :1]) / root_n
-    gamma[..., 0] += root_n * amps[..., 0]
-    return gamma
-
-
 def no_click_probabilities(amplitudes) -> np.ndarray:
-    """Vacuum probabilities p_k(0) = exp(-|gamma_k|^2) of every multiport output."""
+    """Vacuum probabilities p_k(0) = exp(-|gamma_k|^2) of every multiport output.
+
+    The outputs gamma come from ``linear.multiport_outputs``, by FFT.
+    """
     amps = domain.amplitudes(amplitudes, minimum=2)
     return np.exp(-np.abs(multiport_outputs(amps)) ** 2)
 
@@ -277,8 +266,8 @@ class ComparisonReport:
 def compare_report(amplitudes) -> ComparisonReport:
     """Full comparison report for a tuple of coherent amplitudes.
 
-    Propagates the amplitudes through the multiport once, by FFT (no N x N
-    matrix), and evaluates ``p_symm`` at most once.
+    Propagates the amplitudes through the multiport once, by
+    ``linear.multiport_outputs`` (no N x N matrix), and evaluates ``p_symm`` at most once.
     """
     amps = domain.amplitudes(amplitudes, minimum=2)
     p_no_click = no_click_probabilities(amps)

@@ -7,8 +7,8 @@ a network, and the output amplitude of mode ``k`` is
     gamma_k = sum_l conj(u[l, k]) * alpha_l
 
 This single convention is used everywhere: the constructors here, the
-Fock-space oracle and the protocol modules all agree on it.  ``compose`` is
-defined so that ``apply_network(compose(outer, inner), x)`` equals applying
+Fock-space oracle and the protocol modules all agree on it; the latter apply
+the balanced multiport by ``multiport_outputs``.  ``compose`` is defined so that ``apply_network(compose(outer, inner), x)`` equals applying
 ``inner`` first and ``outer`` second.
 
 An input phase shifter is obtained by composition, e.g.
@@ -25,6 +25,8 @@ import numpy as np
 from . import domain
 
 UNITARITY_TOL = 1e-10
+# Entries per row block of the Fourier certificate's FFT.
+CERTIFICATE_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,25 +64,32 @@ def _gram_defect(mat: np.ndarray) -> float:
 
 
 def _fourier_certificate(mat: np.ndarray) -> float:
-    """An upper bound on ``_gram_defect(mat)`` from one O(N^2 log N) FFT.
+    """An upper bound on ``_gram_defect(mat)`` from O(N^2 log N) FFTs.
 
     ``P = fft(U, axis=1) / sqrt(N)`` is ``U F^dagger`` for the unitary DFT F
     of ``make_balanced_multiport``, so ``U U^dagger = P P^dagger``.  With
     ``E = P - I`` every entry of ``U U^dagger - I = E + E^dagger + E E^dagger``
-    is at most ``2 eta + eta^2`` for any ``eta >= ||E||_F``.  The computed P
-    differs from the exact one by at most a few ``eps log2(N) ||U||_F``;
-    ``eta`` adds a hundred times that.  The bound is tight only when U is
-    close to the DFT, and is then far below ``UNITARITY_TOL``.  Any other
-    matrix already has ``|E[0, 0]| > UNITARITY_TOL`` in most cases, read off
-    in O(N), and gets ``inf`` without the FFT.
+    is at most ``2 eta + eta^2`` for any ``eta >= ||E||_F``.  ``||E||_F^2`` is
+    summed over row blocks of at most ``CERTIFICATE_BLOCK_ENTRIES``, so no
+    second N x N array is held.  The computed P differs from the exact one by
+    at most a few ``eps log2(N) ||U||_F``; ``eta`` adds a hundred times that.
+    The bound is tight only when U is close to the DFT, and is then far below
+    ``UNITARITY_TOL``.  Any other matrix already has ``|E[0, 0]| >
+    UNITARITY_TOL`` in most cases, read off in O(N), and gets ``inf`` without
+    the FFT.  An overflow gives ``inf`` or NaN, never a small bound.
     """
     n = mat.shape[0]
     if not abs(mat[0].sum() / math.sqrt(n) - 1.0) <= UNITARITY_TOL:
         return math.inf
-    p = np.fft.fft(mat, axis=1, norm="ortho")
-    p.flat[::n + 1] -= 1.0
+    rows = max(1, CERTIFICATE_BLOCK_ENTRIES // n)
+    squared = 0.0
+    for start in range(0, n, rows):
+        block = np.fft.fft(mat[start:start + rows], axis=1, norm="ortho")
+        diagonal = np.arange(block.shape[0])
+        block[diagonal, start + diagonal] -= 1.0
+        squared += float(np.vdot(block, block).real)
     rounding = 100.0 * np.finfo(float).eps * max(1.0, math.log2(n)) * np.linalg.norm(mat)
-    eta = float(np.linalg.norm(p)) + rounding
+    eta = math.sqrt(squared) + rounding
     return 2.0 * eta + eta * eta
 
 
@@ -92,7 +101,8 @@ class LinearNetwork:
     worse; all downstream analytics assume exact unitarity.  A matrix close to
     the DFT is accepted by ``_fourier_certificate``, an upper bound on the
     defect, without the O(N^3) Gram product; any other is judged by
-    ``_gram_defect``, which the error message reports.
+    ``_gram_defect``, which the error message reports.  A finite matrix whose
+    products overflow gets a non-finite defect, rejected without a warning.
     """
 
     matrix: np.ndarray
@@ -104,12 +114,13 @@ class LinearNetwork:
             raise ValueError("network matrix must be square and non-empty")
         if not np.all(np.isfinite(mat)):
             raise ValueError("network matrix must be finite")
-        if _fourier_certificate(mat) >= UNITARITY_TOL:
-            defect = _gram_defect(mat)
-            if defect >= UNITARITY_TOL:
-                raise ValueError(
-                    f"matrix is not unitary: defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
-                )
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _fourier_certificate(mat) < UNITARITY_TOL:
+                defect = _gram_defect(mat)
+                if not defect < UNITARITY_TOL:
+                    raise ValueError(
+                        f"matrix is not unitary: defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
+                    )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -149,6 +160,21 @@ def make_balanced_multiport(n_modes: int) -> LinearNetwork:
     mat = roots[index]
     del index  # freed before the unitarity check allocates its FFT
     return LinearNetwork(mat, label=f"DFT({n_modes})")
+
+
+def multiport_outputs(amps: np.ndarray) -> np.ndarray:
+    """Outputs gamma of the balanced multiport fed the amplitudes on the last axis.
+
+    Each row equals ``apply_network(make_balanced_multiport(N), ...)``: the
+    DFT's outputs ``gamma_k = sum_l conj(u[l, k]) a_l`` are ``fft(a) / sqrt(N)``,
+    with no N x N matrix built.  The FFT is taken of ``a - a_0``, exact inside
+    a tight cluster (equal inputs give exactly zero in modes 1..N-1); ``a_0``
+    reaches mode 0 alone, as ``sqrt(N) a_0``.
+    """
+    root_n = math.sqrt(amps.shape[-1])
+    gamma = np.fft.fft(amps - amps[..., :1]) / root_n
+    gamma[..., 0] += root_n * amps[..., 0]
+    return gamma
 
 
 def make_phase_shift(phases) -> LinearNetwork:

@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domain
-from .comparison import multiport_outputs
 from .detection import (IDEAL, DetectorModel, bernoulli_counts, click_probabilities,
                         sample_counts, stream, wilson_interval)
 from .errors import InvariantError
-from .linear import CoherentRegister, apply_network, make_balanced_multiport
+from .linear import multiport_outputs
 from .lockkey import KeyString, generate_key
 
 VERDICT_ACCEPT = "accept"
@@ -113,26 +112,18 @@ def trusted_center_distribute(phase_indices, n_phases: int, amplitude: float, co
 
     The sender supplies ``|sqrt(T) alpha_j>`` per position; each position
     enters port 0 of a balanced T-port multiport whose other inputs are
-    vacuum, so every output mode carries exactly ``alpha_j``.  Mean photon
-    number is conserved: T |alpha_j|^2 in, |alpha_j|^2 per copy out.
+    vacuum.  Row 0 of the multiport is uniform, so every output mode carries
+    exactly ``alpha_j``, written as such rather than as a rounded product.
+    Mean photon number is conserved: T |alpha_j|^2 in, |alpha_j|^2 per copy out.
     """
     copies = domain.integer(copies, "copies", 1)
     alpha = private_key_amplitudes(phase_indices, n_phases, amplitude)
     m = alpha.size
     recorded = 0 if transcript is None else (copies + 1) * m
     domain.size(copies * m + domain.REPORT_ENTRIES * recorded, "the public-key copies")
+    out = np.tile(alpha, (copies, 1))
     if transcript is not None:
         transcript.record("alice", "prepare", amplitudes=np.sqrt(copies) * alpha)
-    if copies == 1:
-        out = alpha[None, :].copy()
-    else:
-        net = make_balanced_multiport(copies)
-        out = np.empty((copies, m), dtype=complex)
-        for j in range(m):
-            feed = np.zeros(copies, dtype=complex)
-            feed[0] = np.sqrt(copies) * alpha[j]
-            out[:, j] = apply_network(net, CoherentRegister(feed)).amplitudes
-    if transcript is not None:
         for r in range(copies):
             transcript.record("center", "send", recipient=r, amplitudes=out[r])
     return PublicKeyState(out)
@@ -297,61 +288,6 @@ def _exchange_recipients(recipients, length: int) -> int:
     return recipients
 
 
-def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0, tamper=None) -> list[Party]:
-    """Run the two-phase distributed comparison among T recipients.
-
-    ``copies[r]`` is recipient r's public-key copy (one complex amplitude per
-    position).  Phase 1 splits every position T ways (amplitude / sqrt(T));
-    phase 2 feeds the kept share plus the T - 1 received shares into a
-    balanced comparison multiport per position.  Mode 0 returns the recovered
-    amplitude, modes 1..T-1 are watched by detectors.  ``tamper(s, r, shares)``
-    may replace what sender s forwards to recipient r.
-    """
-    arrs = [domain.amplitudes(c, "public-key copy", limit=math.inf) for c in copies]
-    t_count = _exchange_recipients(len(arrs), arrs[0].size if arrs else 0)
-    length = arrs[0].size
-    if any(a.shape != (length,) for a in arrs):
-        raise ValueError("all copies must have the same number of positions")
-    gen = stream(rng)
-    shares = [a / math.sqrt(t_count) for a in arrs]
-    sent = {}
-    for s in range(t_count):
-        for r in range(t_count):
-            if s == r:
-                continue
-            payload = shares[s].copy()
-            if tamper is not None:
-                payload = np.atleast_1d(np.asarray(tamper(s, r, payload), dtype=complex))
-                if payload.shape != (length,):
-                    raise ValueError("tamper must return one amplitude per position")
-            sent[(s, r)] = payload
-
-    parties = []
-    for r in range(t_count):
-        transcript = ProtocolTranscript()
-        name = f"recipient-{r}"
-        transcript.record(name, "split", amplitudes=shares[r])
-        for s in range(t_count):
-            if s != r:
-                transcript.record(name, "send", recipient=s, amplitudes=sent[(r, s)])
-        inputs = np.empty((length, t_count), dtype=complex)
-        inputs[:, 0] = shares[r]
-        col = 1
-        for s in range(t_count):
-            if s == r:
-                continue
-            inputs[:, col] = sent[(s, r)]
-            col += 1
-        gamma = multiport_outputs(inputs)  # row j = multiport outputs at position j
-        counts = sample_counts(np.abs(gamma[:, 1:]) ** 2, model, gen)
-        recovered = gamma[:, 0]
-        for j in range(length):
-            transcript.record(name, "compare", position=j, counts=counts[j])
-        transcript.record(name, "recover", amplitudes=recovered)
-        parties.append(Party(name=name, held=recovered, clicks=counts, transcript=transcript))
-    return parties
-
-
 @dataclass(frozen=True)
 class CharlieTamper:
     """Per-position substitution applied to the share Charlie sends Bob."""
@@ -378,15 +314,59 @@ class CharlieTamper:
         return out
 
 
-def tamper_on_edge(sender: int, recipient: int, spec: CharlieTamper):
-    """Tamper callable for ``distributed_exchange`` acting on a single edge."""
+def _exchange_outputs(copies: np.ndarray, tamper: CharlieTamper | None):
+    """Port inputs, outputs and mode-0 deviations of every recipient's multiports.
 
-    def tamper(s, r, shares):
-        if (s, r) == (sender, recipient):
-            return spec.apply(shares)
-        return shares
+    Recipient r feeds its kept share ``copies[r] / sqrt(T)`` to port 0 and the
+    others' shares, in recipient order, to ports 1..T-1 of a (T, positions, T)
+    batch.  The deviation is mode 0 minus ``sqrt(T)`` times the kept share:
+    exactly 0 where every received share equals the kept one.
+    """
+    t_count = copies.shape[0]
+    shares = copies / math.sqrt(t_count)
+    senders = [[r] + [s for s in range(t_count) if s != r] for r in range(t_count)]
+    inputs = shares[senders].transpose(0, 2, 1)
+    if tamper is not None:
+        inputs[0, :, 1] = tamper.apply(shares[1])
+    gamma = multiport_outputs(inputs)
+    # The same product multiport_outputs adds into mode 0, so equal shares cancel exactly.
+    deviation = gamma[..., 0] - math.sqrt(t_count) * shares
+    return inputs, gamma, deviation
 
-    return tamper
+
+def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0,
+                         tamper: CharlieTamper | None = None) -> list[Party]:
+    """Run the two-phase distributed comparison among T recipients.
+
+    ``copies[r]`` is recipient r's public-key copy (one complex amplitude per
+    position).  Phase 1 splits every position T ways (amplitude / sqrt(T));
+    phase 2 feeds the kept share plus the T - 1 received shares into a
+    balanced comparison multiport per position (``linear.multiport_outputs``).
+    Mode 0 returns the recovered amplitude, modes 1..T-1 are watched by
+    detectors.  ``tamper`` acts on the share Charlie (1) forwards to Bob (0).
+    """
+    arrs = [domain.amplitudes(c, "public-key copy", limit=math.inf) for c in copies]
+    t_count = _exchange_recipients(len(arrs), arrs[0].size if arrs else 0)
+    length = arrs[0].size
+    if any(a.shape != (length,) for a in arrs):
+        raise ValueError("all copies must have the same number of positions")
+    inputs, gamma, _ = _exchange_outputs(np.array(arrs), tamper)
+    counts = sample_counts(np.abs(gamma[..., 1:]) ** 2, model, rng)
+
+    parties = []
+    for r in range(t_count):
+        transcript = ProtocolTranscript()
+        name = f"recipient-{r}"
+        transcript.record(name, "split", amplitudes=inputs[r, :, 0])
+        for s in range(t_count):
+            if s != r:  # recipient s takes r's share in port r + 1 if r < s, else in port r
+                transcript.record(name, "send", recipient=s, amplitudes=inputs[s, :, r + (r < s)])
+        for j in range(length):
+            transcript.record(name, "compare", position=j, counts=counts[r, j])
+        transcript.record(name, "recover", amplitudes=gamma[r, :, 0])
+        parties.append(Party(name=name, held=gamma[r, :, 0], clicks=counts[r],
+                             transcript=transcript))
+    return parties
 
 
 @dataclass(frozen=True)
@@ -403,15 +383,15 @@ class CharlieCheatStats:
 def _bob_counts(alpha, tamper: CharlieTamper, model: DetectorModel, trials: int, gen):
     """Two-recipient exchange seen by Bob when Charlie's share to him passes ``tamper``.
 
+    Bob's click means and the deviation of his recovered copy, which errs with
+    probability ``1 - exp(-|deviation|^2)``, come from ``_exchange_outputs``.
     Returns the per-position click means and error probabilities, then Bob's
     per-trial click counts and error counts (drawn in that order).  With
     ``CharlieTamper("none")`` both probabilities are exactly 0.
     """
-    kept = alpha / math.sqrt(2.0)
-    received = tamper.apply(kept)
-    click_mean = np.abs(kept - received) ** 2 / 2.0
-    recovered = (kept + received) / math.sqrt(2.0)
-    p_error = _incorrect_probability(recovered, alpha)
+    _, gamma, deviation = _exchange_outputs(np.array([alpha, alpha]), tamper)
+    click_mean = np.abs(gamma[0, :, 1]) ** 2
+    p_error = _incorrect_probability(deviation[0], 0.0)
     clicks = bernoulli_counts(click_probabilities(click_mean, model), trials, gen)
     errors = bernoulli_counts(p_error, trials, gen)
     return click_mean, p_error, clicks, errors
@@ -505,8 +485,7 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
     recipients = _exchange_recipients(recipients, length)
 
     tamper = CharlieTamper("flip" if adversary == "charlie-flip" else "none")
-    parties = distributed_exchange([alpha.copy() for _ in range(recipients)], rng=gen,
-                                   tamper=tamper_on_edge(1, 0, tamper))
+    parties = distributed_exchange([alpha] * recipients, rng=gen, tamper=tamper)
     _, _, clicks, e_bob = _bob_counts(alpha, tamper, IDEAL, trials, gen)
     # Charlie's incoming shares are never tampered, so he recovers his copy exactly.
     e_charlie = np.zeros(trials, dtype=np.int64)

@@ -216,6 +216,8 @@ class TestPkd:
         obj = run_json(["pkd", "--scheme", "distributed", "--amp", amp, "--trials", "5"],
                        tmp_path)
         assert obj["summary"]["honest_zero_clicks"] is True
+        # Bob's errors once came from an eps * amp residue of a re-derived splitter.
+        assert obj["summary"]["bob_reject_rate"] == 0.0
 
 
 class TestContracts:

@@ -86,7 +86,7 @@ class TestBudgetsRejectBeforeAllocating:
         lambda: lockkey.generate_key(10**12, 8, 1.0),
         lambda: detection.bernoulli_counts([0.5], 10**12, 0),
         lambda: linear.make_balanced_multiport(10**5),
-        lambda: pkd.trusted_center_distribute([0] * 1000, 8, 1.0, copies=10**4),
+        lambda: pkd.trusted_center_distribute([0] * 1000, 8, 1.0, copies=2 * 10**4),
         lambda: pkd.distributed_exchange([np.ones(100)] * 50, rng=0),
         lambda: pkd.run_center_protocol(4, 8, 1.0, 2, 0.5, 10**9, "none"),
     ])

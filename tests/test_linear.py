@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -174,6 +177,26 @@ class TestFourierCertificate:
     def test_budget_maximum_dft_is_certified(self):
         # N^2 <= WORK_BUDGET: the largest multiport the domain admits.
         assert linear._fourier_certificate(make_balanced_multiport(3162).matrix) < 1e-10
+
+    def test_budget_maximum_dft_memory(self):
+        # The certificate transforms row blocks, so the build's index table is the peak.
+        tracemalloc.start()
+        try:
+            mat = make_balanced_multiport(3162).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * mat.nbytes, peak / mat.nbytes
+
+    @pytest.mark.parametrize("matrix", [
+        [[1e308, 1e308], [0.0, 1.0]],  # the Gram product overflows
+        [[3**-0.5] * 3, [1e308] * 3, [1e308, -1e308, 1e308]],  # the certificate is NaN
+    ])
+    def test_overflowing_matrix_is_rejected_cleanly(self, matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary"):
+                LinearNetwork(matrix)
 
     def test_one_perturbed_entry_is_still_rejected(self):
         mat = make_balanced_multiport(64).matrix.copy()

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from qcompare.detection import bernoulli_counts
 from qcompare.pkd import (
     VERDICTS,
     AliceCenterAttack,
     CharlieTamper,
     ProtocolTranscript,
     PublicKeyState,
+    _incorrect_probability,
     cheat_bound,
     coherent_with_overlap,
     distributed_exchange,
@@ -18,7 +20,6 @@ from qcompare.pkd import (
     run_distributed_protocol,
     simulate_dishonest_alice_center,
     simulate_dishonest_charlie,
-    tamper_on_edge,
     trusted_center_distribute,
     verdict_for,
     verdicts,
@@ -70,19 +71,27 @@ class TestVerification:
             assert result.errors == 0
             assert result.verdict == "accept"
 
-    def test_half_overlap_position_splits_evenly(self):
-        from qcompare.detection import stream
+    @pytest.mark.parametrize("amp", [1e16, 1e20, 1e30])
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_honest_copy_verifies_at_large_amplitude(self, amp, copies):
+        # Each copy is the key string itself: no eps * amp residue to test.
+        phases = [0, 3, 5, 1, 7, 2]
+        pub = trusted_center_distribute(phases, 8, amp, copies=copies)
+        for r in range(copies):
+            result = verify_against_private(pub.copy_amplitudes(r), phases, 8, amp, 0.5, rng=r)
+            assert (result.errors, result.verdict) == (0, "accept")
 
+    # verify_against_private makes one trial of exactly this bernoulli_counts
+    # draw (test_engine_draw_matches_a_direct_uniform_table), so the two tests
+    # below draw all their trials at once.
+    def test_half_overlap_position_splits_evenly(self):
         phases = [0] * 4
         amp = 1.0
-        held = private_key_amplitudes(phases, 8, amp).astype(complex)
+        target = private_key_amplitudes(phases, 8, amp)
+        held = target.copy()
         held[0] = coherent_with_overlap(held[0], 0.5)
         trials = 100_000
-        gen = stream(17)
-        errors = np.fromiter(
-            (verify_against_private(held, phases, 8, amp, security_s=1.0, rng=gen).errors
-             for _ in range(trials)),
-            dtype=int, count=trials)
+        errors = bernoulli_counts(_incorrect_probability(held, target), trials, 17)
         assert set(np.unique(errors)) <= {0, 1}
         rate = np.count_nonzero(errors) / trials
         assert abs(rate - 0.5) < three_sigma(0.5, trials)
@@ -94,10 +103,7 @@ class TestVerification:
         target = private_key_amplitudes(claimed, n_phases, amp)
         expected = 1.0 - math.exp(-abs(held[0] - target[0]) ** 2)
         trials = 50_000
-        errs = sum(
-            verify_against_private(held, claimed, n_phases, amp, 1.0, rng=seed).errors
-            for seed in range(trials)
-        )
+        errs = int(bernoulli_counts(_incorrect_probability(held, target), trials, 0).sum())
         assert abs(errs / trials - expected) < three_sigma(expected, trials)
 
     def test_engine_draw_matches_a_direct_uniform_table(self):
@@ -236,8 +242,8 @@ class TestDistributedExchange:
         # honest copies amp/sqrt(2); one recipient withholds its share
         amp = 1.0
         copy = np.array([amp / math.sqrt(2)], dtype=complex)
-        tamper = tamper_on_edge(1, 0, CharlieTamper(kind="vacuum"))
-        parties = distributed_exchange([copy.copy(), copy.copy()], rng=2, tamper=tamper)
+        parties = distributed_exchange([copy.copy(), copy.copy()], rng=2,
+                                       tamper=CharlieTamper(kind="vacuum"))
         kept = copy[0] / math.sqrt(2)
         expected_mean = abs((kept - 0.0) / math.sqrt(2)) ** 2
         assert expected_mean == pytest.approx(amp**2 / 8, abs=1e-12)
@@ -283,6 +289,13 @@ class TestDishonestCharlie:
                                                rng=9)
             assert stats.bob_reject_rate <= stats.bob_detection_rate + 1e-9
 
+    @pytest.mark.parametrize("amp", [1e16, 1e20, 1e30])
+    def test_no_tampering_is_invisible_at_large_amplitude(self, amp):
+        stats = simulate_dishonest_charlie(CharlieTamper(kind="none"), 0.5, 10, amp,
+                                           trials=200, rng=3)
+        assert stats.per_position_error_prob == (0.0,) * 10
+        assert stats.bob_reject_rate == stats.bob_detection_rate == 0.0
+
     def test_tamper_validation(self):
         with pytest.raises(ValueError):
             CharlieTamper(kind="mangle")
@@ -310,6 +323,16 @@ class TestProtocolDrivers:
         assert summary["honest_zero_clicks"] is True
         assert all(r["clicks"] == 0 for r in rows)
         assert any(e["action"] == "recover" for e in events)
+
+    @pytest.mark.parametrize("amp", [1e16, 1e20, 1e30])
+    @pytest.mark.parametrize("recipients", [2, 3])
+    def test_distributed_honest_at_large_amplitude(self, amp, recipients):
+        # Bob errs only on the deviation of his recovered copy, exactly 0 here.
+        summary, rows, _ = run_distributed_protocol(recipients, 10, 8, amp, 0.5, 200, "none",
+                                                    rng=1)
+        assert summary["bob_reject_rate"] == 0.0
+        assert summary["honest_zero_clicks"] is True
+        assert all(r["e_bob"] == 0 and r["verdict_bob"] == "accept" for r in rows)
 
     def test_distributed_flip_summary(self):
         from scipy.stats import binom
