@@ -14,6 +14,8 @@ that the CSV writer receives; there is no second computation route.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import re
@@ -29,6 +31,7 @@ from .linear import CoherentRegister, apply_network, make_beam_splitter
 from .svg import line_chart
 
 SCHEMA = 1
+CSV_CHUNK_ROWS = 1 << 12  # rows formatted and written together
 
 
 def _parse_complex(text: str) -> complex:
@@ -50,24 +53,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(columns, rows, seed=None) -> str:
-    lines = [f"# schema={SCHEMA}" + (f" seed={seed}" if seed is not None else "")]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _write_csv(fh, columns, rows, seed=None) -> None:
+    """Write a CSV table to ``fh``, ``CSV_CHUNK_ROWS`` formatted rows at a time."""
+    fh.write(f"# schema={SCHEMA}" + (f" seed={seed}" if seed is not None else "") + "\n")
+    fh.write(",".join(columns) + "\n")
+    lines = (",".join(_fmt(row[c]) for c in columns) for row in rows)
+    while chunk := list(itertools.islice(lines, CSV_CHUNK_ROWS)):
+        fh.write("\n".join(chunk) + "\n")
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write(args, text: str) -> None:
+@contextlib.contextmanager
+def _output(args):
+    """The file named by ``--out`` (LF line endings), else stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _emit(args, json_obj=None, csv_parts=None, svg_series=None, svg_labels=("", "", "")):
@@ -76,17 +82,21 @@ def _emit(args, json_obj=None, csv_parts=None, svg_series=None, svg_labels=("", 
     if fmt == "json":
         if json_obj is None:
             raise ValueError("this command has no JSON output")
-        _write(args, _json_text(json_obj))
+        text = _json_text(json_obj)
     elif fmt == "csv":
         if csv_parts is None:
             raise ValueError("this command has no CSV output")
         columns, rows = csv_parts
-        _write(args, _csv_text(columns, rows, seed=args.seed))
+        with _output(args) as fh:
+            _write_csv(fh, columns, rows, seed=args.seed)
+        return
     else:  # svg, the last of argparse's choices
         if svg_series is None:
             raise ValueError("this command has no SVG output")
         title, x_label, y_label = svg_labels
-        _write(args, line_chart(svg_series, title=title, x_label=x_label, y_label=y_label))
+        text = line_chart(svg_series, title=title, x_label=x_label, y_label=y_label)
+    with _output(args) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -166,11 +166,11 @@ def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
     counts before the next, so no (trials, len(p)) table is ever held.  The
     counts, and the caller's stream position afterwards, equal those of one
     full-table draw whatever the number of CPUs.  A generator other than
-    Philox fills a single range.
+    Philox fills a single range.  Every ``p[j]`` must lie in [0, 1].
     """
     trials = domain.integer(trials, "trials", 1)
     domain.size(trials, "the per-trial counts")
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(domain.fraction(p, "hit probability p"))
     gen = stream(rng)
     width = max(p.size, 1)
     blocks = -(-trials // max(1, BLOCK_UNIFORMS // width))

@@ -48,7 +48,7 @@ def amplitudes(values, name: str = "amplitudes", *, minimum: int = 1,
     return arr
 
 
-def magnitude(value, name: str, *, limit: float = MAX_AMPLITUDE, positive: bool = False):
+def _interval(value, name: str, limit: float, positive: bool, limit_text: str):
     """A real in [0, limit] ((0, limit] if ``positive``): a float, or a float array for arrays."""
     # Scalars skip numpy's per-call overhead; the exact-type test skips the ABC check's.
     scalar = type(value) is float or isinstance(value, numbers.Real)
@@ -57,8 +57,13 @@ def magnitude(value, name: str, *, limit: float = MAX_AMPLITUDE, positive: bool 
     if not (inside if scalar else inside.all()):
         bad = arr if scalar or arr.ndim == 0 else arr[~inside].flat[0]
         raise ValueError(f"{name} must lie in {'(' if positive else '['}0, "
-                         f"{_limit_text(limit)}], got {float(bad)!r}")
+                         f"{limit_text}], got {float(bad)!r}")
     return arr if scalar or arr.ndim else float(arr)
+
+
+def magnitude(value, name: str, *, limit: float = MAX_AMPLITUDE, positive: bool = False):
+    """A real in [0, limit] ((0, limit] if ``positive``): a float, or a float array for arrays."""
+    return _interval(value, name, limit, positive, _limit_text(limit))
 
 
 def integer(value, name: str, low: int, high: int | None = None) -> int:
@@ -72,12 +77,9 @@ def integer(value, name: str, low: int, high: int | None = None) -> int:
     return number
 
 
-def fraction(value, name: str, *, positive: bool = False) -> float:
-    """A real in [0, 1], or in (0, 1] if ``positive``."""
-    number = float(value)
-    if not ((0.0 < number) if positive else (0.0 <= number)) or not number <= 1.0:
-        raise ValueError(f"{name} must lie in {'(' if positive else '['}0, 1], got {number!r}")
-    return number
+def fraction(value, name: str, *, positive: bool = False):
+    """A real in [0, 1] ((0, 1] if ``positive``): a float, or a float array for arrays."""
+    return _interval(value, name, 1.0, positive, "1")
 
 
 def size(entries, what: str) -> None:

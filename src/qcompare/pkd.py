@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import domain
-from .detection import (IDEAL, DetectorModel, bernoulli_counts, click_probabilities,
-                        sample_counts, stream, wilson_interval)
+from .detection import (BLOCK_UNIFORMS, IDEAL, DetectorModel, bernoulli_counts,
+                        click_probabilities, sample_counts, stream, wilson_interval)
 from .errors import InvariantError
 from .linear import multiport_outputs
 from .lockkey import KeyString, generate_key
@@ -130,13 +132,17 @@ def trusted_center_distribute(phase_indices, n_phases: int, amplitude: float, co
 
 
 def verdicts(errors, security_s: float, length: int) -> np.ndarray:
-    """Verdict code (an index into ``VERDICTS``) for each error count.
+    """Verdict code (an index into ``VERDICTS``, as ``uint8``) for each error count.
 
     ACCEPT on zero errors, REJECT at errors >= s * length, UNSURE in between.
     """
     domain.fraction(security_s, "security parameter s", positive=True)
     errors = np.asarray(errors)
-    return np.where(errors == 0, ACCEPT, np.where(errors >= security_s * length, REJECT, UNSURE))
+    # An integer threshold: numpy 1.x would compare uint8 counts with a float in float16.
+    reject_at = math.ceil(security_s * length)
+    code = np.uint8  # one byte per verdict
+    return np.where(errors == 0, code(ACCEPT),
+                    np.where(errors >= reject_at, code(REJECT), code(UNSURE)))
 
 
 def verdict_for(errors: int, security_s: float, length: int) -> str:
@@ -219,13 +225,19 @@ class AliceCheatStats:
     errors_to_charlie: int
 
 
-def _center_errors(attack: AliceCenterAttack, trials: int, gen) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's and Charlie's error counts per trial: independent Binomial(positions, 1 - overlap)."""
-    trials = domain.integer(trials, "trials", 1)
-    domain.size(2 * trials, "the per-trial error counts")
+def _center_error_blocks(attack: AliceCenterAttack, trials: int, gen):
+    """Bob's and Charlie's per-trial error counts, Binomial(positions, 1 - overlap) each.
+
+    Yields ``(recipient, start, errors)`` for blocks of up to ``BLOCK_UNIFORMS``
+    trials: all of Bob's (recipient 0), then all of Charlie's (1).  The blocks
+    hold the values, and leave the stream where, one ``size=trials`` draw per
+    recipient would.
+    """
     p_inc = 1.0 - attack.overlap
-    return (gen.binomial(attack.positions, p_inc, size=trials),
-            gen.binomial(attack.positions, p_inc, size=trials))
+    for recipient in (0, 1):
+        for start in range(0, trials, BLOCK_UNIFORMS):
+            size = min(BLOCK_UNIFORMS, trials - start)
+            yield recipient, start, gen.binomial(attack.positions, p_inc, size=size)
 
 
 def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float, length: int,
@@ -237,13 +249,24 @@ def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float
     probability ``1 - overlap``.  Disagreement means one recipient accepts
     (e = 0) while the other rejects (e >= s M); the empirical rate is checked
     against the ``(1/2)^(s M - 1)`` bound and must not exceed it beyond 3
-    binomial standard errors.
+    binomial standard errors.  Only Bob's verdict codes are held, one byte
+    per trial; each block of Charlie's errors is reduced against them at once.
     """
     domain.integer(attack.positions, "attacked positions", 0, length)
-    e_bob, e_charlie = _center_errors(attack, trials, stream(rng))
-    disagree = _split_verdicts(verdicts(e_bob, security_s, length),
-                               verdicts(e_charlie, security_s, length))
-    successes = int(np.count_nonzero(disagree))
+    trials = domain.integer(trials, "trials", 1)
+    domain.size(trials, "the per-trial verdict codes")
+    codes_bob = np.empty(trials, dtype=np.uint8)
+    error_totals = [0, 0]
+    successes = 0
+    for recipient, start, errors in _center_error_blocks(attack, trials, stream(rng)):
+        error_totals[recipient] += int(errors.sum())
+        codes = verdicts(errors, security_s, length)
+        bob = codes_bob[start:start + codes.size]
+        if recipient == 0:
+            bob[:] = codes
+        else:
+            successes += int(np.count_nonzero(_split_verdicts(bob, codes)))
+        del errors, codes  # so that only one block is alive while the next is drawn
     rate = successes / trials
     bound = cheat_bound(security_s, length)
     sigma = math.sqrt(max(rate * (1.0 - rate), bound * (1.0 - bound)) / trials)
@@ -258,8 +281,8 @@ def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float
         wilson_high=high,
         bound=bound,
         trials=trials,
-        errors_to_bob=int(e_bob.sum()),
-        errors_to_charlie=int(e_charlie.sum()),
+        errors_to_bob=error_totals[0],
+        errors_to_charlie=error_totals[1],
     )
 
 
@@ -334,23 +357,14 @@ def _exchange_outputs(copies: np.ndarray, tamper: CharlieTamper | None):
     return inputs, gamma, deviation
 
 
-def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0,
-                         tamper: CharlieTamper | None = None) -> list[Party]:
-    """Run the two-phase distributed comparison among T recipients.
-
-    ``copies[r]`` is recipient r's public-key copy (one complex amplitude per
-    position).  Phase 1 splits every position T ways (amplitude / sqrt(T));
-    phase 2 feeds the kept share plus the T - 1 received shares into a
-    balanced comparison multiport per position (``linear.multiport_outputs``).
-    Mode 0 returns the recovered amplitude, modes 1..T-1 are watched by
-    detectors.  ``tamper`` acts on the share Charlie (1) forwards to Bob (0).
-    """
+def _run_exchange(copies, model: DetectorModel, rng, tamper: CharlieTamper | None):
+    """``distributed_exchange``'s parties, plus the ``gamma`` and ``deviation`` behind them."""
     arrs = [domain.amplitudes(c, "public-key copy", limit=math.inf) for c in copies]
     t_count = _exchange_recipients(len(arrs), arrs[0].size if arrs else 0)
     length = arrs[0].size
     if any(a.shape != (length,) for a in arrs):
         raise ValueError("all copies must have the same number of positions")
-    inputs, gamma, _ = _exchange_outputs(np.array(arrs), tamper)
+    inputs, gamma, deviation = _exchange_outputs(np.array(arrs), tamper)
     counts = sample_counts(np.abs(gamma[..., 1:]) ** 2, model, rng)
 
     parties = []
@@ -366,7 +380,21 @@ def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0,
         transcript.record(name, "recover", amplitudes=gamma[r, :, 0])
         parties.append(Party(name=name, held=gamma[r, :, 0], clicks=counts[r],
                              transcript=transcript))
-    return parties
+    return parties, gamma, deviation
+
+
+def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0,
+                         tamper: CharlieTamper | None = None) -> list[Party]:
+    """Run the two-phase distributed comparison among T recipients.
+
+    ``copies[r]`` is recipient r's public-key copy (one complex amplitude per
+    position).  Phase 1 splits every position T ways (amplitude / sqrt(T));
+    phase 2 feeds the kept share plus the T - 1 received shares into a
+    balanced comparison multiport per position (``linear.multiport_outputs``).
+    Mode 0 returns the recovered amplitude, modes 1..T-1 are watched by
+    detectors.  ``tamper`` acts on the share Charlie (1) forwards to Bob (0).
+    """
+    return _run_exchange(copies, model, rng, tamper)[0]
 
 
 @dataclass(frozen=True)
@@ -380,19 +408,18 @@ class CharlieCheatStats:
     per_position_error_prob: tuple[float, ...]
 
 
-def _bob_counts(alpha, tamper: CharlieTamper, model: DetectorModel, trials: int, gen):
-    """Two-recipient exchange seen by Bob when Charlie's share to him passes ``tamper``.
+def _bob_counts(gamma, deviation, model: DetectorModel, trials: int, gen):
+    """What Bob (recipient 0) sees in an exchange with outputs ``gamma`` and ``deviation``.
 
-    Bob's click means and the deviation of his recovered copy, which errs with
-    probability ``1 - exp(-|deviation|^2)``, come from ``_exchange_outputs``.
-    Returns the per-position click means and error probabilities, then Bob's
-    per-trial click counts and error counts (drawn in that order).  With
-    ``CharlieTamper("none")`` both probabilities are exactly 0.
+    Returns the mean photon numbers of his watched modes, (positions, T - 1),
+    and the per-position probability ``1 - exp(-|deviation|^2)`` that his
+    recovered copy errs, then his per-trial click counts (over every watched
+    mode) and error counts, drawn in that order.  Where the shares agree both
+    probabilities are exactly 0.
     """
-    _, gamma, deviation = _exchange_outputs(np.array([alpha, alpha]), tamper)
-    click_mean = np.abs(gamma[0, :, 1]) ** 2
+    click_mean = np.abs(gamma[0, :, 1:]) ** 2
     p_error = _incorrect_probability(deviation[0], 0.0)
-    clicks = bernoulli_counts(click_probabilities(click_mean, model), trials, gen)
+    clicks = bernoulli_counts(click_probabilities(click_mean.ravel(), model), trials, gen)
     errors = bernoulli_counts(p_error, trials, gen)
     return click_mean, p_error, clicks, errors
 
@@ -409,7 +436,8 @@ def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length:
     """
     gen = stream(rng)
     alpha = generate_key(length, n_phases, amplitude, gen).amplitudes()
-    click_mean, p_error, clicks, errors = _bob_counts(alpha, tamper, model, trials, gen)
+    _, gamma, deviation = _exchange_outputs(np.array([alpha, alpha]), tamper)
+    click_mean, p_error, clicks, errors = _bob_counts(gamma, deviation, model, trials, gen)
     n_rej = int(np.count_nonzero(verdicts(errors, security_s, length) == REJECT))
     n_det = int(np.count_nonzero(clicks))
     return CharlieCheatStats(
@@ -418,7 +446,7 @@ def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length:
         reject_interval=wilson_interval(n_rej, trials),
         detection_interval=wilson_interval(n_det, trials),
         trials=trials,
-        per_position_click_mean=tuple(float(c) for c in click_mean),
+        per_position_click_mean=tuple(float(c) for c in click_mean[:, 0]),  # T = 2: one mode
         per_position_error_prob=tuple(float(p) for p in p_error),
     )
 
@@ -427,24 +455,54 @@ def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length:
 # protocol drivers for the command-line front end
 # ---------------------------------------------------------------------------
 
-def _trial_rows(e_bob, e_charlie, v_bob, v_charlie, clicks) -> list[dict]:
-    """Per-trial rows of both drivers, built from whole columns."""
-    columns = zip(e_bob.tolist(), e_charlie.tolist(), v_bob.tolist(), v_charlie.tolist(),
-                  clicks.tolist())
-    return [
-        {"trial": i, "e_bob": eb, "e_charlie": ec, "verdict_bob": VERDICTS[vb],
-         "verdict_charlie": VERDICTS[vc], "clicks": k}
-        for i, (eb, ec, vb, vc, k) in enumerate(columns)
-    ]
+class TrialTable(Sequence):
+    """Per-trial rows of a protocol driver, held as read-only columns.
+
+    Row ``i`` is the dict ``{"trial", "e_bob", "e_charlie", "verdict_bob",
+    "verdict_charlie", "clicks"}``; it is built only when read.  Iteration
+    converts ``CHUNK_ROWS`` rows of every column at a time, so a table costs
+    the bytes of its columns, not of its rows.
+    """
+
+    CHUNK_ROWS = 1 << 12
+
+    def __init__(self, e_bob, e_charlie, v_bob, v_charlie, clicks):
+        self._columns = (e_bob, e_charlie, v_bob, v_charlie, clicks)
+        for column in self._columns:
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self._columns[0].size
+
+    def _rows(self, start: int, stop: int):
+        columns = zip(*(c[start:stop].tolist() for c in self._columns))
+        return (
+            {"trial": i, "e_bob": eb, "e_charlie": ec, "verdict_bob": VERDICTS[vb],
+             "verdict_charlie": VERDICTS[vc], "clicks": k}
+            for i, (eb, ec, vb, vc, k) in enumerate(columns, start)
+        )
+
+    def __getitem__(self, index) -> dict:
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"trial {index} out of range for {len(self)} trials")
+        return next(self._rows(i, i + 1))
+
+    def __iter__(self):
+        for start in range(0, len(self), self.CHUNK_ROWS):
+            yield from self._rows(start, start + self.CHUNK_ROWS)
 
 
 def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: int,
                         security_s: float, trials: int, adversary: str, rng=0):
-    """Trusted-center scheme driver: per-trial verdict rows plus a worked transcript."""
+    """Trusted-center scheme driver: a ``TrialTable`` of verdict rows plus a worked transcript."""
     if adversary not in ("none", "alice-overlap-half"):
         raise ValueError(f"unsupported adversary {adversary!r} for the center scheme")
     # A per-trial row takes about as much memory as one formatted report number.
-    domain.size(domain.REPORT_ENTRIES * domain.integer(trials, "trials", 1), "the per-trial rows")
+    trials = domain.integer(trials, "trials", 1)
+    domain.size(domain.REPORT_ENTRIES * trials, "the per-trial rows")
     gen = stream(rng)
     key = generate_key(length, n_phases, amplitude, gen)
 
@@ -453,13 +511,15 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
                                        transcript=transcript)
 
     attack = AliceCenterAttack(positions=0 if adversary == "none" else 1, overlap=0.5)
-    e_bob, e_charlie = _center_errors(attack, trials, gen)
+    errors = np.empty((2, trials), dtype=np.uint8)  # at most one attacked position
+    for recipient, start, block in _center_error_blocks(attack, trials, gen):
+        errors[recipient, start:start + block.size] = block
     if adversary != "none":
         transcript.record("alice", "substitute", position=0,
                           amplitudes=[coherent_with_overlap(key.amplitudes()[0], attack.overlap)])
-    v_bob = verdicts(e_bob, security_s, length)
-    v_charlie = verdicts(e_charlie, security_s, length)
-    rows = _trial_rows(e_bob, e_charlie, v_bob, v_charlie, np.zeros(trials, dtype=np.int64))
+    v_bob = verdicts(errors[0], security_s, length)
+    v_charlie = verdicts(errors[1], security_s, length)
+    rows = TrialTable(errors[0], errors[1], v_bob, v_charlie, np.zeros(trials, dtype=np.uint8))
     summary = {
         "scheme": "center",
         "adversary": adversary,
@@ -474,23 +534,28 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
 
 def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplitude: float,
                              security_s: float, trials: int, adversary: str, rng=0):
-    """No-center scheme driver: per-trial verdict rows plus one full exchange transcript."""
+    """No-center scheme driver: a ``TrialTable`` of verdict rows plus one full exchange transcript.
+
+    Bob's per-trial clicks (over all T - 1 watched modes) and errors come
+    from the same T-recipient exchange that the transcript records.
+    """
     if adversary not in ("none", "charlie-flip"):
         raise ValueError(f"unsupported adversary {adversary!r} for the distributed scheme")
     if adversary == "charlie-flip" and recipients != 2:
         raise ValueError("the charlie-flip adversary is defined for 2 recipients")
-    domain.size(domain.REPORT_ENTRIES * domain.integer(trials, "trials", 1), "the per-trial rows")
+    trials = domain.integer(trials, "trials", 1)
+    domain.size(domain.REPORT_ENTRIES * trials, "the per-trial rows")
     gen = stream(rng)
     alpha = generate_key(length, n_phases, amplitude, gen).amplitudes()
     recipients = _exchange_recipients(recipients, length)
 
     tamper = CharlieTamper("flip" if adversary == "charlie-flip" else "none")
-    parties = distributed_exchange([alpha] * recipients, rng=gen, tamper=tamper)
-    _, _, clicks, e_bob = _bob_counts(alpha, tamper, IDEAL, trials, gen)
+    parties, gamma, deviation = _run_exchange([alpha] * recipients, IDEAL, gen, tamper)
+    _, _, clicks, e_bob = _bob_counts(gamma, deviation, IDEAL, trials, gen)
     # Charlie's incoming shares are never tampered, so he recovers his copy exactly.
-    e_charlie = np.zeros(trials, dtype=np.int64)
+    e_charlie = np.zeros(trials, dtype=np.uint8)
     v_bob = verdicts(e_bob, security_s, length)
-    rows = _trial_rows(e_bob, e_charlie, v_bob, verdicts(e_charlie, security_s, length), clicks)
+    rows = TrialTable(e_bob, e_charlie, v_bob, verdicts(e_charlie, security_s, length), clicks)
     events = []
     for party in parties:
         events.extend(party.transcript.events)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcompare import cli, comparison, linear
+from qcompare import cli, comparison, linear, pkd
 from qcompare.domain import WORK_BUDGET
 from qcompare.errors import InvariantError
 
@@ -218,6 +219,58 @@ class TestPkd:
         assert obj["summary"]["honest_zero_clicks"] is True
         # Bob's errors once came from an eps * amp residue of a re-derived splitter.
         assert obj["summary"]["bob_reject_rate"] == 0.0
+
+
+def old_csv_text(columns, rows, seed):
+    """Reference: the whole CSV report joined in memory, as the writer did before streaming."""
+    lines = [f"# schema={cli.SCHEMA} seed={seed}", ",".join(columns)]
+    lines.extend(",".join(cli._fmt(row[c]) for c in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedCsv:
+    PKD_ARGS = ["pkd", "--scheme", "center", "--adversary", "alice-overlap-half",
+                "--M", "10", "--s", "0.1", "--seed", "4"]
+
+    @pytest.mark.parametrize("trials", [1, cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS,
+                                        cli.CSV_CHUNK_ROWS + 1, 2 * cli.CSV_CHUNK_ROWS + 1])
+    def test_chunks_equal_the_whole_text(self, trials, tmp_path):
+        out = tmp_path / "pkd.csv"
+        argv = self.PKD_ARGS + ["--trials", str(trials), "--format", "csv"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        _, rows, _ = pkd.run_center_protocol(10, 8, 1.0, 2, 0.1, trials,
+                                             "alice-overlap-half", rng=4)
+        columns = ("trial", "e_bob", "e_charlie", "verdict_bob", "verdict_charlie", "clicks")
+        assert out.read_bytes() == old_csv_text(columns, rows, 4).encode()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0
+        assert stdout.getvalue().encode() == out.read_bytes()
+
+    def test_figure_rows_stream_like_the_whole_text(self, tmp_path):
+        out = tmp_path / "fig.csv"
+        assert cli.main(["figure4", "--points", "900", "--N", "2", "3", "4", "5", "6",
+                         "--format", "csv", "--out", str(out)]) == 0
+        rows, _ = cli._entropy_grid([2, 3, 4, 5, 6], 25.0, 900)
+        for r in rows:
+            r["asymptote_bits"] = math.log2(r["N"])
+        assert out.read_bytes() == old_csv_text(("alpha_sq", "N", "S_bits", "asymptote_bits"),
+                                                rows, 0).encode()
+
+    def test_pkd_csv_at_the_row_budget_in_bounded_memory(self, tmp_path):
+        # The row dicts and the joined text of 2 * 10^5 rows took 89.7 MB.
+        out = tmp_path / "pkd.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main(["pkd", "--scheme", "center", "--format", "csv", "--trials", "200000",
+                             "--adversary", "alice-overlap-half", "--s", "0.1",
+                             "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.read_text().count("\n") == 200_002
+        assert peak <= 16.0, peak
 
 
 class TestContracts:

@@ -164,6 +164,15 @@ class TestBernoulliCounts:
         with pytest.raises(ValueError):
             bernoulli_counts(self.P, trials, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 2.0, -1e-300, 1.0 + 1e-15])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        # Each was read as "never" (NaN, negative) or "always" (above 1).
+        with pytest.raises(ValueError, match=r"probability p must lie in \[0, 1\]"):
+            bernoulli_counts([0.5, bad, 0.25], 5, 1)
+        with pytest.raises(ValueError, match="probability p"):
+            bernoulli_counts(bad, 5, 1)
+        np.testing.assert_array_equal(bernoulli_counts([0.0, 1.0], 3, 1), [1, 1, 1])
+
     @pytest.fixture
     def placed(self, monkeypatch):
         """Offsets at which worker ranges got their Philox generators; threads switch often."""

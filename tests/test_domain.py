@@ -66,6 +66,9 @@ class TestGuards:
                 domain.fraction(bad, "t")
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             domain.fraction(0.0, "t", positive=True)
+        assert domain.fraction(np.array([0.0, 0.5, 1.0]), "t").tolist() == [0.0, 0.5, 1.0]
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\], got -0\.5"):
+            domain.fraction([0.25, -0.5, 2.0], "t")
 
     def test_size(self):
         domain.size(WORK_BUDGET, "x")

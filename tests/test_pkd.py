@@ -1,17 +1,25 @@
 import math
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from qcompare.detection import bernoulli_counts
+from qcompare import pkd
+from qcompare.detection import (BLOCK_UNIFORMS, bernoulli_counts, click_probabilities,
+                                stream)
+from qcompare.lockkey import generate_key
 from qcompare.pkd import (
     VERDICTS,
     AliceCenterAttack,
     CharlieTamper,
     ProtocolTranscript,
     PublicKeyState,
+    TrialTable,
+    _exchange_outputs,
     _incorrect_probability,
+    _split_verdicts,
     cheat_bound,
     coherent_with_overlap,
     distributed_exchange,
@@ -134,6 +142,11 @@ class TestVerification:
         assert verdict_for(7, 0.5, 10) == "reject"
         codes = verdicts(np.array([0, 3, 5, 7]), 0.5, 10)
         assert [VERDICTS[c] for c in codes] == ["accept", "unsure", "reject", "reject"]
+        # s M = 7.000000000000001: seven errors are not enough, whatever the count dtype.
+        for dtype in (np.uint8, np.int64):
+            codes = verdicts(np.array([0, 7, 8], dtype=dtype), 0.28, 25)
+            assert codes.dtype == np.uint8
+            assert [VERDICTS[c] for c in codes] == ["accept", "unsure", "reject"]
         with pytest.raises(ValueError):
             verdict_for(1, 0.0, 10)
         with pytest.raises(ValueError):
@@ -180,6 +193,63 @@ class TestDishonestAlice:
         with pytest.raises(ValueError):
             simulate_dishonest_alice_center(AliceCenterAttack(positions=5), 1.0, 3,
                                             trials=10, rng=0)
+
+
+def one_shot_alice_center(attack, security_s, length, trials, gen):
+    """Reference: both recipients' error columns drawn whole, then reduced."""
+    e_bob = gen.binomial(attack.positions, 1.0 - attack.overlap, size=trials)
+    e_charlie = gen.binomial(attack.positions, 1.0 - attack.overlap, size=trials)
+    split = _split_verdicts(verdicts(e_bob, security_s, length),
+                            verdicts(e_charlie, security_s, length))
+    return int(np.count_nonzero(split)), int(e_bob.sum()), int(e_charlie.sum())
+
+
+def peak_traced_mb(call):
+    """Result of ``call()`` and the peak memory it allocated, in MB, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 1e6
+
+
+class TestDishonestAliceStreamed:
+    # (attack, s, M): a rare split (s M = 10, all positions attacked) and a common one.
+    CASES = [(AliceCenterAttack(positions=10, overlap=0.5), 1.0, 10),
+             (AliceCenterAttack(positions=2, overlap=0.3), 0.5, 4)]
+
+    @pytest.mark.parametrize("trials", [BLOCK_UNIFORMS - 1, BLOCK_UNIFORMS, BLOCK_UNIFORMS + 1,
+                                        2 * BLOCK_UNIFORMS + 1])
+    def test_blocks_equal_one_shot_columns(self, trials):
+        for seed in (0, 1, 2):
+            attack, s, m = self.CASES[seed % 2]
+            gen, ref = stream(seed), stream(seed)
+            stats = simulate_dishonest_alice_center(attack, s, m, trials, rng=gen)
+            successes, to_bob, to_charlie = one_shot_alice_center(attack, s, m, trials, ref)
+            assert stats.disagreement_rate == successes / trials
+            assert (stats.errors_to_bob, stats.errors_to_charlie) == (to_bob, to_charlie)
+            assert gen.random() == ref.random()
+
+    def test_million_trials_in_bounded_memory(self):
+        # Two int64 error columns and their verdict temporaries took 41 MB.
+        attack, s, m = self.CASES[0]
+        stats, peak = peak_traced_mb(
+            lambda: simulate_dishonest_alice_center(attack, s, m, 10**6, rng=5))
+        assert stats.trials == 10**6 and stats.disagreement_rate <= stats.bound
+        assert peak <= 8.0, peak
+
+    def test_ten_million_trials_accepted_in_bounded_memory(self):
+        # One byte per trial (Bob's verdict codes) plus one block in flight.
+        attack, s, m = self.CASES[0]
+        stats, peak = peak_traced_mb(
+            lambda: simulate_dishonest_alice_center(attack, s, m, 10**7, rng=6))
+        assert stats.trials == 10**7
+        assert abs(stats.disagreement_rate - 2.0**-19) < 5 * math.sqrt(2.0**-19 / 10**7)
+        assert peak <= 16.0, peak
+        with pytest.raises(ValueError, match="WORK_BUDGET"):
+            simulate_dishonest_alice_center(attack, s, m, 10**7 + 1, rng=6)
 
 
 class TestCheatBound:
@@ -348,9 +418,102 @@ class TestProtocolDrivers:
         assert abs(summary["bob_reject_rate"] - expected_reject) < three_sigma(
             expected_reject, 20_000)
 
+    @pytest.mark.parametrize("recipients, adversary", [(2, "none"), (3, "none"), (4, "none"),
+                                                       (2, "charlie-flip")])
+    def test_one_exchange_per_driver_call(self, monkeypatch, recipients, adversary):
+        # Bob's trials once came from a second exchange, on two recipients whatever T.
+        shapes = []
+        exchange = pkd.multiport_outputs
+        monkeypatch.setattr(pkd, "multiport_outputs",
+                            lambda inputs: shapes.append(inputs.shape) or exchange(inputs))
+        run_distributed_protocol(recipients, 6, 8, 0.7, 0.5, 50, adversary, rng=2)
+        assert shapes == [(recipients, 6, recipients)]
+
     def test_unknown_adversary_rejected(self):
         with pytest.raises(ValueError):
             run_center_protocol(4, 8, 1.0, 2, 0.5, 10, "charlie-flip", rng=0)
+
+
+def old_trial_rows(e_bob, e_charlie, v_bob, v_charlie, clicks):
+    """Reference: the row list the drivers built from whole columns before ``TrialTable``."""
+    columns = zip(e_bob.tolist(), e_charlie.tolist(), v_bob.tolist(), v_charlie.tolist(),
+                  clicks.tolist())
+    return [
+        {"trial": i, "e_bob": eb, "e_charlie": ec, "verdict_bob": VERDICTS[vb],
+         "verdict_charlie": VERDICTS[vc], "clicks": k}
+        for i, (eb, ec, vb, vc, k) in enumerate(columns)
+    ]
+
+
+def old_center_rows(length, s, trials, adversary, seed):
+    """Reference center driver: both error columns drawn whole after the key."""
+    gen = stream(seed)
+    generate_key(length, 8, 1.0, gen)
+    positions = 0 if adversary == "none" else 1
+    e_bob = gen.binomial(positions, 0.5, size=trials)
+    e_charlie = gen.binomial(positions, 0.5, size=trials)
+    return old_trial_rows(e_bob, e_charlie, verdicts(e_bob, s, length),
+                          verdicts(e_charlie, s, length), np.zeros(trials, dtype=np.int64))
+
+
+def old_distributed_rows(recipients, length, s, trials, adversary, seed):
+    """Reference distributed driver: Bob's trials from a second, two-recipient exchange."""
+    gen = stream(seed)
+    alpha = generate_key(length, 8, 0.7, gen).amplitudes()
+    tamper = CharlieTamper("flip" if adversary == "charlie-flip" else "none")
+    distributed_exchange([alpha] * recipients, rng=gen, tamper=tamper)
+    _, gamma, deviation = _exchange_outputs(np.array([alpha, alpha]), tamper)
+    clicks = bernoulli_counts(click_probabilities(np.abs(gamma[0, :, 1]) ** 2), trials, gen)
+    e_bob = bernoulli_counts(_incorrect_probability(deviation[0], 0.0), trials, gen)
+    e_charlie = np.zeros(trials, dtype=np.int64)
+    return old_trial_rows(e_bob, e_charlie, verdicts(e_bob, s, length),
+                          verdicts(e_charlie, s, length), clicks)
+
+
+class TestTrialTable:
+    CHUNK = TrialTable.CHUNK_ROWS
+    TRIALS = 2 * CHUNK + 1  # three chunks, the last of one row
+
+    def assert_table_equals(self, table, reference):
+        assert isinstance(table, Sequence) and len(table) == len(reference) == self.TRIALS
+        assert list(table) == reference
+        assert list(table) == reference  # a table can be read again
+        for i in (0, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1, 2 * self.CHUNK, -1,
+                  -self.CHUNK, -self.CHUNK - 1, -self.TRIALS, np.int64(7)):
+            assert table[i] == reference[i]
+        for i in (self.TRIALS, -self.TRIALS - 1, 10**20):
+            with pytest.raises(IndexError):
+                table[i]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    @pytest.mark.parametrize("adversary, s, length", [("none", 0.5, 2),
+                                                      ("alice-overlap-half", 1.0, 1)])
+    def test_center_table_equals_old_rows(self, adversary, s, length):
+        _, table, _ = run_center_protocol(length, 8, 1.0, 2, s, self.TRIALS, adversary, rng=31)
+        self.assert_table_equals(table, old_center_rows(length, s, self.TRIALS, adversary, 31))
+
+    @pytest.mark.parametrize("recipients, adversary", [(2, "charlie-flip"), (2, "none"),
+                                                       (3, "none")])
+    def test_distributed_table_equals_old_rows(self, recipients, adversary):
+        _, table, _ = run_distributed_protocol(recipients, 6, 8, 0.7, 0.5, self.TRIALS,
+                                               adversary, rng=32)
+        reference = old_distributed_rows(recipients, 6, 0.5, self.TRIALS, adversary, 32)
+        self.assert_table_equals(table, reference)
+        if adversary != "none":
+            assert any(row["clicks"] for row in reference)
+
+    def test_columns_are_read_only(self):
+        _, table, _ = run_center_protocol(2, 8, 1.0, 2, 0.5, 10, "alice-overlap-half", rng=0)
+        with pytest.raises(ValueError):
+            table._columns[0][0] = 1
+
+    def test_center_driver_in_bounded_memory(self):
+        # 10^5 row dicts took 38.8 MB; the columns take a byte per trial each.
+        (summary, table, _), peak = peak_traced_mb(lambda: run_center_protocol(
+            10, 8, 1.0, 2, 0.1, 10**5, "alice-overlap-half", rng=3))
+        assert len(table) == 10**5 and summary["cheat_bound"] == 1.0
+        assert peak <= 8.0, peak
 
 
 class TestTranscript:
