@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``compare``, ``multiport``, ``oracle``, ``figure2``, ``figure4``,
-``lockkey {simulate,entropy,attack-scan}``, ``pkd``.  Global flags ``--seed``,
-``--out`` and ``--format {csv,json,svg}``.  Exit codes: 0 on success, 2 on
-usage or validation errors, 3 on an internal invariant violation.
+``lockkey {simulate,entropy,attack-scan}``, ``pkd``.  Each takes ``--seed``,
+``--out`` and ``--format {csv,json,svg}`` (after the action, for ``lockkey``).
+Exit codes: 0 on success, 2 on usage or validation errors or an unwritable
+``--out``, 3 on an internal invariant violation.
 
-All output is deterministic for a fixed argument list: JSON is emitted with
-sorted keys, CSV with dot decimals and LF line endings, and every stochastic
-report records its seed.  SVG figures are rendered from the same row data
-that the CSV writer receives; there is no second computation route.
+Every handler returns one :class:`Report` and ``_write`` alone serialises it.
+All output is deterministic for a fixed argument list: JSON is streamed with
+sorted keys, CSV is written in chunks with dot decimals and LF line endings,
+and every stochastic report records its seed.  SVG figures are drawn from the
+report's CSV table; there is no second computation route.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,6 +35,29 @@ from .svg import line_chart
 
 SCHEMA = 1
 CSV_CHUNK_ROWS = 1 << 12  # rows formatted and written together
+
+
+@dataclass(frozen=True)
+class Plot:
+    """A line chart of a report's table: x is the first column, with one series per ``y``
+    column, or of the one ``y`` column per listed value of ``group`` (duplicates kept)."""
+
+    title: str
+    x_label: str
+    y_label: str
+    y: tuple[str, ...]
+    group: str | None = None
+    groups: tuple = ()
+
+
+@dataclass(frozen=True)
+class Report:
+    """One subcommand's result; asking for a format whose part is ``None`` is an error."""
+
+    fields: dict | None = None  # the JSON object, without "schema"
+    columns: tuple[str, ...] | None = None  # the CSV header; each row maps them to values
+    rows: Sequence = ()
+    plot: Plot | None = None
 
 
 def _parse_complex(text: str) -> complex:
@@ -53,50 +79,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(fh, columns, rows, seed=None) -> None:
+def _write_csv(fh, columns, rows, seed) -> None:
     """Write a CSV table to ``fh``, ``CSV_CHUNK_ROWS`` formatted rows at a time."""
-    fh.write(f"# schema={SCHEMA}" + (f" seed={seed}" if seed is not None else "") + "\n")
+    fh.write(f"# schema={SCHEMA} seed={seed}\n")
     fh.write(",".join(columns) + "\n")
     lines = (",".join(_fmt(row[c]) for c in columns) for row in rows)
     while chunk := list(itertools.islice(lines, CSV_CHUNK_ROWS)):
         fh.write("\n".join(chunk) + "\n")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-@contextlib.contextmanager
-def _output(args):
-    """The file named by ``--out`` (LF line endings), else stdout."""
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+def _svg(report: Report) -> str:
+    plot, x = report.plot, report.columns[0]
+    if plot.group is None:
+        curves = [(y, y, report.rows) for y in plot.y]
     else:
-        yield sys.stdout
+        (y,) = plot.y
+        curves = [(f"{plot.group}={g}", y, [r for r in report.rows if r[plot.group] == g])
+                  for g in plot.groups]
+    series = [(label, [r[x] for r in rows], [r[y] for r in rows]) for label, y, rows in curves]
+    return line_chart(series, title=plot.title, x_label=plot.x_label, y_label=plot.y_label)
 
 
-def _emit(args, json_obj=None, csv_parts=None, svg_series=None, svg_labels=("", "", "")):
-    """Write the requested format; ValueError when the command cannot provide it."""
+def _write(args, report: Report) -> None:
+    """Serialise ``report`` in ``--format`` to ``--out`` (LF line endings) or stdout.
+
+    A missing part or an unwritable ``--out`` is a ValueError raised before any output.
+    """
     fmt = args.format
-    if fmt == "json":
-        if json_obj is None:
-            raise ValueError("this command has no JSON output")
-        text = _json_text(json_obj)
-    elif fmt == "csv":
-        if csv_parts is None:
-            raise ValueError("this command has no CSV output")
-        columns, rows = csv_parts
-        with _output(args) as fh:
-            _write_csv(fh, columns, rows, seed=args.seed)
-        return
-    else:  # svg, the last of argparse's choices
-        if svg_series is None:
-            raise ValueError("this command has no SVG output")
-        title, x_label, y_label = svg_labels
-        text = line_chart(svg_series, title=title, x_label=x_label, y_label=y_label)
-    with _output(args) as fh:
-        fh.write(text)
+    if {"json": report.fields, "csv": report.columns, "svg": report.plot}[fmt] is None:
+        raise ValueError(f"this command has no {fmt.upper()} output")
+    svg = _svg(report) if fmt == "svg" else None
+    try:
+        output = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
+                  else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+    with output as fh:
+        if fmt == "json":
+            json.dump({"schema": SCHEMA, **report.fields}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        elif fmt == "csv":
+            _write_csv(fh, report.columns, report.rows, args.seed)
+        else:
+            fh.write(svg)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +139,8 @@ def _sweep_grid(stop: float, step: float, columns: int) -> np.ndarray:
     return np.arange(0.0, stop + step / 2, step)
 
 
-def _delta_sweep(max_delta: float, step: float):
-    """Rows and SVG series of p_succ and p_asymm against |alpha - beta| from 0 to max_delta."""
+def _delta_sweep(max_delta: float, step: float, title: str) -> Report:
+    """p_succ and p_asymm against |alpha - beta| from 0 to max_delta, with their plot."""
     deltas = _sweep_grid(max_delta, step, len(_DELTA_COLUMNS))
     rows = [
         {
@@ -125,40 +150,30 @@ def _delta_sweep(max_delta: float, step: float):
         }
         for d in deltas
     ]
-    series = [
-        (name, [r["delta_abs"] for r in rows], [r[name] for r in rows])
-        for name in ("p_succ", "p_asymm")
-    ]
-    return rows, series
+    return Report(columns=_DELTA_COLUMNS, rows=rows,
+                  plot=Plot(title, "|alpha - beta|", "probability", _DELTA_COLUMNS[1:]))
 
 
-def _entropy_grid(n_list, alpha_sq_max: float, points: int):
-    """Rows and SVG series (one per N) of the key-position entropy over a |alpha|^2 grid."""
+def _entropy_grid(n_list, alpha_sq_max: float, points: int) -> list[dict]:
+    """Rows of the key-position entropy over a |alpha|^2 grid, for each N in turn."""
     alpha_sq_max = domain.magnitude(alpha_sq_max, "alpha_sq_max", limit=domain.MAX_AMPLITUDE**2)
     points = domain.integer(points, "points", 2)
     domain.size(points * len(n_list) * 4 * domain.REPORT_ENTRIES, "the report table")
     grid = np.linspace(0.0, alpha_sq_max, points)
-    rows = [
+    return [
         {"alpha_sq": float(a2), "N": n,
          "S_bits": lockkey.holevo_entropy_finite(math.sqrt(a2), n).bits}
         for n in n_list
         for a2 in grid
     ]
-    series = [
-        (f"N={n}", [r["alpha_sq"] for r in rows if r["N"] == n],
-         [r["S_bits"] for r in rows if r["N"] == n])
-        for n in n_list
-    ]
-    return rows, series
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> Report:
     alpha = _parse_complex(args.alpha)
     beta = _parse_complex(args.beta)
     report = comparison.compare_report([alpha, beta])
     if args.format == "json":
-        _emit(args, json_obj={
-            "schema": SCHEMA,
+        return Report(fields={
             "alpha": [alpha.real, alpha.imag],
             "beta": [beta.real, beta.imag],
             "p_succ": report.p_succ_coherent,
@@ -166,19 +181,14 @@ def _cmd_compare(args) -> int:
             "p_no_click": list(report.p_no_click),
             "p_succ_conjugate": comparison.p_success_conjugate(alpha, beta),
         })
-    else:
-        rows, series = _delta_sweep(args.sweep_max, args.sweep_step)
-        _emit(args, csv_parts=(_DELTA_COLUMNS, rows), svg_series=series,
-              svg_labels=("two-state comparison", "|alpha - beta|", "probability"))
-    return 0
+    return _delta_sweep(args.sweep_max, args.sweep_step, "two-state comparison")
 
 
-def _cmd_multiport(args) -> int:
+def _cmd_multiport(args) -> Report:
     amps = [_parse_complex(a) for a in args.amps]
     report = comparison.compare_report(amps)
     pairwise, per_mode, overlap_product = report.forms
     obj = {
-        "schema": SCHEMA,
         "amplitudes": [[a.real, a.imag] for a in amps],
         "p_succ": report.p_succ_coherent,
         "forms": {"pairwise": pairwise, "per_mode": per_mode, "overlap_product": overlap_product},
@@ -187,21 +197,19 @@ def _cmd_multiport(args) -> int:
     if report.amgm is not None:
         obj["p_asymm"] = report.p_succ_universal
         obj["failure_vs_symmetric"] = asdict(report.amgm)
-    _emit(args, json_obj=obj)
-    return 0
+    return Report(fields=obj)
 
 
 def _coherent_pair(a: complex, b: complex, cutoff: int):
     return fock.product_state(fock.coherent_fock(a, cutoff), fock.coherent_fock(b, cutoff))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> Report:
     if args.xi1 is not None or args.xi2 is not None:
         if args.xi1 is None or args.xi2 is None:
             raise ValueError("squeezed mode needs both --xi1 and --xi2")
         p_odd = fock.odd_photon_probability(args.xi1, args.xi2, args.cutoff)
         obj = {
-            "schema": SCHEMA,
             "mode": "squeezed",
             "xi1": args.xi1,
             "xi2": args.xi2,
@@ -219,7 +227,6 @@ def _cmd_oracle(args) -> int:
             make_beam_splitter(args.transmittance), CoherentRegister([alpha, beta])).amplitudes)
         analytic = _coherent_pair(gamma_a, gamma_b, args.cutoff)
         obj = {
-            "schema": SCHEMA,
             "mode": "coherent",
             "cutoff": args.cutoff,
             "transmittance": args.transmittance,
@@ -229,29 +236,21 @@ def _cmd_oracle(args) -> int:
             "input_deficit": joint.deficit,
             "output_deficit": out.deficit,
         }
-    _emit(args, json_obj=obj)
-    return 0
+    return Report(fields=obj)
 
 
-def _cmd_figure2(args) -> int:
-    rows, series = _delta_sweep(args.max, args.step)
-    obj = {"schema": SCHEMA, "rows": rows}
-    _emit(args, json_obj=obj, csv_parts=(_DELTA_COLUMNS, rows),
-          svg_series=series,
-          svg_labels=("success probability vs amplitude difference", "|alpha - beta|", "probability"))
-    return 0
+def _cmd_figure2(args) -> Report:
+    sweep = _delta_sweep(args.max, args.step, "success probability vs amplitude difference")
+    return replace(sweep, fields={"rows": sweep.rows})
 
 
-def _cmd_figure4(args) -> int:
-    rows, series = _entropy_grid(args.N, args.alpha_sq_max, args.points)
+def _cmd_figure4(args) -> Report:
+    rows = _entropy_grid(args.N, args.alpha_sq_max, args.points)
     for r in rows:
         r["asymptote_bits"] = math.log2(r["N"])
-    obj = {"schema": SCHEMA, "rows": rows}
-    _emit(args, json_obj=obj,
-          csv_parts=(("alpha_sq", "N", "S_bits", "asymptote_bits"), rows),
-          svg_series=series,
-          svg_labels=("key-position entropy vs mean photon number", "|alpha|^2", "S (bits)"))
-    return 0
+    return Report(fields={"rows": rows}, columns=("alpha_sq", "N", "S_bits", "asymptote_bits"),
+                  rows=rows, plot=Plot("key-position entropy vs mean photon number", "|alpha|^2",
+                                       "S (bits)", ("S_bits",), "N", tuple(args.N)))
 
 
 def _detector_from(args) -> DetectorModel:
@@ -262,7 +261,7 @@ def _detector_from(args) -> DetectorModel:
     )
 
 
-def _cmd_lockkey(args) -> int:
+def _cmd_lockkey(args) -> Report:
     if args.action == "simulate":
         key = lockkey.generate_key(args.M, args.N, args.amp, rng=args.seed)
         if args.attack == "key":
@@ -279,7 +278,6 @@ def _cmd_lockkey(args) -> int:
             key, candidate, _detector_from(args), trials=args.trials, rng=args.seed + 1
         )
         obj = {
-            "schema": SCHEMA,
             "seed": args.seed,
             "attack": args.attack,
             "M": args.M,
@@ -290,7 +288,7 @@ def _cmd_lockkey(args) -> int:
             "wilson_95": [stats.wilson_low, stats.wilson_high],
             "analytic_pass_probability": analytic,
         }
-        _emit(args, json_obj=obj)
+        return Report(fields=obj)
     elif args.action == "entropy":
         if args.alpha_sq is not None:
             amplitude = math.sqrt(domain.magnitude(args.alpha_sq, "alpha_sq",
@@ -300,13 +298,12 @@ def _cmd_lockkey(args) -> int:
                  "S_bits": lockkey.holevo_entropy_finite(amplitude, n).bits}
                 for n in args.N
             ]
-            _emit(args, json_obj={"schema": SCHEMA, "results": results})
+            return Report(fields={"results": results})
         else:
-            rows, series = _entropy_grid(args.N, args.alpha_sq_max, args.points)
-            _emit(args, json_obj={"schema": SCHEMA, "rows": rows},
-                  csv_parts=(("alpha_sq", "N", "S_bits"), rows),
-                  svg_series=series,
-                  svg_labels=("key-position entropy", "|alpha|^2", "S (bits)"))
+            rows = _entropy_grid(args.N, args.alpha_sq_max, args.points)
+            return Report(fields={"rows": rows}, columns=("alpha_sq", "N", "S_bits"), rows=rows,
+                          plot=Plot("key-position entropy", "|alpha|^2", "S (bits)",
+                                    ("S_bits",), "N", tuple(args.N)))
     else:  # attack-scan
         best = lockkey.optimal_coherent_attack(args.amp)
         beta_max = args.beta_max if args.beta_max is not None else 2.0 * args.amp + 5.0
@@ -314,19 +311,16 @@ def _cmd_lockkey(args) -> int:
         p_pass = lockkey.attack_pass_probability(args.amp, betas)
         rows = [{"beta": b, "p_pass": p} for b, p in zip(betas.tolist(), p_pass.tolist())]
         obj = {
-            "schema": SCHEMA,
             "amp": args.amp,
             "beta_star": best.beta_star,
             "p_star": best.p_star,
             "rows": rows,
         }
-        series = [("p_pass", [r["beta"] for r in rows], [r["p_pass"] for r in rows])]
-        _emit(args, json_obj=obj, csv_parts=(("beta", "p_pass"), rows),
-              svg_series=series, svg_labels=("false-key pass probability", "|beta|", "p_pass"))
-    return 0
+        return Report(fields=obj, columns=("beta", "p_pass"), rows=rows,
+                      plot=Plot("false-key pass probability", "|beta|", "p_pass", ("p_pass",)))
 
 
-def _cmd_pkd(args) -> int:
+def _cmd_pkd(args) -> Report:
     if args.scheme == "center":
         summary, rows, events = pkd.run_center_protocol(
             args.M, args.N, args.amp, args.recipients, args.s, args.trials,
@@ -338,7 +332,6 @@ def _cmd_pkd(args) -> int:
             args.adversary, rng=args.seed,
         )
     obj = {
-        "schema": SCHEMA,
         "seed": args.seed,
         "params": {
             "scheme": args.scheme,
@@ -354,8 +347,7 @@ def _cmd_pkd(args) -> int:
         "events": events,
     }
     columns = ("trial", "e_bob", "e_charlie", "verdict_bob", "verdict_charlie", "clicks")
-    _emit(args, json_obj=obj, csv_parts=(columns, rows))
-    return 0
+    return Report(fields=obj, columns=columns, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=51)
     p.set_defaults(func=_cmd_figure4)
 
-    p = sub.add_parser("lockkey", parents=[common], help="lock-and-key analyses")
+    # The group takes no common options: they follow the action, which sets them.
+    p = sub.add_parser("lockkey", help="lock-and-key analyses")
     action = p.add_subparsers(dest="action", required=True)
 
     ps = action.add_parser("simulate", parents=[common], help="Monte Carlo lock tests")
@@ -462,16 +455,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write(args, args.func(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def run() -> None:  # console entry point

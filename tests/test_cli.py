@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -251,7 +253,7 @@ class TestStreamedCsv:
         out = tmp_path / "fig.csv"
         assert cli.main(["figure4", "--points", "900", "--N", "2", "3", "4", "5", "6",
                          "--format", "csv", "--out", str(out)]) == 0
-        rows, _ = cli._entropy_grid([2, 3, 4, 5, 6], 25.0, 900)
+        rows = cli._entropy_grid([2, 3, 4, 5, 6], 25.0, 900)
         for r in rows:
             r["asymptote_bits"] = math.log2(r["N"])
         assert out.read_bytes() == old_csv_text(("alpha_sq", "N", "S_bits", "asymptote_bits"),
@@ -271,6 +273,22 @@ class TestStreamedCsv:
         assert code == 0
         assert out.read_text().count("\n") == 200_002
         assert peak <= 16.0, peak
+
+
+class TestStreamedJson:
+    def test_pkd_json_in_bounded_memory(self, tmp_path):
+        # The joined text and json's chunk list of this report peaked at 59.8 MB traced.
+        out = tmp_path / "pkd.json"
+        tracemalloc.start()
+        try:
+            code = cli.main(["pkd", "--scheme", "distributed", "--recipients", "6", "--M", "2000",
+                             "--trials", "10", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out.read_text())["params"]["M"] == 2000
+        assert peak <= 30.0, peak
 
 
 class TestContracts:
@@ -294,6 +312,61 @@ class TestContracts:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert b"0.864664716763" in raw
+
+    @pytest.mark.parametrize("argv,fmt", [
+        (argv, fmt)
+        for argv in (["multiport", "--amps", "1,0", "-1,0"],
+                     ["oracle", "--xi1", "0.2", "--xi2", "0.1"],
+                     ["lockkey", "simulate", "--trials", "10"],
+                     ["lockkey", "entropy", "--alpha-sq", "2"])
+        for fmt in ("csv", "svg")
+    ] + [(["pkd", "--trials", "10"], "svg")])
+    def test_format_without_output_exits_2(self, argv, fmt, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_captured(argv + ["--format", fmt, "--out", str(out)])
+        assert code == 2
+        assert f"error: this command has no {fmt.upper()} output" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target,reason", [
+        (Path("missing", "x.csv"), errno.ENOENT),
+        (Path("."), errno.EISDIR),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, target, reason, tmp_path):
+        out = tmp_path / target
+        code, stdout, err = run_captured(["figure2", "--format", "csv", "--out", str(out)])
+        assert code == 2 and stdout == ""
+        assert err == f"error: cannot write --out {out}: {os.strerror(reason)}\n"
+
+    @pytest.mark.parametrize("option,action,took_effect", [
+        (["--format", "csv"], ["attack-scan", "--amp", "5"],
+         lambda out, stdout: stdout.startswith("# schema=1 seed=0\nbeta,p_pass\n")),
+        (["--seed", "5"], ["simulate", "--trials", "10"],
+         lambda out, stdout: json.loads(stdout)["seed"] == 5),
+        (["--out", "F"], ["entropy", "--alpha-sq", "2"],
+         lambda out, stdout: stdout == "" and out.exists()),
+    ], ids=["format", "seed", "out"])
+    def test_common_options_follow_the_lockkey_action(self, option, action, took_effect,
+                                                       tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "F"
+        code, stdout, _ = run_captured(["lockkey", *option, *action])
+        assert code == 2 and stdout == "" and not out.exists()
+        code, stdout, _ = run_captured(["lockkey", *action, *option])
+        assert code == 0 and took_effect(out, stdout)
+
+    def test_readme_command_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                    if line.startswith("qcompare ")]
+        assert len(commands) >= 11
+        parser = cli.build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(command[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {shlex.join(command)}")
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -378,6 +451,23 @@ GOLDEN = [
     ("multiport --amps 0.3,0.1 -0.2,0.4 0.5,-0.5 0.1,0 -0.3,-0.3 0.2,0.2 0,0.6 -0.4,0.1 "
      "0.7,0 -0.1,-0.6 0.25,0.35 -0.55,0.05",
      "1712234ccc101b8ba5417f95c4f50c76a33cecbe5548e1e3d3691cbdcc98a2b1"),
+    # Recorded before every subcommand returned one Report to a single writer.
+    ("figure2 --max 3 --step 0.25 --format json",
+     "e1b7a5b45820df597324c049437d971eb670a69ec700208f919f57fcb9d70b85"),
+    ("figure4 --N 2 3 5 --alpha-sq-max 9 --points 7 --format json",
+     "edbb2d738acc4cf99ab8e2c701861fe8600f0e2af5e2628112a0fcd4c74bb2a0"),
+    ("figure4 --N 2 2 --points 3 --format svg",
+     "29287d647b7a07ac32174eb72d39c14aeb0111d14e30f30bb9288fec76b7bc26"),
+    ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format json",
+     "7fa60d0574af1a273788abf1ad94ae25660e6132dccee9e915197780f217e7dd"),
+    ("lockkey entropy --alpha-sq 2 --format json",
+     "8f797ee2b3bf52667fc419e409c5af3108de0bc321b07a924e5c3f2a27ea77ce"),
+    ("lockkey attack-scan --amp 2 --step 0.5 --format json",
+     "e73a7379f068b25c1eeb4a669bef4c7f1cfb78c766259de0d4f2665e73bb3523"),
+    ("lockkey attack-scan --amp 2 --step 0.5 --format csv",
+     "379925a88e4c6de30ebee75f9911e0ce778356248b330a205ba701fe64658fa0"),
+    ("lockkey attack-scan --amp 2 --step 0.5 --format svg",
+     "b6f9f79cbeec77ce3d33d32f6f5974b7b8bc8ebb28cedf96b467afee267b8a17"),
 ]
 
 
@@ -417,6 +507,13 @@ class TestModuleEntryPoint:
         proc = self.run_module("compare", "--alpha", "1,0", "--beta", "-1,0")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["p_succ"] == pytest.approx(1 - math.exp(-2), abs=1e-9)
+
+    def test_python_m_unwritable_out_exits_2_without_traceback(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        proc = self.run_module("figure2", "--format", "csv", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write --out {out}: ")
+        assert "Traceback" not in proc.stderr
 
     def test_python_m_malformed_amplitude_exits_2(self):
         proc = self.run_module("compare", "--alpha", "nope", "--beta", "0,0")
