@@ -20,6 +20,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -103,25 +104,31 @@ def _svg(report: Report) -> str:
 def _write(args, report: Report) -> None:
     """Serialise ``report`` in ``--format`` to ``--out`` (LF line endings) or stdout.
 
-    A missing part or an unwritable ``--out`` is a ValueError raised before any output.
+    A missing part is a ValueError raised before any output.  So is a failure
+    to open, write or close the output (``--out`` is left where it is: it may
+    be a device), or a stdout whose reader has gone (``| head``).
     """
     fmt = args.format
     if {"json": report.fields, "csv": report.columns, "svg": report.plot}[fmt] is None:
         raise ValueError(f"this command has no {fmt.upper()} output")
     svg = _svg(report) if fmt == "svg" else None
     try:
-        output = (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
-                  else contextlib.nullcontext(sys.stdout))
+        with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            if fmt == "json":
+                json.dump({"schema": SCHEMA, **report.fields}, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            elif fmt == "csv":
+                _write_csv(fh, report.columns, report.rows, args.seed)
+            else:
+                fh.write(svg)
+            fh.flush()  # a closed stdout pipe fails here, not in the interpreter's final flush
     except OSError as exc:
-        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-    with output as fh:
-        if fmt == "json":
-            json.dump({"schema": SCHEMA, **report.fields}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        elif fmt == "csv":
-            _write_csv(fh, report.columns, report.rows, args.seed)
-        else:
-            fh.write(svg)
+        if args.out:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        # What stdout still buffers goes to devnull, so the final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -132,16 +132,15 @@ def product_state(a: FockVector, b: FockVector) -> FockVector:
     return FockVector(np.outer(a.amps, b.amps), a.cutoff)
 
 
-# Beam-splitter blocks 0..n for the most recently used transmittances, least
-# recent first; a larger cutoff extends a list instead of rebuilding it.  One
-# transmittance at cutoff 96 holds about 19 MB of blocks.
+# Beam-splitter windows for the most recently used (transmittance, cutoff)
+# pairs, least recent first.  One entry at cutoff 96 holds about 15 MB.
 BLOCK_CACHE_TRANSMITTANCES = 3
-_BLOCKS: dict[float, list[np.ndarray]] = {}
-_BLOCKS_LOCK = threading.Lock()
+_WINDOWS: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+_WINDOWS_LOCK = threading.Lock()
 
 
-def _bs_blocks(transmittance: float, n_max: int) -> list[np.ndarray]:
-    """Beam-splitter rotations of the total-photon-number blocks 0..n_max (or more).
+def _bs_blocks(transmittance: float, cutoff: int):
+    """Yield the beam-splitter rotations of the total-photon-number blocks 0..2*cutoff.
 
     Entry [j, k] of block n is the amplitude on output |j>_a |n-j>_b given
     input |n-k>_a |k>_b under a^dag -> t a^dag + r b^dag, b^dag -> r a^dag - t b^dag;
@@ -155,40 +154,74 @@ def _bs_blocks(transmittance: float, n_max: int) -> list[np.ndarray]:
     to one, so rounding does not grow with n.  (Raising by a^dag alone, or
     summing the binomial expansion of the transformed operators, loses
     orthogonality to cancellation from n ~ 80 on.)
+
+    Only rows and columns lo..hi of block n, lo = max(0, n - cutoff) and
+    hi = min(n, cutoff), the ones a state with that cutoff reaches, are
+    computed and yielded, so blocks 0..cutoff are whole.  Those rows and
+    columns of block n+1 need no others of block n, and each entry is computed
+    as from the whole block.
     """
-    # Blocks 0..n_max hold sum_{n <= n_max} (n+1)^2 entries.
-    domain.size((n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6, "the beam-splitter blocks")
-    with _BLOCKS_LOCK:
-        blocks = _BLOCKS.pop(transmittance, None)
-        _evict_blocks(BLOCK_CACHE_TRANSMITTANCES - 1)  # room for this one, before building
-    # Extend a private copy, so concurrent callers never see a partial list.
-    blocks = list(blocks or [np.ones((1, 1))])
     t = math.sqrt(transmittance)
     r = math.sqrt(1.0 - transmittance)
-    while len(blocks) <= n_max:
-        prev = blocks[-1]
-        n = prev.shape[0] - 1
-        root = np.sqrt(np.arange(n + 2))
-        rise, fall = root[1:], root[:0:-1]  # sqrt(j+1) and sqrt(n+1-j), j = 0..n
-        raised_a = np.zeros((n + 2, n + 1))
-        raised_a[1:] = rise[:, None] * prev
-        raised_b = np.zeros((n + 2, n + 1))
-        raised_b[:-1] = fall[:, None] * prev
-        nxt = np.zeros((n + 2, n + 2))
-        nxt[:, :-1] = (t * raised_a + r * raised_b) * (fall / (n + 1))
-        nxt[:, 1:] += (r * raised_a - t * raised_b) * (rise / (n + 1))
-        nxt.setflags(write=False)
-        blocks.append(nxt)
-    with _BLOCKS_LOCK:
-        _BLOCKS[transmittance] = blocks
-        _evict_blocks(BLOCK_CACHE_TRANSMITTANCES)  # concurrent builders may have published
-    return blocks
+    block = np.ones((1, 1))
+    yield block
+    for n in range(2 * cutoff):
+        lo, size = max(0, n - cutoff), block.shape[0]
+        lo_next = max(0, n + 1 - cutoff)
+        j = np.arange(lo_next, min(n + 1, cutoff) + 1)  # rows and columns of block n+1
+        padded = np.zeros((size + 2, size + 2))  # rows and columns lo-1..hi+1 of block n
+        padded[1:-1, 1:-1] = block
+        below = slice(lo_next - lo, lo_next - lo + j.size)  # rows (columns) j-1 of block n
+        at = slice(below.start + 1, below.stop + 1)  # rows (columns) j
+        rise, fall = np.sqrt(j), np.sqrt(n + 1 - j)
+        raised_a = rise[:, None] * padded[below]
+        raised_b = fall[:, None] * padded[at]
+        block = ((t * raised_a + r * raised_b)[:, at] * (fall / (n + 1))
+                 + (r * raised_a - t * raised_b)[:, below] * (rise / (n + 1)))
+        yield block
 
 
-def _evict_blocks(keep: int) -> None:
-    """Drop the least recently used transmittances beyond ``keep``; hold ``_BLOCKS_LOCK``."""
-    while len(_BLOCKS) > keep:
-        del _BLOCKS[next(iter(_BLOCKS))]
+def _bs_windows(transmittance: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached beam-splitter windows of one (transmittance, cutoff) pair.
+
+    Returns ``(windows, slots)``.  The amplitudes of anti-diagonal n of a
+    state, a + b = n, are indexed by a = lo..hi, lo = max(0, n - cutoff) and
+    hi = min(n, cutoff), both on input and on output.  ``windows[n]`` is block n
+    on those rows and columns, its columns reversed (the block's column is b,
+    and lo + hi = n), zero-padded to (cutoff+1, cutoff+1).  ``slots`` gives
+    each flat index a * (cutoff+1) + b its place n * (cutoff+1) + a - lo in the
+    padded (2*cutoff+1, cutoff+1) array of anti-diagonals.
+    """
+    d = cutoff + 1
+    domain.size((2 * cutoff + 1) * d * d, "the beam-splitter windows")
+    key = (transmittance, cutoff)
+    with _WINDOWS_LOCK:
+        entry = _WINDOWS.pop(key, None)
+        if entry is not None:
+            _WINDOWS[key] = entry  # most recently used
+            return entry
+        _evict_windows(BLOCK_CACHE_TRANSMITTANCES - 1)  # room for this one, before building
+    # Build a private entry, so concurrent callers never see a partial one.
+    windows = np.zeros((2 * cutoff + 1, d, d))
+    for n, block in enumerate(_bs_blocks(transmittance, cutoff)):
+        windows[n, :block.shape[0], :block.shape[0]] = block[:, ::-1]
+    a, b = np.divmod(np.arange(d * d), d)
+    slots = (a + b) * d + a - np.maximum(0, a + b - cutoff)
+    windows.setflags(write=False)
+    slots.setflags(write=False)
+    entry = (windows, slots)
+    with _WINDOWS_LOCK:
+        # Concurrent builders may have published.  Evict before publishing, so
+        # that not even a reader without the lock sees the cache above its bound.
+        _evict_windows(BLOCK_CACHE_TRANSMITTANCES - 1)
+        _WINDOWS[key] = entry
+    return entry
+
+
+def _evict_windows(keep: int) -> None:
+    """Drop the least recently used entries beyond ``keep``; hold ``_WINDOWS_LOCK``."""
+    while len(_WINDOWS) > keep:
+        del _WINDOWS[next(iter(_WINDOWS))]
 
 
 def apply_bs_fock(state: FockVector, transmittance: float) -> FockVector:
@@ -202,20 +235,16 @@ def apply_bs_fock(state: FockVector, transmittance: float) -> FockVector:
         raise ValueError("apply_bs_fock needs a two-mode state")
     transmittance = domain.fraction(transmittance, "transmittance")
     cutoff = state.cutoff
-    amps = state.amps
-    blocks = _bs_blocks(transmittance, 2 * cutoff)
-    out = np.zeros_like(amps)
-    for n in range(2 * cutoff + 1):
-        lo = max(0, n - cutoff)
-        hi = min(n, cutoff)
-        idx = np.arange(lo, hi + 1)
-        vec = np.zeros(n + 1, dtype=complex)
-        vec[idx] = amps[n - idx, idx]  # index = photon count in mode b
-        if not np.any(vec):
-            continue
-        rot = blocks[n] @ vec
-        out[idx, n - idx] = rot[idx]  # index = photon count in mode a
-    return FockVector(out, cutoff)
+    windows, slots = _bs_windows(transmittance, cutoff)
+    diagonals = np.zeros((2 * cutoff + 1, cutoff + 1), dtype=complex)
+    diagonals.reshape(-1)[slots] = state.amps.reshape(-1)
+    # One real product per anti-diagonal, its real and imaginary parts as two columns.
+    rotated = np.matmul(windows, diagonals.view(float).reshape(*diagonals.shape, 2))
+    # Drop each array once read: at cutoff 170 the windows are 80 MB of an 82 MB peak.
+    del diagonals
+    out = rotated.view(complex).reshape(-1)[slots]
+    del rotated
+    return FockVector(out.reshape(cutoff + 1, cutoff + 1), cutoff)
 
 
 def photon_distribution(state: FockVector, mode: int = 0) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
 import time
@@ -338,6 +339,32 @@ class TestContracts:
         assert code == 2 and stdout == ""
         assert err == f"error: cannot write --out {out}: {os.strerror(reason)}\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["figure2", "--format", "csv"],
+        ["figure2", "--format", "json"],
+        ["figure4", "--format", "svg"],
+        ["compare", "--alpha", "1,0", "--beta", "-1,0"],
+    ], ids=["csv", "json", "svg", "small-json"])
+    def test_failed_write_exits_2_and_leaves_the_target(self, argv):
+        code, stdout, err = run_captured(argv + ["--out", "/dev/full"])
+        assert code == 2 and stdout == ""
+        assert err == f"error: cannot write --out /dev/full: {os.strerror(errno.ENOSPC)}\n"
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+    def test_failed_write_keeps_what_was_written(self, tmp_path, monkeypatch):
+        def write_then_fail(fh, columns, rows, seed):
+            fh.write("partial\n")
+            fh.flush()
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cli, "_write_csv", write_then_fail)
+        out = tmp_path / "fig2.csv"
+        code, _, err = run_captured(["figure2", "--format", "csv", "--out", str(out)])
+        assert code == 2
+        assert err == f"error: cannot write --out {out}: {os.strerror(errno.EIO)}\n"
+        assert out.read_text() == "partial\n"
+
     @pytest.mark.parametrize("option,action,took_effect", [
         (["--format", "csv"], ["attack-scan", "--amp", "5"],
          lambda out, stdout: stdout.startswith("# schema=1 seed=0\nbeta,p_pass\n")),
@@ -489,12 +516,17 @@ class TestGoldenOutputs:
 
 
 class TestModuleEntryPoint:
-    def run_module(self, *args, module="qcompare.cli"):
+    @staticmethod
+    def env():
         src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as by default, is flushed at exit
+        return env
+
+    def run_module(self, *args, module="qcompare.cli"):
         return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
-                              text=True, env=env, timeout=120)
+                              text=True, env=self.env(), timeout=120)
 
     def test_python_m_package_runs_the_cli(self):
         proc = self.run_module("compare", "--alpha", "1,0", "--beta", "-1,0", module="qcompare")
@@ -514,6 +546,32 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: cannot write --out {out}: ")
         assert "Traceback" not in proc.stderr
+
+    def test_python_m_closed_stdout_pipe_exits_2_without_traceback(self):
+        # 351 kB of CSV: far more than a pipe buffers, so writing goes on after the close
+        proc = subprocess.Popen([sys.executable, "-m", "qcompare", "lockkey", "attack-scan",
+                                 "--amp", "5", "--step", "0.001", "--format", "csv"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env())
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first == b"# schema=1 seed=0\n"
+        assert code == 2 and "Traceback" not in err
+        assert err == "error: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_python_m_full_stdout_exits_2_without_traceback(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "qcompare", "compare", "--alpha", "1,0",
+                                   "--beta", "-1,0"], stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=self.env(), timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
     def test_python_m_malformed_amplitude_exits_2(self):
         proc = self.run_module("compare", "--alpha", "nope", "--beta", "0,0")

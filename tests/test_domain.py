@@ -80,7 +80,7 @@ class TestGuards:
 class TestBudgetsRejectBeforeAllocating:
     @pytest.mark.parametrize("call", [
         lambda: fock.product_state(fock.coherent_fock(1.0, 5000), fock.coherent_fock(0.0, 5000)),
-        lambda: fock._bs_blocks(0.123, 400),
+        lambda: fock._bs_windows(0.123, 171),
         lambda: fock.coherent_fock(1.0, 10**12),
         lambda: fock.su2_pass_state(2, 10**6),
         lambda: lockkey.optimal_coherent_attack(1e6),

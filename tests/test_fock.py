@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -5,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcompare.fock import (
@@ -22,7 +23,7 @@ from qcompare.fock import (
     su2_pass_state,
 )
 from qcompare import fock
-from qcompare.fock import _bs_blocks
+from qcompare.fock import _bs_blocks, _bs_windows
 from qcompare.linear import CoherentRegister, apply_network, make_beam_splitter
 
 RNG = np.random.default_rng(905)
@@ -30,6 +31,33 @@ RNG = np.random.default_rng(905)
 
 def coherent_pair(alpha, beta, cutoff=40):
     return product_state(coherent_fock(alpha, cutoff), coherent_fock(beta, cutoff))
+
+
+def whole_blocks(transmittance, n_max):
+    """Blocks 0..n_max, each whole: the generator's windows are whole up to its cutoff."""
+    return list(itertools.islice(_bs_blocks(transmittance, n_max), n_max + 1))
+
+
+def apply_bs_fock_by_blocks(state, transmittance):
+    """Reference: rotate each total-photon-number block on its own, in a Python loop."""
+    cutoff, amps = state.cutoff, state.amps
+    out = np.zeros_like(amps)
+    for n, block in enumerate(whole_blocks(transmittance, 2 * cutoff)):
+        idx = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
+        vec = np.zeros(n + 1, dtype=complex)
+        vec[idx] = amps[n - idx, idx]  # index = photon count in mode b
+        if not np.any(vec):
+            continue
+        rot = block @ vec
+        out[idx, n - idx] = rot[idx]  # index = photon count in mode a
+    return out
+
+
+def diagonal_weights(amps):
+    """Squared norm of each anti-diagonal a + b = n of a two-mode state."""
+    d = amps.shape[0]
+    return np.bincount(np.add.outer(np.arange(d), np.arange(d)).ravel(),
+                       (np.abs(amps) ** 2).ravel(), minlength=2 * d - 1)
 
 
 class TestCoherentFock:
@@ -96,10 +124,22 @@ class TestSqueezedVacuum:
 class TestBeamSplitterBlocks:
     def test_blocks_are_orthogonal(self):
         for transmittance in (0.05, 0.3, 0.5):
-            blocks = _bs_blocks(transmittance, 240)
-            for n in range(241):
-                err = np.max(np.abs(blocks[n] @ blocks[n].T - np.eye(n + 1)))
+            for n, block in enumerate(whole_blocks(transmittance, 240)):
+                err = np.max(np.abs(block @ block.T - np.eye(n + 1)))
                 assert err < 1e-12, (transmittance, n, err)
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 7, 30])
+    def test_windows_are_cut_from_the_whole_blocks(self, cutoff):
+        for transmittance in (0.0, 0.3, 0.5, 1.0):
+            blocks = whole_blocks(transmittance, 2 * cutoff)
+            windows, _ = _bs_windows(transmittance, cutoff)
+            for n, block in enumerate(_bs_blocks(transmittance, cutoff)):
+                lo, hi = max(0, n - cutoff), min(n, cutoff)
+                assert np.array_equal(block, blocks[n][lo:hi + 1, lo:hi + 1]), (n, cutoff)
+                m = hi - lo + 1
+                assert np.array_equal(windows[n, :m, :m], block[:, ::-1])
+                assert not windows[n, m:].any() and not windows[n, :, m:].any()
+            assert n == 2 * cutoff
 
     def test_single_photon_split(self):
         state = FockVector(np.eye(6, dtype=complex) * 0, 5)
@@ -145,7 +185,7 @@ class TestBeamSplitterBlocks:
 
     def test_block_cache_keeps_only_recent_transmittances(self, monkeypatch):
         # unbounded, ten transmittances at cutoff 96 held 193.6 MB of blocks
-        monkeypatch.setattr(fock, "_BLOCKS", {})
+        monkeypatch.setattr(fock, "_WINDOWS", {})
         state = coherent_pair(0.3, -0.2j, 96)
         sweep = [float(t) for t in np.linspace(0.05, 0.95, 10)]
         tracemalloc.start()
@@ -155,31 +195,34 @@ class TestBeamSplitterBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert list(fock._BLOCKS) == sweep[-fock.BLOCK_CACHE_TRANSMITTANCES:]
+        assert list(fock._WINDOWS) == [(t, 96) for t in
+                                       sweep[-fock.BLOCK_CACHE_TRANSMITTANCES:]]
         assert peak < 80e6, peak
 
     def test_block_cache_evicts_the_least_recently_used(self, monkeypatch):
-        monkeypatch.setattr(fock, "_BLOCKS", {})
-        kept = [0.1 * (k + 1) for k in range(fock.BLOCK_CACHE_TRANSMITTANCES)]
-        for transmittance in kept + [kept[0], 0.99]:
-            _bs_blocks(transmittance, 4)
-        assert list(fock._BLOCKS) == kept[2:] + [kept[0], 0.99]
+        monkeypatch.setattr(fock, "_WINDOWS", {})
+        # the same transmittance at two cutoffs is two entries
+        kept = [(0.1 * (k // 2 + 1), 4 + k % 2) for k in range(fock.BLOCK_CACHE_TRANSMITTANCES)]
+        entries = [_bs_windows(*key) for key in kept]
+        assert _bs_windows(*kept[0]) is entries[0]
+        _bs_windows(0.99, 4)
+        assert list(fock._WINDOWS) == kept[2:] + [kept[0], (0.99, 4)]
+        assert _bs_windows(*kept[1]) is not entries[1]
 
     def test_block_cache_under_concurrent_callers(self, monkeypatch):
-        monkeypatch.setattr(fock, "_BLOCKS", {})
-        transmittances = [0.1, 0.2, 0.3, 0.4, 0.5]
-        reference = {t: [b.copy() for b in _bs_blocks(t, 30)] for t in transmittances}
+        monkeypatch.setattr(fock, "_WINDOWS", {})
+        keys = [(t, cutoff) for t in (0.1, 0.2, 0.3, 0.4, 0.5) for cutoff in (5, 10, 15)]
+        reference = {key: tuple(a.copy() for a in _bs_windows(*key)) for key in keys}
+        fock._WINDOWS.clear()
         failures, sizes = [], []
 
         def caller(k):
             try:
                 for i in range(60):
-                    t = transmittances[(k + i) % len(transmittances)]
-                    n_max = 10 + (i * 7 + k) % 21
-                    blocks = _bs_blocks(t, n_max)
-                    sizes.append(len(fock._BLOCKS))
-                    assert len(blocks) > n_max
-                    assert all(np.array_equal(b, r) for b, r in zip(blocks, reference[t]))
+                    key = keys[(k + i * 7) % len(keys)]
+                    entry = _bs_windows(*key)
+                    sizes.append(len(fock._WINDOWS))
+                    assert all(np.array_equal(a, r) for a, r in zip(entry, reference[key]))
             except AssertionError as exc:
                 failures.append(exc)
 
@@ -196,6 +239,50 @@ class TestBeamSplitterBlocks:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert len(sizes) == 6 * 60 and max(sizes) <= fock.BLOCK_CACHE_TRANSMITTANCES
+
+    def test_largest_accepted_cutoff_stays_in_the_traced_budget(self, monkeypatch):
+        # 82.8 MB is what the block cache needed for `oracle --cutoff 154`
+        monkeypatch.setattr(fock, "_WINDOWS", {})
+        cutoff = 170
+        with pytest.raises(ValueError, match="WORK_BUDGET"):
+            _bs_windows(0.37, cutoff + 1)
+        state = coherent_pair(0.3, -0.2j, cutoff)
+        tracemalloc.start()
+        try:
+            out = apply_bs_fock(state, 0.37)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 82.8e6, peak
+        t, r = math.sqrt(0.37), math.sqrt(0.63)
+        assert fidelity(out, coherent_pair(0.3 * t - 0.2j * r, 0.3 * r + 0.2j * t,
+                                           cutoff)) >= 1 - 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 1.0))
+    @example(cutoff=1, transmittance=0.0, seed=1, zero_share=0.0)
+    @example(cutoff=60, transmittance=1.0, seed=2, zero_share=0.3)
+    @example(cutoff=17, transmittance=0.5, seed=3, zero_share=0.5)
+    @example(cutoff=5, transmittance=0.5, seed=4, zero_share=1.0)
+    def test_property_batched_apply_matches_the_block_loop(self, cutoff, transmittance, seed,
+                                                            zero_share):
+        rng = np.random.default_rng(seed)
+        d = cutoff + 1
+        amps = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        zero = np.flatnonzero(rng.random(2 * cutoff + 1) < zero_share)  # whole anti-diagonals
+        amps[np.isin(np.add.outer(np.arange(d), np.arange(d)), zero)] = 0.0
+        if amps.any():
+            amps *= rng.uniform(0.1, 1.0) / np.linalg.norm(amps)
+        state = FockVector(amps, cutoff)
+        out = apply_bs_fock(state, transmittance)
+        ref = apply_bs_fock_by_blocks(state, transmittance)
+        assert np.max(np.abs(out.amps - ref)) <= 1e-14 * math.sqrt(state.norm_sq)
+        # norm kept on the whole blocks n <= cutoff; above, what leaves the square is lost
+        before, after = diagonal_weights(state.amps), diagonal_weights(out.amps)
+        assert np.all(np.abs(after[:d] - before[:d]) <= 1e-12)
+        assert np.all(after[d:] <= before[d:] + 1e-12)
+        assert out.norm_sq <= state.norm_sq + 1e-12
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.floats(0.0, 3.0), st.floats(0.0, 2 * math.pi), st.floats(0.0, 3.0),
