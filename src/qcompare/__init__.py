@@ -67,6 +67,7 @@ from .lockkey import (
     EntropyReport,
     KeyString,
     LockTestResult,
+    analytic_pass_probability,
     attack_candidate,
     attack_pass_probability,
     entropy_by_diagonalization,

@@ -35,7 +35,6 @@ from .linear import CoherentRegister, apply_network, make_beam_splitter
 from .svg import line_chart
 
 SCHEMA = 1
-CSV_CHUNK_ROWS = 1 << 12  # rows formatted and written together
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,11 @@ def _fmt(value) -> str:
 
 
 def _write_csv(fh, columns, rows, seed) -> None:
-    """Write a CSV table to ``fh``, ``CSV_CHUNK_ROWS`` formatted rows at a time."""
+    """Write a CSV table to ``fh``, ``domain.CHUNK_ROWS`` formatted rows at a time."""
     fh.write(f"# schema={SCHEMA} seed={seed}\n")
     fh.write(",".join(columns) + "\n")
     lines = (",".join(_fmt(row[c]) for c in columns) for row in rows)
-    while chunk := list(itertools.islice(lines, CSV_CHUNK_ROWS)):
+    while chunk := list(itertools.islice(lines, domain.CHUNK_ROWS)):
         fh.write("\n".join(chunk) + "\n")
 
 
@@ -272,18 +271,15 @@ def _cmd_lockkey(args) -> Report:
     if args.action == "simulate":
         key = lockkey.generate_key(args.M, args.N, args.amp, rng=args.seed)
         if args.attack == "key":
-            candidate = key.amplitudes()
-            analytic = 1.0
+            spec, candidate = None, key.amplitudes()
         else:
             spec = lockkey.AttackSpec(args.attack,
                                       magnitude=args.beta if args.attack == "coherent" else 0.0)
             candidate = lockkey.attack_candidate(spec, args.M)
-            analytic = lockkey.forgery_string_probability(
-                lockkey.attack_pass_probability(args.amp, spec.magnitude), args.M
-            )
-        stats = lockkey.lock_test_pass_rate(
-            key, candidate, _detector_from(args), trials=args.trials, rng=args.seed + 1
-        )
+        model = _detector_from(args)
+        analytic = lockkey.analytic_pass_probability(args.amp, args.M, spec, model)
+        stats = lockkey.lock_test_pass_rate(key, candidate, model, trials=args.trials,
+                                            rng=args.seed + 1)
         obj = {
             "seed": args.seed,
             "attack": args.attack,

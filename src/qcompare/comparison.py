@@ -31,9 +31,6 @@ from .linear import (CoherentRegister, compose, make_beam_splitter, make_phase_s
 CLAMP_SLACK = 1e-14
 FORM_AGREEMENT_TOL = 1e-10
 MAX_UNIVERSAL_MODES = 8
-# The overlap-product form sums the log Gram matrix over row blocks of at
-# most this many entries, so its memory does not grow with N^2.
-GRAM_BLOCK_ENTRIES = 1 << 16
 
 
 def _clamp_probability(value: float) -> float:
@@ -109,8 +106,8 @@ def no_click_probabilities(amplitudes) -> np.ndarray:
 
 
 def _log_gram_sum(amps: np.ndarray) -> complex:
-    """sum_{j,l} log <a_j|a_l>, summed over row blocks of ``GRAM_BLOCK_ENTRIES``."""
-    rows = max(1, GRAM_BLOCK_ENTRIES // amps.size)
+    """sum_{j,l} log <a_j|a_l> over row blocks of ``domain.BLOCK_ENTRIES``, in O(N) memory."""
+    rows = max(1, domain.BLOCK_ENTRIES // amps.size)
     return sum(complex(np.sum(_log_overlap(amps[start:start + rows, None], amps[None, :])))
                for start in range(0, amps.size, rows))
 

@@ -13,9 +13,9 @@ directly.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,13 +132,6 @@ def product_state(a: FockVector, b: FockVector) -> FockVector:
     return FockVector(np.outer(a.amps, b.amps), a.cutoff)
 
 
-# Beam-splitter windows for the most recently used (transmittance, cutoff)
-# pairs, least recent first.  One entry at cutoff 96 holds about 15 MB.
-BLOCK_CACHE_TRANSMITTANCES = 3
-_WINDOWS: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-_WINDOWS_LOCK = threading.Lock()
-
-
 def _bs_blocks(transmittance: float, cutoff: int):
     """Yield the beam-splitter rotations of the total-photon-number blocks 0..2*cutoff.
 
@@ -181,6 +174,9 @@ def _bs_blocks(transmittance: float, cutoff: int):
         yield block
 
 
+# One slot, as callers group their applies by (transmittance, cutoff).  A miss
+# holds the old entry while it builds the new one; at cutoff 170 each is 80 MB.
+@functools.lru_cache(maxsize=1)
 def _bs_windows(transmittance: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """The cached beam-splitter windows of one (transmittance, cutoff) pair.
 
@@ -194,14 +190,6 @@ def _bs_windows(transmittance: float, cutoff: int) -> tuple[np.ndarray, np.ndarr
     """
     d = cutoff + 1
     domain.size((2 * cutoff + 1) * d * d, "the beam-splitter windows")
-    key = (transmittance, cutoff)
-    with _WINDOWS_LOCK:
-        entry = _WINDOWS.pop(key, None)
-        if entry is not None:
-            _WINDOWS[key] = entry  # most recently used
-            return entry
-        _evict_windows(BLOCK_CACHE_TRANSMITTANCES - 1)  # room for this one, before building
-    # Build a private entry, so concurrent callers never see a partial one.
     windows = np.zeros((2 * cutoff + 1, d, d))
     for n, block in enumerate(_bs_blocks(transmittance, cutoff)):
         windows[n, :block.shape[0], :block.shape[0]] = block[:, ::-1]
@@ -209,19 +197,7 @@ def _bs_windows(transmittance: float, cutoff: int) -> tuple[np.ndarray, np.ndarr
     slots = (a + b) * d + a - np.maximum(0, a + b - cutoff)
     windows.setflags(write=False)
     slots.setflags(write=False)
-    entry = (windows, slots)
-    with _WINDOWS_LOCK:
-        # Concurrent builders may have published.  Evict before publishing, so
-        # that not even a reader without the lock sees the cache above its bound.
-        _evict_windows(BLOCK_CACHE_TRANSMITTANCES - 1)
-        _WINDOWS[key] = entry
-    return entry
-
-
-def _evict_windows(keep: int) -> None:
-    """Drop the least recently used entries beyond ``keep``; hold ``_WINDOWS_LOCK``."""
-    while len(_WINDOWS) > keep:
-        del _WINDOWS[next(iter(_WINDOWS))]
+    return windows, slots
 
 
 def apply_bs_fock(state: FockVector, transmittance: float) -> FockVector:

@@ -25,8 +25,6 @@ import numpy as np
 from . import domain
 
 UNITARITY_TOL = 1e-10
-# Entries per row block of the Fourier certificate's FFT.
-CERTIFICATE_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ def _fourier_certificate(mat: np.ndarray) -> float:
     of ``make_balanced_multiport``, so ``U U^dagger = P P^dagger``.  With
     ``E = P - I`` every entry of ``U U^dagger - I = E + E^dagger + E E^dagger``
     is at most ``2 eta + eta^2`` for any ``eta >= ||E||_F``.  ``||E||_F^2`` is
-    summed over row blocks of at most ``CERTIFICATE_BLOCK_ENTRIES``, so no
+    summed over row blocks of at most ``domain.BLOCK_ENTRIES``, so no
     second N x N array is held.  The computed P differs from the exact one by
     at most a few ``eps log2(N) ||U||_F``; ``eta`` adds a hundred times that.
     The bound is tight only when U is close to the DFT, and is then far below
@@ -81,7 +79,7 @@ def _fourier_certificate(mat: np.ndarray) -> float:
     n = mat.shape[0]
     if not abs(mat[0].sum() / math.sqrt(n) - 1.0) <= UNITARITY_TOL:
         return math.inf
-    rows = max(1, CERTIFICATE_BLOCK_ENTRIES // n)
+    rows = max(1, domain.BLOCK_ENTRIES // n)
     squared = 0.0
     for start in range(0, n, rows):
         block = np.fft.fft(mat[start:start + rows], axis=1, norm="ortho")

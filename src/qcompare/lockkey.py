@@ -292,6 +292,22 @@ def forgery_string_probability(p_single: float, length: int) -> float:
     return domain.fraction(p_single, "p_single") ** domain.integer(length, "key length", 1)
 
 
+def analytic_pass_probability(amplitude: float, length: int, attack: AttackSpec | None = None,
+                              model: DetectorModel = IDEAL) -> float:
+    """Key-phase-averaged chance that the key (``attack`` None) or an attack passes all positions.
+
+    A position is silent with probability ``exp(-dark - efficiency |alpha - beta|^2 / 2)``,
+    so the key passes with ``exp(-length dark)`` and an attack with
+    ``(exp(-dark) attack_pass_probability(sqrt(eta) a, sqrt(eta) |beta|))^length``.
+    """
+    length = domain.integer(length, "key length", 1)
+    if attack is None:
+        return math.exp(-length * model.dark_mean)
+    scale = math.sqrt(model.efficiency)
+    p_single = attack_pass_probability(scale * amplitude, scale * attack.magnitude)
+    return forgery_string_probability(math.exp(-model.dark_mean) * p_single, length)
+
+
 # ---------------------------------------------------------------------------
 # information bounds on key copies
 # ---------------------------------------------------------------------------

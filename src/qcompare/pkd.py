@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domain
-from .detection import (BLOCK_UNIFORMS, IDEAL, DetectorModel, bernoulli_counts,
-                        click_probabilities, sample_counts, stream, wilson_interval)
+from .detection import (IDEAL, DetectorModel, bernoulli_counts, click_probabilities,
+                        sample_counts, stream, wilson_interval)
 from .errors import InvariantError
 from .linear import multiport_outputs
 from .lockkey import KeyString, generate_key
@@ -228,15 +228,15 @@ class AliceCheatStats:
 def _center_error_blocks(attack: AliceCenterAttack, trials: int, gen):
     """Bob's and Charlie's per-trial error counts, Binomial(positions, 1 - overlap) each.
 
-    Yields ``(recipient, start, errors)`` for blocks of up to ``BLOCK_UNIFORMS``
-    trials: all of Bob's (recipient 0), then all of Charlie's (1).  The blocks
-    hold the values, and leave the stream where, one ``size=trials`` draw per
-    recipient would.
+    Yields ``(recipient, start, errors)`` for blocks of up to
+    ``domain.BLOCK_ENTRIES`` trials: all of Bob's (recipient 0), then all of
+    Charlie's (1).  The blocks hold the values, and leave the stream where, one
+    ``size=trials`` draw per recipient would.
     """
     p_inc = 1.0 - attack.overlap
     for recipient in (0, 1):
-        for start in range(0, trials, BLOCK_UNIFORMS):
-            size = min(BLOCK_UNIFORMS, trials - start)
+        for start in range(0, trials, domain.BLOCK_ENTRIES):
+            size = min(domain.BLOCK_ENTRIES, trials - start)
             yield recipient, start, gen.binomial(attack.positions, p_inc, size=size)
 
 
@@ -460,11 +460,9 @@ class TrialTable(Sequence):
 
     Row ``i`` is the dict ``{"trial", "e_bob", "e_charlie", "verdict_bob",
     "verdict_charlie", "clicks"}``; it is built only when read.  Iteration
-    converts ``CHUNK_ROWS`` rows of every column at a time, so a table costs
-    the bytes of its columns, not of its rows.
+    converts ``domain.CHUNK_ROWS`` rows of every column at a time, so a table
+    costs the bytes of its columns, not of its rows.
     """
-
-    CHUNK_ROWS = 1 << 12
 
     def __init__(self, e_bob, e_charlie, v_bob, v_charlie, clicks):
         self._columns = (e_bob, e_charlie, v_bob, v_charlie, clicks)
@@ -491,8 +489,8 @@ class TrialTable(Sequence):
         return next(self._rows(i, i + 1))
 
     def __iter__(self):
-        for start in range(0, len(self), self.CHUNK_ROWS):
-            yield from self._rows(start, start + self.CHUNK_ROWS)
+        for start in range(0, len(self), domain.CHUNK_ROWS):
+            yield from self._rows(start, start + domain.CHUNK_ROWS)
 
 
 def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: int,
@@ -500,9 +498,10 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
     """Trusted-center scheme driver: a ``TrialTable`` of verdict rows plus a worked transcript."""
     if adversary not in ("none", "alice-overlap-half"):
         raise ValueError(f"unsupported adversary {adversary!r} for the center scheme")
-    # A per-trial row takes about as much memory as one formatted report number.
+    copies = domain.integer(copies, "recipients", 2)
+    # Five one-byte columns and their verdict temporaries: about 9 bytes per trial.
     trials = domain.integer(trials, "trials", 1)
-    domain.size(domain.REPORT_ENTRIES * trials, "the per-trial rows")
+    domain.size(trials, "the per-trial columns")
     gen = stream(rng)
     key = generate_key(length, n_phases, amplitude, gen)
 
@@ -543,8 +542,9 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
         raise ValueError(f"unsupported adversary {adversary!r} for the distributed scheme")
     if adversary == "charlie-flip" and recipients != 2:
         raise ValueError("the charlie-flip adversary is defined for 2 recipients")
+    # Two int64 columns (clicks, Bob's errors) and three one-byte ones: about 21 bytes per trial.
     trials = domain.integer(trials, "trials", 1)
-    domain.size(domain.REPORT_ENTRIES * trials, "the per-trial rows")
+    domain.size(3 * trials, "the per-trial columns")
     gen = stream(rng)
     alpha = generate_key(length, n_phases, amplitude, gen).amplitudes()
     recipients = _exchange_recipients(recipients, length)

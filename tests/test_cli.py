@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcompare import cli, comparison, linear, pkd
-from qcompare.domain import WORK_BUDGET
+from qcompare.domain import CHUNK_ROWS, WORK_BUDGET
 from qcompare.errors import InvariantError
 
 
@@ -185,6 +185,19 @@ class TestLockKey:
         sigma = math.sqrt(obj["analytic_pass_probability"] / 20000)
         assert abs(obj["pass_rate"] - obj["analytic_pass_probability"]) < 4 * sigma
 
+    @pytest.mark.parametrize("attack", ["vacuum", "key"])
+    def test_simulate_with_a_lossy_noisy_detector(self, attack, tmp_path):
+        # The analytic value once ignored --efficiency and --dark-mean: 0.00674
+        # against a simulated 0.0831 for a vacuum attack at efficiency 0.5.
+        trials = 100_000
+        obj = run_json(["lockkey", "simulate", "--attack", attack, "--M", "10", "--amp", "1",
+                        "--efficiency", "0.5", "--dark-mean", "0.01", "--trials", str(trials),
+                        "--seed", "7"], tmp_path)
+        exact = math.exp(-10 * (0.01 + (0.25 if attack == "vacuum" else 0.0)))
+        p = obj["analytic_pass_probability"]
+        assert p == pytest.approx(exact, rel=1e-12)
+        assert abs(obj["pass_rate"] - p) < 5 * math.sqrt(p * (1 - p) / trials)
+
     def test_attack_scan_contains_optimum(self, tmp_path):
         obj = run_json(["lockkey", "attack-scan", "--amp", "5", "--step", "0.1"], tmp_path)
         assert abs(obj["beta_star"] - 5.0) < 0.5
@@ -235,8 +248,8 @@ class TestStreamedCsv:
     PKD_ARGS = ["pkd", "--scheme", "center", "--adversary", "alice-overlap-half",
                 "--M", "10", "--s", "0.1", "--seed", "4"]
 
-    @pytest.mark.parametrize("trials", [1, cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS,
-                                        cli.CSV_CHUNK_ROWS + 1, 2 * cli.CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("trials", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                        2 * CHUNK_ROWS + 1])
     def test_chunks_equal_the_whole_text(self, trials, tmp_path):
         out = tmp_path / "pkd.csv"
         argv = self.PKD_ARGS + ["--trials", str(trials), "--format", "csv"]
@@ -277,6 +290,13 @@ class TestStreamedCsv:
 
 
 class TestStreamedJson:
+    def test_pkd_json_of_a_million_trials(self, tmp_path):
+        # The drivers once budgeted 50 entries per trial, as for formatted rows, and
+        # rejected more than 2 * 10^5 trials, though JSON holds no per-trial rows.
+        out = tmp_path / "pkd.json"
+        assert cli.main(["pkd", "--trials", "1000000", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["trials"] == 10**6
+
     def test_pkd_json_in_bounded_memory(self, tmp_path):
         # The joined text and json's chunk list of this report peaked at 59.8 MB traced.
         out = tmp_path / "pkd.json"
@@ -421,7 +441,9 @@ class TestContracts:
 
 
 # Fixed-seed CLI outputs and their sha256, recorded before the trial engine
-# was streamed in blocks; see TestGoldenOutputs.
+# was streamed in blocks; see TestGoldenOutputs.  The two `lockkey simulate`
+# runs with a lossy, noisy detector were re-recorded when their analytic pass
+# probability began to include the detector.
 GOLDEN = [
     ("lockkey simulate --attack key --M 8 --trials 5000 --seed 0",
      "4207cabd8c0da07dbb2093c73b684f583adf03dd7d9bdbbe3a039f632df4d043"),
@@ -430,7 +452,7 @@ GOLDEN = [
     ("lockkey simulate --attack coherent --beta 0.8 --M 12 --trials 5000 --seed 123",
      "b8eb7a5960f2d999e4c6246723958e4a237999808a4c4a68f6955768e91ab30e"),
     ("lockkey simulate --attack key --M 16 --amp 0.5 --efficiency 0.9 --dark-mean 0.02 --threshold-detectors --trials 5000 --seed 7",
-     "6c3bc2efeb776842df66995d5645ac009f4bb8ed10fd39d780defb9cd8e41869"),
+     "3d738cfae5ed6a698c7fd80166f41171d1ba6de5023f48ec82e330fd8d3b464e"),
     ("pkd --scheme center --M 6 --trials 300 --seed 0 --format csv",
      "016dee34762b5e352b7635e624a27ddc82c786a2085ef6fc01c942c5f61d142b"),
     ("pkd --scheme center --M 6 --trials 300 --seed 0 --format json",
@@ -448,7 +470,7 @@ GOLDEN = [
     ("pkd --scheme distributed --adversary charlie-flip --M 6 --amp 0.7 --s 0.5 --trials 300 --seed 7 --format json",
      "d04a408159c85e79d995ef089e02ec5016a1cd68d8ff064073b7eb651b3c70cb"),
     ("lockkey simulate --attack coherent --beta 0.1 --M 64 --amp 0.12 --efficiency 0.9 --dark-mean 0.002 --trials 20000 --seed 5",
-     "6d214bdb25c9869319a5d1912e20d07cfdadd93729a232cd45bb41b5760e42df"),
+     "ae136d5464e413a8e480ed40e434176de955c3a765271b1bd0f9aa7d87ebda39"),
     ("pkd --scheme distributed --adversary charlie-flip --M 40 --amp 0.3 --s 0.1 --trials 10000 --seed 11 --format json",
      "1ba3c11516c96545ac72aba97e3f043742df9deb996ca1bcafdc05d4cee1d407"),
     ("compare --alpha 1,0.5 --beta -1,0 --sweep-step 0.25 --format csv",
@@ -608,6 +630,10 @@ class TestInputDomain:
         (["oracle", "--alpha", "1e200,0", "--beta", "0,0"], "alpha must be finite"),
         (["pkd", "--scheme", "center", "--M", "1", "--s", "0.5"],
          "s * length must be at least 1, got 0.5"),
+        (["pkd", "--scheme", "center", "--recipients", "1"],
+         "recipients must be an integer >= 2, got 1"),
+        (["pkd", "--trials", str(WORK_BUDGET + 1), "--format", "csv"],
+         "the per-trial columns would need about 1e+07 entries"),
     ])
     def test_out_of_domain_input_exits_2_by_name(self, argv, message, tmp_path):
         out = tmp_path / "out"
@@ -731,7 +757,7 @@ FUZZ_COMMANDS = [
         "--step": (_reals(0.05, 1.0), _EDGE_REALS, False),
     }, ("json", "csv", "svg")),
     (["pkd", "--scheme", "center"], {
-        "--recipients": (_counts(1, 4), _EDGE_COUNTS, False),
+        "--recipients": (_counts(2, 4), ("1",) + _EDGE_COUNTS, False),
         ("--M", "--s"): _M_AND_S,
         "--N": (_counts(2, 8), _EDGE_COUNTS, False),
         "--amp": (_reals(0.0, 2.0), _EDGE_REALS, False),

@@ -22,7 +22,6 @@ from qcompare.fock import (
     squeezed_vacuum_fock,
     su2_pass_state,
 )
-from qcompare import fock
 from qcompare.fock import _bs_blocks, _bs_windows
 from qcompare.linear import CoherentRegister, apply_network, make_beam_splitter
 
@@ -183,9 +182,10 @@ class TestBeamSplitterBlocks:
         g = apply_network(make_beam_splitter(0.5), CoherentRegister([alpha, beta])).amplitudes
         assert fidelity(out, coherent_pair(g[0], g[1], cutoff)) >= 1 - 1e-12
 
-    def test_block_cache_keeps_only_recent_transmittances(self, monkeypatch):
-        # unbounded, ten transmittances at cutoff 96 held 193.6 MB of blocks
-        monkeypatch.setattr(fock, "_WINDOWS", {})
+    def test_block_cache_keeps_only_recent_transmittances(self):
+        # unbounded, ten transmittances at cutoff 96 held 193.6 MB of blocks, and
+        # three cached pairs peaked at 44.4 MB: one entry is about 15 MB
+        _bs_windows.cache_clear()
         state = coherent_pair(0.3, -0.2j, 96)
         sweep = [float(t) for t in np.linspace(0.05, 0.95, 10)]
         tracemalloc.start()
@@ -195,25 +195,29 @@ class TestBeamSplitterBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert list(fock._WINDOWS) == [(t, 96) for t in
-                                       sweep[-fock.BLOCK_CACHE_TRANSMITTANCES:]]
-        assert peak < 80e6, peak
+        info = _bs_windows.cache_info()
+        assert (info.misses, info.currsize) == (10, 1)
+        _bs_windows(sweep[-1], 96)
+        assert _bs_windows.cache_info().hits == info.hits + 1
+        assert peak < 37e6, peak  # 2.5 entries: the cached one and the one being built
 
-    def test_block_cache_evicts_the_least_recently_used(self, monkeypatch):
-        monkeypatch.setattr(fock, "_WINDOWS", {})
-        # the same transmittance at two cutoffs is two entries
-        kept = [(0.1 * (k // 2 + 1), 4 + k % 2) for k in range(fock.BLOCK_CACHE_TRANSMITTANCES)]
-        entries = [_bs_windows(*key) for key in kept]
-        assert _bs_windows(*kept[0]) is entries[0]
-        _bs_windows(0.99, 4)
-        assert list(fock._WINDOWS) == kept[2:] + [kept[0], (0.99, 4)]
-        assert _bs_windows(*kept[1]) is not entries[1]
+    def test_block_cache_evicts_the_least_recently_used(self):
+        _bs_windows.cache_clear()
+        first = _bs_windows(0.1, 4)
+        assert _bs_windows(0.1, 4) is first
+        # the same transmittance at another cutoff is another pair, and replaces it
+        other = _bs_windows(0.1, 5)
+        assert _bs_windows(0.1, 5) is other
+        rebuilt = _bs_windows(0.1, 4)
+        assert rebuilt is not first
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, first))
+        info = _bs_windows.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 3, 1, 1)
 
-    def test_block_cache_under_concurrent_callers(self, monkeypatch):
-        monkeypatch.setattr(fock, "_WINDOWS", {})
+    def test_block_cache_under_concurrent_callers(self):
         keys = [(t, cutoff) for t in (0.1, 0.2, 0.3, 0.4, 0.5) for cutoff in (5, 10, 15)]
         reference = {key: tuple(a.copy() for a in _bs_windows(*key)) for key in keys}
-        fock._WINDOWS.clear()
+        _bs_windows.cache_clear()
         failures, sizes = [], []
 
         def caller(k):
@@ -221,7 +225,7 @@ class TestBeamSplitterBlocks:
                 for i in range(60):
                     key = keys[(k + i * 7) % len(keys)]
                     entry = _bs_windows(*key)
-                    sizes.append(len(fock._WINDOWS))
+                    sizes.append(_bs_windows.cache_info().currsize)
                     assert all(np.array_equal(a, r) for a, r in zip(entry, reference[key]))
             except AssertionError as exc:
                 failures.append(exc)
@@ -238,11 +242,11 @@ class TestBeamSplitterBlocks:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert len(sizes) == 6 * 60 and max(sizes) <= fock.BLOCK_CACHE_TRANSMITTANCES
+        assert len(sizes) == 6 * 60 and max(sizes) <= 1
 
-    def test_largest_accepted_cutoff_stays_in_the_traced_budget(self, monkeypatch):
+    def test_largest_accepted_cutoff_stays_in_the_traced_budget(self):
         # 82.8 MB is what the block cache needed for `oracle --cutoff 154`
-        monkeypatch.setattr(fock, "_WINDOWS", {})
+        _bs_windows.cache_clear()
         cutoff = 170
         with pytest.raises(ValueError, match="WORK_BUDGET"):
             _bs_windows(0.37, cutoff + 1)

@@ -9,10 +9,11 @@ from scipy.integrate import quad
 from scipy.special import i0 as scipy_i0
 from scipy.special import i0e as scipy_i0e
 
-from qcompare.detection import IDEAL
+from qcompare.detection import IDEAL, DetectorModel
 from qcompare.lockkey import (
     AttackSpec,
     KeyString,
+    analytic_pass_probability,
     attack_candidate,
     attack_pass_probability,
     bessel_i0_scaled,
@@ -260,6 +261,43 @@ class TestForgeryString:
             forgery_string_probability(1.2, 3)
         with pytest.raises(ValueError):
             forgery_string_probability(0.5, 0)
+
+
+class TestAnalyticPassProbability:
+    ATTACKS = [None, AttackSpec("vacuum"), AttackSpec("coherent", 0.8), AttackSpec("coherent", 3.0)]
+
+    @pytest.mark.parametrize("attack", ATTACKS)
+    def test_ideal_detector_is_the_forgery_probability_bit_for_bit(self, attack):
+        for amp, m in ((1.0, 10), (0.12, 64), (2.5, 3)):
+            expected = 1.0 if attack is None else forgery_string_probability(
+                attack_pass_probability(amp, attack.magnitude), m)
+            assert analytic_pass_probability(amp, m, attack, IDEAL) == expected
+
+    @pytest.mark.parametrize("attack", ATTACKS)
+    def test_equals_the_average_of_exact_per_key_probabilities(self, attack):
+        # Each phase alphabet's key average, exact for one position and so for M.
+        amp, m, model = 1.3, 4, DetectorModel(efficiency=0.7, dark_mean=0.05)
+        beta = 0.0 if attack is None else attack.magnitude
+        phases = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        candidate = amp * phases if attack is None else np.full(4096, beta)
+        per_position = np.exp(-model.dark_mean
+                              - model.efficiency * np.abs(amp * phases - candidate) ** 2 / 2)
+        assert analytic_pass_probability(amp, m, attack, model) == pytest.approx(
+            np.mean(per_position) ** m, rel=1e-12)
+
+    @pytest.mark.parametrize("attack", ATTACKS[:2])
+    def test_matches_the_monte_carlo_rate(self, attack):
+        # The key and the vacuum pass alike whatever the key's phases.
+        m, model, trials = 6, DetectorModel(efficiency=0.5, dark_mean=0.01), 100_000
+        key = generate_key(m, 8, 1.0, rng=40)
+        candidate = key.amplitudes() if attack is None else attack_candidate(attack, m)
+        p = analytic_pass_probability(1.0, m, attack, model)
+        stats = lock_test_pass_rate(key, candidate, model, trials=trials, rng=41)
+        assert abs(stats.rate - p) < 5 * math.sqrt(p * (1 - p) / trials)
+
+    def test_key_passes_unless_a_dark_count_fires(self):
+        model = DetectorModel(efficiency=0.2, dark_mean=0.02, number_resolving=False)
+        assert analytic_pass_probability(5.0, 16, None, model) == math.exp(-16 * 0.02)
 
 
 class TestEntropyBounds:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from collections.abc import Sequence
 
@@ -7,8 +8,8 @@ import pytest
 from scipy.stats import chi2
 
 from qcompare import pkd
-from qcompare.detection import (BLOCK_UNIFORMS, bernoulli_counts, click_probabilities,
-                                stream)
+from qcompare.detection import bernoulli_counts, click_probabilities, stream
+from qcompare.domain import BLOCK_ENTRIES, CHUNK_ROWS, WORK_BUDGET
 from qcompare.lockkey import generate_key
 from qcompare.pkd import (
     VERDICTS,
@@ -220,8 +221,8 @@ class TestDishonestAliceStreamed:
     CASES = [(AliceCenterAttack(positions=10, overlap=0.5), 1.0, 10),
              (AliceCenterAttack(positions=2, overlap=0.3), 0.5, 4)]
 
-    @pytest.mark.parametrize("trials", [BLOCK_UNIFORMS - 1, BLOCK_UNIFORMS, BLOCK_UNIFORMS + 1,
-                                        2 * BLOCK_UNIFORMS + 1])
+    @pytest.mark.parametrize("trials", [BLOCK_ENTRIES - 1, BLOCK_ENTRIES, BLOCK_ENTRIES + 1,
+                                        2 * BLOCK_ENTRIES + 1])
     def test_blocks_equal_one_shot_columns(self, trials):
         for seed in (0, 1, 2):
             attack, s, m = self.CASES[seed % 2]
@@ -433,6 +434,32 @@ class TestProtocolDrivers:
         with pytest.raises(ValueError):
             run_center_protocol(4, 8, 1.0, 2, 0.5, 10, "charlie-flip", rng=0)
 
+    @pytest.mark.parametrize("recipients", [1, 0])
+    def test_center_needs_two_recipients(self, recipients):
+        # One recipient once exited 0 with verdicts and rates for a Charlie sent nothing.
+        message = f"recipients must be an integer >= 2, got {recipients}"
+        with pytest.raises(ValueError, match=message):
+            run_center_protocol(4, 8, 1.0, recipients, 0.5, 10, "alice-overlap-half", rng=0)
+
+    @pytest.mark.parametrize("driver, trials", [
+        (lambda t: run_center_protocol(10, 8, 1.0, 2, 0.1, t, "none"), WORK_BUDGET + 1),
+        (lambda t: run_distributed_protocol(2, 6, 8, 0.7, 0.5, t, "none"), WORK_BUDGET // 3 + 1),
+    ], ids=["center", "distributed"])
+    def test_driver_budget_counts_the_held_columns(self, driver, trials):
+        # Both once budgeted 50 entries per trial and rejected 200 001 trials.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="per-trial columns.*WORK_BUDGET"):
+            driver(trials)
+        assert time.perf_counter() - start < 1.0
+
+    def test_center_driver_million_trials_in_bounded_memory(self):
+        # Five one-byte columns and one error block in flight: 8.9 MB traced.
+        (summary, table, _), peak = peak_traced_mb(lambda: run_center_protocol(
+            10, 8, 1.0, 2, 0.1, 10**6, "alice-overlap-half", rng=3))
+        assert len(table) == 10**6 and summary["cheat_bound"] == 1.0
+        assert abs(summary["disagreement_rate"] - 0.5) < three_sigma(0.5, 10**6)
+        assert peak <= 12.0, peak
+
 
 def old_trial_rows(e_bob, e_charlie, v_bob, v_charlie, clicks):
     """Reference: the row list the drivers built from whole columns before ``TrialTable``."""
@@ -471,7 +498,7 @@ def old_distributed_rows(recipients, length, s, trials, adversary, seed):
 
 
 class TestTrialTable:
-    CHUNK = TrialTable.CHUNK_ROWS
+    CHUNK = CHUNK_ROWS
     TRIALS = 2 * CHUNK + 1  # three chunks, the last of one row
 
     def assert_table_equals(self, table, reference):
