@@ -26,9 +26,9 @@ M, N, AMP, COPIES = 8, 8, 1.0, 3
 print("=== trusted center: honest distribution ===")
 phases = np.random.default_rng(5).integers(0, N, size=M)
 pubkey = trusted_center_distribute(phases, N, AMP, copies=COPIES)
-print(f"  {COPIES} copies, all identical: {pubkey.is_uniform()}")
+print(f"  {COPIES} copies, all identical: {np.all(pubkey == pubkey[0])}")
 for r in range(COPIES):
-    result = verify_against_private(pubkey.copy_amplitudes(r), phases, N, AMP,
+    result = verify_against_private(pubkey[r], phases, N, AMP,
                                     security_s=0.5, rng=r)
     print(f"  recipient {r}: errors = {result.errors}, verdict = {result.verdict}")
 

@@ -63,12 +63,10 @@ from .comparison import (
 )
 from .lockkey import (
     AttackOptimum,
-    AttackSpec,
     EntropyReport,
     KeyString,
     LockTestResult,
     analytic_pass_probability,
-    attack_candidate,
     attack_pass_probability,
     entropy_by_diagonalization,
     forgery_string_probability,
@@ -86,7 +84,6 @@ from .pkd import (
     CharlieTamper,
     Party,
     ProtocolTranscript,
-    PublicKeyState,
     VerificationResult,
     cheat_bound,
     coherent_with_overlap,

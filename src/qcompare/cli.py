@@ -270,14 +270,11 @@ def _detector_from(args) -> DetectorModel:
 def _cmd_lockkey(args) -> Report:
     if args.action == "simulate":
         key = lockkey.generate_key(args.M, args.N, args.amp, rng=args.seed)
-        if args.attack == "key":
-            spec, candidate = None, key.amplitudes()
-        else:
-            spec = lockkey.AttackSpec(args.attack,
-                                      magnitude=args.beta if args.attack == "coherent" else 0.0)
-            candidate = lockkey.attack_candidate(spec, args.M)
+        # The vacuum is the coherent false key of magnitude 0.
+        beta = {"key": None, "vacuum": 0.0, "coherent": args.beta}[args.attack]
         model = _detector_from(args)
-        analytic = lockkey.analytic_pass_probability(args.amp, args.M, spec, model)
+        analytic = lockkey.analytic_pass_probability(args.amp, args.M, beta, model)
+        candidate = key.amplitudes() if beta is None else np.full(args.M, beta, dtype=complex)
         stats = lockkey.lock_test_pass_rate(key, candidate, model, trials=args.trials,
                                             rng=args.seed + 1)
         obj = {

@@ -73,7 +73,7 @@ def p_success_phase(amplitude: float, delta: float) -> float:
     1/amplitude.
     """
     amplitude = domain.magnitude(amplitude, "amplitude")
-    s = math.sin(0.5 * delta)
+    s = math.sin(0.5 * domain.real(delta, "phase difference"))
     return _clamp_probability(1.0 - math.exp(-(amplitude * amplitude) * s * s))
 
 

@@ -78,9 +78,10 @@ def stream(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%, z = ``Z95``) for a binomial proportion."""
     trials = domain.integer(trials, "trials", 1)
+    z = Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -72,6 +72,17 @@ def magnitude(value, name: str, *, limit: float = MAX_AMPLITUDE, positive: bool 
     return _interval(value, name, limit, positive, _limit_text(limit))
 
 
+def real(value, name: str) -> float:
+    """A finite real number, as a float."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not -math.inf < number < math.inf:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return number
+
+
 def integer(value, name: str, low: int, high: int | None = None) -> int:
     """An integer in [low, high] (no upper limit without ``high``); non-integers are rejected."""
     integral = type(value) is int or isinstance(value, numbers.Integral) or (

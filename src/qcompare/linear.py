@@ -104,7 +104,6 @@ class LinearNetwork:
     """
 
     matrix: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -137,7 +136,7 @@ def make_beam_splitter(transmittance: float) -> LinearNetwork:
     transmittance = domain.fraction(transmittance, "transmittance")
     t = np.sqrt(transmittance)
     r = np.sqrt(1.0 - transmittance)
-    return LinearNetwork(np.array([[t, r], [r, -t]]), label=f"BS(T={transmittance:g})")
+    return LinearNetwork(np.array([[t, r], [r, -t]]))
 
 
 def make_balanced_multiport(n_modes: int) -> LinearNetwork:
@@ -157,7 +156,7 @@ def make_balanced_multiport(n_modes: int) -> LinearNetwork:
     index %= n_modes
     mat = roots[index]
     del index  # freed before the unitarity check allocates its FFT
-    return LinearNetwork(mat, label=f"DFT({n_modes})")
+    return LinearNetwork(mat)
 
 
 def multiport_outputs(amps: np.ndarray) -> np.ndarray:
@@ -183,7 +182,7 @@ def make_phase_shift(phases) -> LinearNetwork:
     """
     # LinearNetwork rejects what is not a non-empty 1-D sequence (np.diag of it is not square).
     mat = np.diag(np.exp(-1j * np.atleast_1d(np.asarray(phases, dtype=float))))
-    return LinearNetwork(mat, label="phase")
+    return LinearNetwork(mat)
 
 
 def compose(outer: LinearNetwork, inner: LinearNetwork) -> LinearNetwork:
@@ -192,8 +191,7 @@ def compose(outer: LinearNetwork, inner: LinearNetwork) -> LinearNetwork:
         raise ValueError(
             f"cannot compose networks of {outer.n_modes} and {inner.n_modes} modes"
         )
-    label = f"{outer.label or 'net'}*{inner.label or 'net'}"
-    return LinearNetwork(inner.matrix @ outer.matrix, label=label)
+    return LinearNetwork(inner.matrix @ outer.matrix)
 
 
 def apply_network(network: LinearNetwork, register: CoherentRegister) -> CoherentRegister:

@@ -10,10 +10,13 @@ Security comes in two parts.  An adversary without a key is best off sending
 coherent states (the pass probability is linear in the P-function, so the
 optimum over all states is attained at a point mass); the phase-averaged
 single-position pass probability has the closed Bessel form implemented in
-``attack_pass_probability``.  An adversary holding key copies is limited by
-the Holevo bound; ``holevo_entropy_finite`` and ``holevo_entropy_infinite``
-evaluate the single-position von Neumann entropy that caps the accessible
-information per copy.
+``attack_pass_probability``.  A false key is therefore one magnitude ``beta``,
+the same coherent state at every position (``beta = 0`` is the vacuum), and
+``analytic_pass_probability`` prices it for a whole key and a real detector.
+An adversary holding key copies is limited by the Holevo bound;
+``holevo_entropy_finite`` and ``holevo_entropy_infinite`` evaluate the
+single-position von Neumann entropy that caps the accessible information per
+copy.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ class KeyString:
         object.__setattr__(self, "n_phases", n_phases)
         object.__setattr__(self, "amplitude", domain.magnitude(self.amplitude, "amplitude"))
         object.__setattr__(self, "phases", phases)
-
-    @property
-    def length(self) -> int:
-        return len(self.phases)
 
     def amplitudes(self) -> np.ndarray:
         """Coherent amplitude per position, amplitude * exp(2 pi i k / N)."""
@@ -111,38 +110,17 @@ def lock_test_pass_rate(key: KeyString, candidate, model: DetectorModel = IDEAL,
     return TrialStats(successes / trials, low, high, successes, trials)
 
 
-@dataclass(frozen=True)
-class AttackSpec:
-    """A per-position false-key state: vacuum or a coherent state of fixed magnitude."""
-
-    kind: str = "vacuum"
-    magnitude: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("vacuum", "coherent"):
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        domain.magnitude(self.magnitude, "attack magnitude")
-
-
-def attack_candidate(spec: AttackSpec, length: int) -> np.ndarray:
-    """Candidate string for an attack: the same state at every position."""
-    if spec.kind == "vacuum":
-        return np.zeros(length, dtype=complex)
-    return np.full(length, spec.magnitude * np.exp(1j * spec.phase), dtype=complex)
-
-
-def photon_budget_ok(observed_mean_counts: float, length: int, amplitude: float,
-                     tolerance: float | None = None) -> bool:
+def photon_budget_ok(observed_mean_counts: float, length: int, amplitude: float) -> bool:
     """Mean-count audit: does an observed total match length * amplitude^2?
 
     Flags forgeries that pass the comparison by carrying the wrong energy
-    (the vacuum attack in particular).  Default tolerance is
-    3 * sqrt(length) * amplitude counts.
+    (the vacuum attack in particular).  The total must lie within
+    3 * sqrt(length) * amplitude counts of it.
     """
-    if tolerance is None:
-        tolerance = 3.0 * math.sqrt(length) * amplitude
-    return abs(observed_mean_counts - length * amplitude**2) <= tolerance
+    length = domain.integer(length, "key length", 1)
+    amplitude = domain.magnitude(amplitude, "amplitude")
+    observed = domain.magnitude(observed_mean_counts, "observed mean counts", limit=math.inf)
+    return abs(observed - length * amplitude**2) <= 3.0 * math.sqrt(length) * amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +217,14 @@ class AttackOptimum:
     p_star: float
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Maximum of a unimodal ``f`` on [lo, hi], bracketed to 1e-8 by golden section."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-8:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -292,19 +271,22 @@ def forgery_string_probability(p_single: float, length: int) -> float:
     return domain.fraction(p_single, "p_single") ** domain.integer(length, "key length", 1)
 
 
-def analytic_pass_probability(amplitude: float, length: int, attack: AttackSpec | None = None,
+def analytic_pass_probability(amplitude: float, length: int, beta: float | None = None,
                               model: DetectorModel = IDEAL) -> float:
-    """Key-phase-averaged chance that the key (``attack`` None) or an attack passes all positions.
+    """Key-phase-averaged chance that the key (``beta`` None) or a false key passes all positions.
 
-    A position is silent with probability ``exp(-dark - efficiency |alpha - beta|^2 / 2)``,
-    so the key passes with ``exp(-length dark)`` and an attack with
-    ``(exp(-dark) attack_pass_probability(sqrt(eta) a, sqrt(eta) |beta|))^length``.
+    The false key is the coherent state of magnitude ``beta`` at every
+    position; ``beta = 0`` is the vacuum attack.  A position is silent with
+    probability ``exp(-dark - efficiency |alpha - beta|^2 / 2)``, so the key
+    passes with ``exp(-length dark)`` and a false key with
+    ``(exp(-dark) attack_pass_probability(sqrt(eta) a, sqrt(eta) beta))^length``.
     """
     length = domain.integer(length, "key length", 1)
-    if attack is None:
+    if beta is None:
         return math.exp(-length * model.dark_mean)
+    beta = domain.magnitude(beta, "attack magnitude")
     scale = math.sqrt(model.efficiency)
-    p_single = attack_pass_probability(scale * amplitude, scale * attack.magnitude)
+    p_single = attack_pass_probability(scale * amplitude, scale * beta)
     return forgery_string_probability(math.exp(-model.dark_mean) * p_single, length)
 
 

@@ -6,13 +6,15 @@ seedable multi-party protocols:
 
 * trusted center: the sender provides ``|sqrt(T) alpha_j>`` per position and
   the center's balanced T-port multiports emit T identical copies, one per
-  recipient.  Recipients later test a revealed private key by projecting each
-  position onto the claimed coherent state.
+  recipient, returned as one read-only (copies, positions) array.  Recipients
+  later test a revealed private key by projecting each position onto the
+  claimed coherent state.
 * distributed (no center): each recipient splits every position of their own
   copy T ways, keeps one share, exchanges the rest, and feeds own-plus-received
-  shares into a comparison multiport.  Honest runs click nowhere and return
-  the copy amplitudes undisturbed in the zeroth mode; a tampered share shows
-  up as photons in the nonzero modes.
+  shares into a comparison multiport watched by ideal detectors.  Honest runs
+  click nowhere and return the copy amplitudes undisturbed in the zeroth
+  mode; a tampered share (``CharlieTamper``) shows up as photons in the
+  nonzero modes.
 
 Verdicts follow the error-count rule with security parameter ``s``: accept
 on zero errors, reject at ``e >= s * M``, unsure in between.  A dishonest
@@ -22,7 +24,6 @@ sender can split the recipients' verdicts with probability at most
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections.abc import Sequence
@@ -31,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domain
-from .detection import (IDEAL, DetectorModel, bernoulli_counts, click_probabilities,
-                        sample_counts, stream, wilson_interval)
+from .detection import (bernoulli_counts, click_probabilities, sample_counts, stream,
+                        wilson_interval)
 from .errors import InvariantError
 from .linear import multiport_outputs
 from .lockkey import KeyString, generate_key
@@ -52,9 +53,8 @@ class ProtocolTranscript:
     """Append-only event log of one protocol run.
 
     Every event carries ``party``, ``action``, ``position`` (or None for
-    whole-string actions) and optional ``amplitudes`` / ``counts`` payloads.
-    Serialization is deterministic so identical seeds give byte-identical
-    transcripts.
+    whole-string actions) and optional ``amplitudes`` / ``counts`` payloads,
+    all plain JSON values, so identical seeds give identical ``events``.
     """
 
     def __init__(self):
@@ -69,39 +69,6 @@ class ProtocolTranscript:
         event.update(extra)
         self.events.append(event)
 
-    def to_json(self) -> str:
-        return json.dumps({"schema": 1, "events": self.events}, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class PublicKeyState:
-    """All copies of one public key, row r = the coherent string of copy r."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.amplitudes, dtype=complex))
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("expected a (copies, length) amplitude array")
-        domain.amplitudes(arr.ravel(), "public-key amplitudes", limit=math.inf)
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def copies(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.amplitudes.shape[1]
-
-    def copy_amplitudes(self, index: int) -> np.ndarray:
-        return self.amplitudes[index]
-
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        """True when every copy equals the first one (honest generation)."""
-        return bool(np.max(np.abs(self.amplitudes - self.amplitudes[0])) <= tol)
-
 
 def private_key_amplitudes(phase_indices, n_phases: int, amplitude: float) -> np.ndarray:
     """Coherent string encoded by a private key: amplitude * exp(2 pi i k_j / N)."""
@@ -109,8 +76,10 @@ def private_key_amplitudes(phase_indices, n_phases: int, amplitude: float) -> np
 
 
 def trusted_center_distribute(phase_indices, n_phases: int, amplitude: float, copies: int,
-                              transcript: ProtocolTranscript | None = None) -> PublicKeyState:
+                              transcript: ProtocolTranscript | None = None) -> np.ndarray:
     """Generate T copies of the public key through the center's multiports.
+
+    Returns a read-only (copies, positions) array; row r is copy r.
 
     The sender supplies ``|sqrt(T) alpha_j>`` per position; each position
     enters port 0 of a balanced T-port multiport whose other inputs are
@@ -128,7 +97,8 @@ def trusted_center_distribute(phase_indices, n_phases: int, amplitude: float, co
         transcript.record("alice", "prepare", amplitudes=np.sqrt(copies) * alpha)
         for r in range(copies):
             transcript.record("center", "send", recipient=r, amplitudes=out[r])
-    return PublicKeyState(out)
+    out.setflags(write=False)
+    return out
 
 
 def verdicts(errors, security_s: float, length: int) -> np.ndarray:
@@ -315,26 +285,23 @@ def _exchange_recipients(recipients, length: int) -> int:
 class CharlieTamper:
     """Per-position substitution applied to the share Charlie sends Bob."""
 
-    kind: str = "none"  # none | flip | vacuum | phase | scale
-    value: float = 0.0
-    positions: tuple[int, ...] | None = None  # None = every position
+    kind: str = "none"  # none | flip | vacuum | phase
+    value: float = 0.0  # the phase, in radians, of kind "phase"
 
     def __post_init__(self):
-        if self.kind not in ("none", "flip", "vacuum", "phase", "scale"):
+        if self.kind not in ("none", "flip", "vacuum", "phase"):
             raise ValueError(f"unknown tamper kind {self.kind!r}")
+        object.__setattr__(self, "value", domain.real(self.value, "tamper value"))
 
     def apply(self, share: np.ndarray) -> np.ndarray:
-        out = share.copy()
-        idx = slice(None) if self.positions is None else list(self.positions)
+        """A new array: the share as Charlie forwards it, at every position."""
         if self.kind == "flip":
-            out[idx] = -out[idx]
-        elif self.kind == "vacuum":
-            out[idx] = 0.0
-        elif self.kind == "phase":
-            out[idx] = out[idx] * np.exp(1j * self.value)
-        elif self.kind == "scale":
-            out[idx] = out[idx] * self.value
-        return out
+            return -share
+        if self.kind == "vacuum":
+            return np.zeros_like(share)
+        if self.kind == "phase":
+            return share * np.exp(1j * self.value)
+        return share.copy()
 
 
 def _exchange_outputs(copies: np.ndarray, tamper: CharlieTamper | None):
@@ -357,7 +324,7 @@ def _exchange_outputs(copies: np.ndarray, tamper: CharlieTamper | None):
     return inputs, gamma, deviation
 
 
-def _run_exchange(copies, model: DetectorModel, rng, tamper: CharlieTamper | None):
+def _run_exchange(copies, rng, tamper: CharlieTamper | None):
     """``distributed_exchange``'s parties, plus the ``gamma`` and ``deviation`` behind them."""
     arrs = [domain.amplitudes(c, "public-key copy", limit=math.inf) for c in copies]
     t_count = _exchange_recipients(len(arrs), arrs[0].size if arrs else 0)
@@ -365,7 +332,7 @@ def _run_exchange(copies, model: DetectorModel, rng, tamper: CharlieTamper | Non
     if any(a.shape != (length,) for a in arrs):
         raise ValueError("all copies must have the same number of positions")
     inputs, gamma, deviation = _exchange_outputs(np.array(arrs), tamper)
-    counts = sample_counts(np.abs(gamma[..., 1:]) ** 2, model, rng)
+    counts = sample_counts(np.abs(gamma[..., 1:]) ** 2, rng=rng)
 
     parties = []
     for r in range(t_count):
@@ -383,8 +350,7 @@ def _run_exchange(copies, model: DetectorModel, rng, tamper: CharlieTamper | Non
     return parties, gamma, deviation
 
 
-def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0,
-                         tamper: CharlieTamper | None = None) -> list[Party]:
+def distributed_exchange(copies, rng=0, tamper: CharlieTamper | None = None) -> list[Party]:
     """Run the two-phase distributed comparison among T recipients.
 
     ``copies[r]`` is recipient r's public-key copy (one complex amplitude per
@@ -392,9 +358,10 @@ def distributed_exchange(copies, model: DetectorModel = IDEAL, rng=0,
     phase 2 feeds the kept share plus the T - 1 received shares into a
     balanced comparison multiport per position (``linear.multiport_outputs``).
     Mode 0 returns the recovered amplitude, modes 1..T-1 are watched by
-    detectors.  ``tamper`` acts on the share Charlie (1) forwards to Bob (0).
+    detectors, which are ideal.  ``tamper`` acts on the share Charlie (1)
+    forwards to Bob (0).
     """
-    return _run_exchange(copies, model, rng, tamper)[0]
+    return _run_exchange(copies, rng, tamper)[0]
 
 
 @dataclass(frozen=True)
@@ -408,7 +375,7 @@ class CharlieCheatStats:
     per_position_error_prob: tuple[float, ...]
 
 
-def _bob_counts(gamma, deviation, model: DetectorModel, trials: int, gen):
+def _bob_counts(gamma, deviation, trials: int, gen):
     """What Bob (recipient 0) sees in an exchange with outputs ``gamma`` and ``deviation``.
 
     Returns the mean photon numbers of his watched modes, (positions, T - 1),
@@ -419,25 +386,26 @@ def _bob_counts(gamma, deviation, model: DetectorModel, trials: int, gen):
     """
     click_mean = np.abs(gamma[0, :, 1:]) ** 2
     p_error = _incorrect_probability(deviation[0], 0.0)
-    clicks = bernoulli_counts(click_probabilities(click_mean.ravel(), model), trials, gen)
+    clicks = bernoulli_counts(click_probabilities(click_mean.ravel()), trials, gen)
     errors = bernoulli_counts(p_error, trials, gen)
     return click_mean, p_error, clicks, errors
 
 
 def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length: int,
-                               amplitude: float, trials: int, rng=0,
-                               model: DetectorModel = IDEAL, n_phases: int = 8) -> CharlieCheatStats:
+                               amplitude: float, trials: int, rng=0) -> CharlieCheatStats:
     """Two-recipient scenario where Charlie doctors the shares he sends Bob.
 
     Reports the probability that Charlie drives Bob's error count to the
-    rejection threshold and the probability that Bob's comparison multiports
-    click at all (which exposes the tampering).  Bob verifies his recovered
-    copy against the honestly announced private key.
+    rejection threshold and the probability that Bob's (ideal) comparison
+    multiports click at all (which exposes the tampering).  Bob verifies his
+    recovered copy against the honestly announced private key, an 8-phase
+    key drawn first from ``rng``; his counts depend on it only through
+    ``amplitude``.
     """
     gen = stream(rng)
-    alpha = generate_key(length, n_phases, amplitude, gen).amplitudes()
+    alpha = generate_key(length, 8, amplitude, gen).amplitudes()
     _, gamma, deviation = _exchange_outputs(np.array([alpha, alpha]), tamper)
-    click_mean, p_error, clicks, errors = _bob_counts(gamma, deviation, model, trials, gen)
+    click_mean, p_error, clicks, errors = _bob_counts(gamma, deviation, trials, gen)
     n_rej = int(np.count_nonzero(verdicts(errors, security_s, length) == REJECT))
     n_det = int(np.count_nonzero(clicks))
     return CharlieCheatStats(
@@ -522,7 +490,7 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
     summary = {
         "scheme": "center",
         "adversary": adversary,
-        "copies_uniform": pubkey.is_uniform(),
+        "copies_uniform": bool(np.all(pubkey == pubkey[0])),
         "disagreement_rate": float(np.count_nonzero(_split_verdicts(v_bob, v_charlie))) / trials,
         "cheat_bound": cheat_bound(security_s, length),
         "accept_rate_bob": float(np.count_nonzero(v_bob == ACCEPT)) / trials,
@@ -550,8 +518,8 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
     recipients = _exchange_recipients(recipients, length)
 
     tamper = CharlieTamper("flip" if adversary == "charlie-flip" else "none")
-    parties, gamma, deviation = _run_exchange([alpha] * recipients, IDEAL, gen, tamper)
-    _, _, clicks, e_bob = _bob_counts(gamma, deviation, IDEAL, trials, gen)
+    parties, gamma, deviation = _run_exchange([alpha] * recipients, gen, tamper)
+    _, _, clicks, e_bob = _bob_counts(gamma, deviation, trials, gen)
     # Charlie's incoming shares are never tampered, so he recovers his copy exactly.
     e_charlie = np.zeros(trials, dtype=np.uint8)
     v_bob = verdicts(e_bob, security_s, length)

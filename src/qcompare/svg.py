@@ -7,19 +7,21 @@ coordinates so identical data always renders to identical bytes.
 from __future__ import annotations
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+WIDTH, HEIGHT = 640, 440  # pixels
+TICKS = 5  # per axis
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / (TICKS - 1) for i in range(TICKS)]
 
 
-def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
-               width: int = 640, height: int = 440) -> str:
-    """Render ``series = [(label, xs, ys), ...]`` as an SVG line chart string."""
+def line_chart(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
+    """Render ``series = [(label, xs, ys), ...]`` as a ``WIDTH`` x ``HEIGHT`` SVG line chart."""
     if not series:
         raise ValueError("need at least one series")
+    width, height = WIDTH, HEIGHT
     margin_l, margin_r, margin_t, margin_b = 62, 16, 34, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

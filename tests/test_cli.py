@@ -198,6 +198,13 @@ class TestLockKey:
         assert p == pytest.approx(exact, rel=1e-12)
         assert abs(obj["pass_rate"] - p) < 5 * math.sqrt(p * (1 - p) / trials)
 
+    @pytest.mark.parametrize("beta", ["-1", "nan", "inf", "1e101"])
+    def test_simulate_beta_outside_its_domain_exits_2(self, beta, capsys):
+        assert cli.main(["lockkey", "simulate", "--attack", "coherent", "--beta", beta,
+                         "--M", "4", "--trials", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "attack magnitude must lie in [0, MAX_AMPLITUDE = 1e+100]" in err
+
     def test_attack_scan_contains_optimum(self, tmp_path):
         obj = run_json(["lockkey", "attack-scan", "--amp", "5", "--step", "0.1"], tmp_path)
         assert abs(obj["beta_star"] - 5.0) < 0.5

@@ -93,6 +93,12 @@ class TestPhaseOnly:
         with pytest.raises(ValueError):
             p_success_phase(-1.0, 0.3)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_phase_difference(self, delta):
+        # NaN once raised a spurious InvariantError, inf a bare "math domain error".
+        with pytest.raises(ValueError, match="phase difference must be a finite real number"):
+            p_success_phase(1.0, delta)
+
 
 class TestConjugate:
     def test_opposite_states_silent(self):

@@ -18,7 +18,9 @@ def test_demos_exist():
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(script):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), cwd=ROOT, timeout=300)
+    # The suite's warning policy: an overflow or invalid value fails the demo.
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -21,6 +21,7 @@ class TestGuards:
         lambda: domain.fraction(NAN, "x"),
         lambda: domain.fraction(NAN, "x", positive=True),
         lambda: domain.size(NAN, "x"),
+        lambda: domain.real(NAN, "x"),
     ])
     def test_nan_fails_every_guard(self, guard):
         with pytest.raises(ValueError):
@@ -52,6 +53,13 @@ class TestGuards:
         with pytest.raises(ValueError, match="got 3.0"):
             domain.magnitude(np.array([1.0, 3.0]), "x", limit=2.0)
         assert domain.magnitude(np.array([0.0, 2.0]), "x", limit=2.0).tolist() == [0.0, 2.0]
+
+    def test_real(self):
+        assert domain.real(np.float64(-2.5), "d") == -2.5 and isinstance(domain.real(3, "d"), float)
+        assert domain.real(-1e308, "d") == -1e308
+        for bad in (math.inf, -math.inf, 10**400, 1j, "3", None):
+            with pytest.raises(ValueError, match="d must be a finite real number"):
+                domain.real(bad, "d")
 
     def test_integer(self):
         assert domain.integer(np.int64(3), "n", 0) == 3 and domain.integer(4.0, "n", 0) == 4

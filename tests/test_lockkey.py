@@ -11,10 +11,8 @@ from scipy.special import i0e as scipy_i0e
 
 from qcompare.detection import IDEAL, DetectorModel
 from qcompare.lockkey import (
-    AttackSpec,
     KeyString,
     analytic_pass_probability,
-    attack_candidate,
     attack_pass_probability,
     bessel_i0_scaled,
     entropy_by_diagonalization,
@@ -98,12 +96,11 @@ class TestLockTest:
         # enumerate every key phase of a dense alphabet so the empirical rate
         # estimates the discrete phase average exactly
         amp, beta, n_phases = 1.0, 0.8, 64
-        spec = AttackSpec("coherent", magnitude=beta)
         trials_per_key = 2000
         total = 0
         for k in range(n_phases):
             key = KeyString(n_phases, amp, (k,))
-            stats = lock_test_pass_rate(key, attack_candidate(spec, 1), IDEAL,
+            stats = lock_test_pass_rate(key, np.full(1, beta), IDEAL,
                                         trials=trials_per_key, rng=k)
             total += stats.successes
         rate = total / (trials_per_key * n_phases)
@@ -125,6 +122,19 @@ class TestLockTest:
     def test_photon_budget_flags_vacuum_forgery(self):
         assert photon_budget_ok(observed_mean_counts=10.2, length=10, amplitude=1.0)
         assert not photon_budget_ok(observed_mean_counts=0.0, length=10, amplitude=1.0)
+
+    @pytest.mark.parametrize("counts, length, amplitude, message", [
+        (math.nan, 10, 1.0, "observed mean counts"),
+        (-1.0, 10, 1.0, "observed mean counts"),
+        (10.0, 10, math.nan, "amplitude"),
+        (10.0, -3, 1.0, "key length"),
+        (10.0, 2.5, 1.0, "key length"),
+    ])
+    def test_photon_budget_rejects_inputs_outside_its_domain(self, counts, length, amplitude,
+                                                              message):
+        # NaN once returned False silently, and length -3 raised "math domain error".
+        with pytest.raises(ValueError, match=message):
+            photon_budget_ok(counts, length, amplitude)
 
 
 def bessel_i0(x):
@@ -264,36 +274,40 @@ class TestForgeryString:
 
 
 class TestAnalyticPassProbability:
-    ATTACKS = [None, AttackSpec("vacuum"), AttackSpec("coherent", 0.8), AttackSpec("coherent", 3.0)]
+    ATTACKS = [None, 0.0, 0.8, 3.0]  # false-key magnitudes; None is the key, 0.0 the vacuum
 
-    @pytest.mark.parametrize("attack", ATTACKS)
-    def test_ideal_detector_is_the_forgery_probability_bit_for_bit(self, attack):
+    @pytest.mark.parametrize("beta", ATTACKS)
+    def test_ideal_detector_is_the_forgery_probability_bit_for_bit(self, beta):
         for amp, m in ((1.0, 10), (0.12, 64), (2.5, 3)):
-            expected = 1.0 if attack is None else forgery_string_probability(
-                attack_pass_probability(amp, attack.magnitude), m)
-            assert analytic_pass_probability(amp, m, attack, IDEAL) == expected
+            expected = 1.0 if beta is None else forgery_string_probability(
+                attack_pass_probability(amp, beta), m)
+            assert analytic_pass_probability(amp, m, beta, IDEAL) == expected
 
-    @pytest.mark.parametrize("attack", ATTACKS)
-    def test_equals_the_average_of_exact_per_key_probabilities(self, attack):
+    @pytest.mark.parametrize("beta", ATTACKS)
+    def test_equals_the_average_of_exact_per_key_probabilities(self, beta):
         # Each phase alphabet's key average, exact for one position and so for M.
         amp, m, model = 1.3, 4, DetectorModel(efficiency=0.7, dark_mean=0.05)
-        beta = 0.0 if attack is None else attack.magnitude
         phases = np.exp(2j * np.pi * np.arange(4096) / 4096)
-        candidate = amp * phases if attack is None else np.full(4096, beta)
+        candidate = amp * phases if beta is None else np.full(4096, beta)
         per_position = np.exp(-model.dark_mean
                               - model.efficiency * np.abs(amp * phases - candidate) ** 2 / 2)
-        assert analytic_pass_probability(amp, m, attack, model) == pytest.approx(
+        assert analytic_pass_probability(amp, m, beta, model) == pytest.approx(
             np.mean(per_position) ** m, rel=1e-12)
 
-    @pytest.mark.parametrize("attack", ATTACKS[:2])
-    def test_matches_the_monte_carlo_rate(self, attack):
+    @pytest.mark.parametrize("beta", ATTACKS[:2])
+    def test_matches_the_monte_carlo_rate(self, beta):
         # The key and the vacuum pass alike whatever the key's phases.
         m, model, trials = 6, DetectorModel(efficiency=0.5, dark_mean=0.01), 100_000
         key = generate_key(m, 8, 1.0, rng=40)
-        candidate = key.amplitudes() if attack is None else attack_candidate(attack, m)
-        p = analytic_pass_probability(1.0, m, attack, model)
+        candidate = key.amplitudes() if beta is None else np.full(m, beta)
+        p = analytic_pass_probability(1.0, m, beta, model)
         stats = lock_test_pass_rate(key, candidate, model, trials=trials, rng=41)
         assert abs(stats.rate - p) < 5 * math.sqrt(p * (1 - p) / trials)
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf, 1e101])
+    def test_beta_outside_its_domain_rejected(self, beta):
+        with pytest.raises(ValueError, match="attack magnitude"):
+            analytic_pass_probability(1.0, 4, beta, DetectorModel(efficiency=1e-4))
 
     def test_key_passes_unless_a_dark_count_fires(self):
         model = DetectorModel(efficiency=0.2, dark_mean=0.02, number_resolving=False)
