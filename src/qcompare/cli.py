@@ -270,8 +270,10 @@ def _detector_from(args) -> DetectorModel:
 def _cmd_lockkey(args) -> Report:
     if args.action == "simulate":
         key = lockkey.generate_key(args.M, args.N, args.amp, rng=args.seed)
+        # --beta is checked whatever the attack, though only coherent reads it.
+        magnitude = domain.magnitude(args.beta, "attack magnitude")
         # The vacuum is the coherent false key of magnitude 0.
-        beta = {"key": None, "vacuum": 0.0, "coherent": args.beta}[args.attack]
+        beta = {"key": None, "vacuum": 0.0, "coherent": magnitude}[args.attack]
         model = _detector_from(args)
         analytic = lockkey.analytic_pass_probability(args.amp, args.M, beta, model)
         candidate = key.amplitudes() if beta is None else np.full(args.M, beta, dtype=complex)

@@ -205,6 +205,15 @@ class TestLockKey:
         err = capsys.readouterr().err
         assert "attack magnitude must lie in [0, MAX_AMPLITUDE = 1e+100]" in err
 
+    @pytest.mark.parametrize("attack", ["key", "vacuum"])
+    @pytest.mark.parametrize("beta", ["-1", "nan"])
+    def test_simulate_checks_beta_whatever_the_attack(self, attack, beta, capsys):
+        # --beta was read only for --attack coherent, so key and vacuum exited 0.
+        assert cli.main(["lockkey", "simulate", "--attack", attack, "--beta", beta,
+                         "--M", "4", "--trials", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "attack magnitude must lie in [0, MAX_AMPLITUDE = 1e+100]" in err
+
     def test_attack_scan_contains_optimum(self, tmp_path):
         obj = run_json(["lockkey", "attack-scan", "--amp", "5", "--step", "0.1"], tmp_path)
         assert abs(obj["beta_star"] - 5.0) < 0.5

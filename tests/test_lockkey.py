@@ -5,13 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0 as scipy_i0
 from scipy.special import i0e as scipy_i0e
 
+from qcompare import domain, lockkey
 from qcompare.detection import IDEAL, DetectorModel
 from qcompare.lockkey import (
+    AttackOptimum,
     KeyString,
+    _golden_max,
     analytic_pass_probability,
     attack_pass_probability,
     bessel_i0_scaled,
@@ -28,6 +33,27 @@ from qcompare.lockkey import (
 )
 
 SQRT2 = math.sqrt(2.0)
+# Largest key amplitude whose attack scan fits the work budget.
+MAX_ATTACK_AMPLITUDE = 414.165
+
+
+def full_scan_attack(amplitude):
+    """Reference: the optimum from the whole 1e-3 grid, every value by the array Bessel path."""
+
+    def p(beta):
+        return float(attack_pass_probability(amplitude, np.array([beta]))[0])
+
+    step = 1e-3
+    grid = np.arange(0.0, 2.0 * amplitude + 5.0 + step, step)
+    values = attack_pass_probability(amplitude, grid)
+    best = int(np.argmax(values))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    beta_ref, p_ref = _golden_max(p, float(lo), float(hi))
+    candidates = [(0.0, p(0.0)), (float(grid[best]), float(values[best])), (beta_ref, p_ref)]
+    p_star = max(v for _, v in candidates)
+    beta_star = min(b for b, v in candidates if v >= p_star - 1e-15)
+    return AttackOptimum(beta_star=beta_star, p_star=p_star)
 
 
 def three_sigma(p, n):
@@ -119,6 +145,17 @@ class TestLockTest:
             tracemalloc.stop()
         assert peak < 32e6
 
+    @pytest.mark.parametrize("length", [10**400, domain.WORK_BUDGET + 1],
+                             ids=["10**400", "WORK_BUDGET+1"])
+    def test_key_length_is_bounded_by_the_work_budget(self, length):
+        # 10**400 once raised OverflowError, not ValueError.
+        with pytest.raises(ValueError, match="the key"):
+            photon_budget_ok(10.0, length, 1.0)
+        with pytest.raises(ValueError, match="the key"):
+            analytic_pass_probability(1.0, length)
+        assert photon_budget_ok(float(domain.WORK_BUDGET), domain.WORK_BUDGET, 1.0)
+        assert analytic_pass_probability(1.0, domain.WORK_BUDGET) == 1.0
+
     def test_photon_budget_flags_vacuum_forgery(self):
         assert photon_budget_ok(observed_mean_counts=10.2, length=10, amplitude=1.0)
         assert not photon_budget_ok(observed_mean_counts=0.0, length=10, amplitude=1.0)
@@ -164,7 +201,10 @@ class TestBesselI0:
         assert np.max(np.abs(values / scipy_i0e(xs) - 1.0)) < 1e-12
         grid = xs[:6].reshape(2, 3)
         assert bessel_i0_scaled(grid).shape == (2, 3)
-        assert [bessel_i0_scaled(float(x)) for x in xs[::997]] == values[::997].tolist()
+        # The scalar path (Python floats) must give the array path's bits.
+        edges = np.array([np.nextafter(15.0, -np.inf), np.nextafter(15.0, np.inf)])
+        assert [bessel_i0_scaled(float(x)) for x in xs] == values.tolist()
+        assert [bessel_i0_scaled(float(x)) for x in edges] == bessel_i0_scaled(edges).tolist()
 
     def test_asymptotic_normalization(self):
         x = 50.0
@@ -245,6 +285,32 @@ class TestOptimalAttack:
             result = optimal_coherent_attack(amp)
             assert abs(result.beta_star - beta_star) <= 1e-12, amp
             assert abs(result.p_star - p_star) <= 1e-15 * p_star, amp
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, MAX_ATTACK_AMPLITUDE))
+    @example(0.0)
+    @example(SQRT2)
+    @example(math.nextafter(SQRT2, 0.0))
+    @example(math.nextafter(SQRT2, math.inf))
+    @example(1.43)
+    @example(38.6)  # just above it both ends of the grid underflow to 0
+    @example(40.0)
+    @example(414.16)
+    @example(MAX_ATTACK_AMPLITUDE)  # the largest accepted; test_domain pins 1e6 as rejected
+    def test_property_equals_the_full_scan(self, amplitude):
+        assert optimal_coherent_attack(amplitude) == full_scan_attack(amplitude)
+
+    def test_scans_a_small_part_of_the_grid(self, monkeypatch):
+        # The whole 1e-3 grid at amplitude 20 has 44 601 points.
+        seen = []
+
+        def counting(amplitude, beta_mag):
+            seen.append(np.size(beta_mag) if np.ndim(beta_mag) else 0)
+            return attack_pass_probability(amplitude, beta_mag)
+
+        monkeypatch.setattr(lockkey, "attack_pass_probability", counting)
+        assert optimal_coherent_attack(20.0) == full_scan_attack(20.0)
+        assert 0 < sum(seen) <= 1000
 
     def test_large_amplitude_pass_probability(self):
         result = optimal_coherent_attack(5.0)
