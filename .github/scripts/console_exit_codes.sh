@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Exit codes of the installed `qcompare` console script: 0 on success, 2 on
+# invalid input or an unwritable output, and no traceback when the reader of
+# stdout closes early.  Run after `pip install -e .`, from a directory with no
+# `no-such-dir` in it:
+#
+#   bash -e .github/scripts/console_exit_codes.sh
+#
+# pipefail stays off: `attack-scan | head -1` is meant to lose its reader.
+set -e
+
+expect_2() {
+  code=0
+  "$@" > /dev/null || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "expected exit 2, got $code: $*" >&2
+    exit 1
+  fi
+}
+
+qcompare compare --alpha 1,0 --beta -1,0 > /dev/null
+qcompare pkd --trials 1000000 --format json > /dev/null
+expect_2 qcompare pkd --scheme center --recipients 1
+expect_2 qcompare figure2 --format csv --out no-such-dir/fig2.csv
+expect_2 qcompare figure2 --format csv --out /dev/full
+expect_2 qcompare lockkey simulate --attack coherent --beta -1
+expect_2 qcompare lockkey simulate --attack vacuum --beta -1
+
+stderr_file=$(mktemp)
+trap 'rm -f "$stderr_file"' EXIT
+qcompare lockkey attack-scan --amp 5 --step 0.001 --format csv 2> "$stderr_file" | head -1
+cat "$stderr_file"
+if grep -q Traceback "$stderr_file"; then exit 1; fi
+echo "console script exit codes: ok"

@@ -57,8 +57,22 @@ class CoherentRegister:
 
 
 def _gram_defect(mat: np.ndarray) -> float:
-    """max |U U^dagger - I|, by the O(N^3) Gram product."""
-    return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
+    """max |U U^dagger - I|, by the O(N^3) Gram product.
+
+    Each row block of ``U U^dagger`` is taken as its conjugate
+    ``conj(U[block]) U^T``: the same products up to exact sign flips, and
+    ``conj(G) - I = conj(G - I)`` has the same moduli.  So neither ``conj(U)``,
+    the identity nor the full product is held; a block holds at most
+    ``domain.BLOCK_ENTRIES`` entries.
+    """
+    n = mat.shape[0]
+    rows = max(1, domain.BLOCK_ENTRIES // n)
+    defect = 0.0
+    for start in range(0, n, rows):
+        block = np.conj(mat[start:start + rows]) @ mat.T
+        block.flat[start::n + 1] -= 1.0  # entries (i, start + i)
+        defect = np.maximum(defect, np.abs(block).max())  # a NaN block wins
+    return float(defect)
 
 
 def _fourier_certificate(mat: np.ndarray) -> float:
@@ -68,25 +82,27 @@ def _fourier_certificate(mat: np.ndarray) -> float:
     of ``make_balanced_multiport``, so ``U U^dagger = P P^dagger``.  With
     ``E = P - I`` every entry of ``U U^dagger - I = E + E^dagger + E E^dagger``
     is at most ``2 eta + eta^2`` for any ``eta >= ||E||_F``.  ``||E||_F^2`` is
-    summed over row blocks of at most ``domain.BLOCK_ENTRIES``, so no
-    second N x N array is held.  The computed P differs from the exact one by
-    at most a few ``eps log2(N) ||U||_F``; ``eta`` adds a hundred times that.
-    The bound is tight only when U is close to the DFT, and is then far below
-    ``UNITARITY_TOL``.  Any other matrix already has ``|E[0, 0]| >
-    UNITARITY_TOL`` in most cases, read off in O(N), and gets ``inf`` without
-    the FFT.  An overflow gives ``inf`` or NaN, never a small bound.
+    summed over row blocks of at most ``domain.BLOCK_ENTRIES``, and so is
+    ``||U||_F^2``, so no second N x N array is held.  The computed P differs
+    from the exact one by at most a few ``eps log2(N) ||U||_F``; ``eta`` adds
+    a hundred times that.  The bound is tight only when U is close to the DFT,
+    and is then far below ``UNITARITY_TOL``.  Any other matrix already has
+    ``|E[0, 0]| > UNITARITY_TOL`` in most cases, read off in O(N), and gets
+    ``inf`` without the FFT.  An overflow gives ``inf`` or NaN, never a small
+    bound.
     """
     n = mat.shape[0]
     if not abs(mat[0].sum() / math.sqrt(n) - 1.0) <= UNITARITY_TOL:
         return math.inf
     rows = max(1, domain.BLOCK_ENTRIES // n)
-    squared = 0.0
+    squared = norm_squared = 0.0
     for start in range(0, n, rows):
-        block = np.fft.fft(mat[start:start + rows], axis=1, norm="ortho")
-        diagonal = np.arange(block.shape[0])
-        block[diagonal, start + diagonal] -= 1.0
+        rows_u = mat[start:start + rows]
+        norm_squared += float(np.vdot(rows_u, rows_u).real)
+        block = np.fft.fft(rows_u, axis=1, norm="ortho")
+        block.flat[start::n + 1] -= 1.0  # entries (i, start + i)
         squared += float(np.vdot(block, block).real)
-    rounding = 100.0 * np.finfo(float).eps * max(1.0, math.log2(n)) * np.linalg.norm(mat)
+    rounding = 100.0 * np.finfo(float).eps * max(1.0, math.log2(n)) * math.sqrt(norm_squared)
     eta = math.sqrt(squared) + rounding
     return 2.0 * eta + eta * eta
 
@@ -99,8 +115,10 @@ class LinearNetwork:
     worse; all downstream analytics assume exact unitarity.  A matrix close to
     the DFT is accepted by ``_fourier_certificate``, an upper bound on the
     defect, without the O(N^3) Gram product; any other is judged by
-    ``_gram_defect``, which the error message reports.  A finite matrix whose
-    products overflow gets a non-finite defect, rejected without a warning.
+    ``_gram_defect``, which the error message reports.  Finiteness is checked
+    only when the certificate fails, as a non-finite matrix always makes it
+    fail.  A finite matrix whose products overflow gets a non-finite defect,
+    rejected without a warning.
     """
 
     matrix: np.ndarray
@@ -109,10 +127,10 @@ class LinearNetwork:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("network matrix must be square and non-empty")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("network matrix must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
             if not _fourier_certificate(mat) < UNITARITY_TOL:
+                if not np.all(np.isfinite(mat)):
+                    raise ValueError("network matrix must be finite")
                 defect = _gram_defect(mat)
                 if not defect < UNITARITY_TOL:
                     raise ValueError(
@@ -150,12 +168,16 @@ def make_balanced_multiport(n_modes: int) -> LinearNetwork:
     domain.size(n_modes * n_modes, "the multiport matrix")
     k = np.arange(n_modes)
     # u[k, l] depends on k l mod N only: gather it from the N scaled roots of
-    # unity, each evaluated once at an argument below 2 pi.
+    # unity, each evaluated once at an argument below 2 pi.  The index is
+    # built one row block at a time, so the matrix is the only N x N array.
     roots = np.exp(2j * np.pi * k / n_modes) / math.sqrt(n_modes)
-    index = np.outer(k, k)
-    index %= n_modes
-    mat = roots[index]
-    del index  # freed before the unitarity check allocates its FFT
+    mat = np.empty((n_modes, n_modes), dtype=complex)
+    rows = max(1, domain.BLOCK_ENTRIES // n_modes)
+    for start in range(0, n_modes, rows):
+        index = np.outer(k[start:start + rows], k)
+        index %= n_modes
+        # The index is in range; mode="raise" would gather into a buffer first.
+        np.take(roots, index, out=mat[start:start + rows], mode="clip")
     return LinearNetwork(mat)
 
 
@@ -204,7 +226,12 @@ def apply_network(network: LinearNetwork, register: CoherentRegister) -> Coheren
         raise ValueError(
             f"register has {len(register)} modes but network has {network.n_modes}"
         )
-    gamma = network.matrix.conj().T @ register.amplitudes
+    # conj(U)^T alpha as conj(conj(alpha) U): the same products up to exact
+    # sign flips, with no conjugate copy of U.  The outer conj is 0 - imag, so
+    # an exactly zero imaginary part stays the +0.0 the direct product gives.
+    gamma = np.conj(register.amplitudes) @ network.matrix
+    imag = gamma.imag
+    np.subtract(0.0, imag, imag)
     return CoherentRegister(gamma)
 
 

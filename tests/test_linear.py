@@ -147,6 +147,28 @@ def dense_dft(n):
     return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
+def one_shot_dft(n):
+    """The multiport gathered through one N x N index table: the row-block reference."""
+    k = np.arange(n)
+    roots = np.exp(2j * np.pi * k / n) / np.sqrt(n)
+    return roots[np.outer(k, k) % n]
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFourierCertificate:
     SIZES = [2, 3, 7, 64, 97, 1009, 1024]
 
@@ -179,14 +201,18 @@ class TestFourierCertificate:
         assert linear._fourier_certificate(make_balanced_multiport(3162).matrix) < 1e-10
 
     def test_budget_maximum_dft_memory(self):
-        # The certificate transforms row blocks, so the build's index table is the peak.
+        # The index and the certificate's FFT go by row blocks: the matrix is the peak.
         tracemalloc.start()
         try:
             mat = make_balanced_multiport(3162).matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * mat.nbytes, peak / mat.nbytes
+        assert peak <= 1.05 * mat.nbytes, peak / mat.nbytes
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_row_blocks_gather_the_one_shot_matrix(self, n):
+        assert_bitwise(make_balanced_multiport(n).matrix, one_shot_dft(n))
 
     @pytest.mark.parametrize("matrix", [
         [[1e308, 1e308], [0.0, 1.0]],  # the Gram product overflows
@@ -214,3 +240,78 @@ class TestFourierCertificate:
         # The N^2 exponentials of dense_dft reach 7.6e-14 here; the gathered
         # roots stay at rounding.
         assert gram_defect(mat) <= 1e-14
+
+
+class TestFiniteCheck:
+    REAL = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    COMPLEX = make_balanced_multiport(4).matrix
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_non_finite_entry_is_rejected(self, value, kind, entry):
+        mat = (self.REAL if kind == "real" else self.COMPLEX).copy()
+        mat[entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="network matrix must be finite"):
+                LinearNetwork(mat)
+
+
+class TestApplyWithoutCopies:
+    """apply_network and _gram_defect against the N x N temporaries they replace."""
+
+    NETWORKS = [
+        make_beam_splitter(0.5),
+        make_beam_splitter(0.3),
+        make_beam_splitter(1.0),
+        compose(make_beam_splitter(0.37), make_phase_shift([0.4, 0.0])),
+        compose(make_balanced_multiport(3), make_phase_shift([0.1, -2.0, 3.0])),
+    ]
+
+    @staticmethod
+    def registers(n, rng):
+        """Random amplitudes, then inputs whose outputs hold exact (signed) zeros."""
+        amps = [2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(3)]
+        amps += [np.ones(n), -np.ones(n), np.zeros(n), np.full(n, complex(-0.0, -0.0)),
+                 np.where(np.arange(n) % 2, 1.0, -1.0)]
+        return [CoherentRegister(a) for a in amps]
+
+    def check_bitwise(self, net, rng):
+        for reg in self.registers(net.n_modes, rng):
+            expected = net.matrix.conj().T @ reg.amplitudes
+            assert_bitwise(apply_network(net, reg).amplitudes, expected)
+
+    @pytest.mark.parametrize("n", [1009, 1024])
+    def test_dft_output_is_bitwise_the_conjugate_product(self, n):
+        self.check_bitwise(make_balanced_multiport(n), np.random.default_rng(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 31, 97])
+    def test_random_unitary_output_is_bitwise_the_conjugate_product(self, n):
+        rng = np.random.default_rng(n)
+        self.check_bitwise(LinearNetwork(unitary_group.rvs(n, random_state=rng)), rng)
+
+    @pytest.mark.parametrize("index", range(len(NETWORKS)))
+    def test_small_network_output_is_bitwise_the_conjugate_product(self, index):
+        self.check_bitwise(self.NETWORKS[index], np.random.default_rng(index))
+
+    def test_apply_allocates_no_matrix(self):
+        net = make_balanced_multiport(1024)
+        reg = CoherentRegister(random_amplitudes(1024))
+        assert traced_peak(apply_network, net, reg) <= 0.01 * net.matrix.nbytes
+
+    @pytest.mark.parametrize("n", [2, 7, 97])
+    def test_gram_defect_is_bitwise_the_full_product(self, n):
+        mat = unitary_group.rvs(n, random_state=np.random.default_rng(n))
+        mat[n // 2, 0] += 1e-7
+        assert linear._gram_defect(mat) == np.max(np.abs(mat @ mat.conj().T - np.eye(n)))
+
+    def test_gram_defect_holds_row_blocks_only(self):
+        mat = make_balanced_multiport(1024).matrix[::-1]
+        assert linear._gram_defect(mat) == np.max(np.abs(mat @ mat.conj().T - np.eye(1024)))
+        assert traced_peak(linear._gram_defect, mat) <= 0.25 * mat.nbytes
+
+    def test_gram_defect_keeps_a_nan_block(self):
+        mat = np.eye(300, dtype=complex)
+        mat[0, 0] = np.nan
+        assert np.isnan(linear._gram_defect(mat))
