@@ -25,6 +25,8 @@ expect_2 qcompare figure2 --format csv --out no-such-dir/fig2.csv
 expect_2 qcompare figure2 --format csv --out /dev/full
 expect_2 qcompare lockkey simulate --attack coherent --beta -1
 expect_2 qcompare lockkey simulate --attack vacuum --beta -1
+# A retired option is a usage error, never accepted silently.
+expect_2 qcompare lockkey simulate --threshold-detectors
 
 stderr_file=$(mktemp)
 trap 'rm -f "$stderr_file"' EXIT

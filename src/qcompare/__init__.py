@@ -41,7 +41,6 @@ from .detection import (
     DetectorModel,
     TrialStats,
     run_trials,
-    sample_counts,
     stream,
     wilson_interval,
 )

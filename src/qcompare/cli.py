@@ -259,67 +259,61 @@ def _cmd_figure4(args) -> Report:
                                        "S (bits)", ("S_bits",), "N", tuple(args.N)))
 
 
-def _detector_from(args) -> DetectorModel:
-    return DetectorModel(
-        efficiency=args.efficiency,
-        dark_mean=args.dark_mean,
-        number_resolving=not args.threshold_detectors,
-    )
+def _cmd_lockkey_simulate(args) -> Report:
+    key = lockkey.generate_key(args.M, args.N, args.amp, rng=args.seed)
+    # --beta is checked whatever the attack, though only coherent reads it.
+    magnitude = domain.magnitude(args.beta, "attack magnitude")
+    # The vacuum is the coherent false key of magnitude 0.
+    beta = {"key": None, "vacuum": 0.0, "coherent": magnitude}[args.attack]
+    model = DetectorModel(efficiency=args.efficiency, dark_mean=args.dark_mean)
+    analytic = lockkey.analytic_pass_probability(args.amp, args.M, beta, model)
+    candidate = key.amplitudes() if beta is None else np.full(args.M, beta, dtype=complex)
+    stats = lockkey.lock_test_pass_rate(key, candidate, model, trials=args.trials,
+                                        rng=args.seed + 1)
+    obj = {
+        "seed": args.seed,
+        "attack": args.attack,
+        "M": args.M,
+        "N": args.N,
+        "amp": args.amp,
+        "trials": args.trials,
+        "pass_rate": stats.rate,
+        "wilson_95": [stats.wilson_low, stats.wilson_high],
+        "analytic_pass_probability": analytic,
+    }
+    return Report(fields=obj)
 
 
-def _cmd_lockkey(args) -> Report:
-    if args.action == "simulate":
-        key = lockkey.generate_key(args.M, args.N, args.amp, rng=args.seed)
-        # --beta is checked whatever the attack, though only coherent reads it.
-        magnitude = domain.magnitude(args.beta, "attack magnitude")
-        # The vacuum is the coherent false key of magnitude 0.
-        beta = {"key": None, "vacuum": 0.0, "coherent": magnitude}[args.attack]
-        model = _detector_from(args)
-        analytic = lockkey.analytic_pass_probability(args.amp, args.M, beta, model)
-        candidate = key.amplitudes() if beta is None else np.full(args.M, beta, dtype=complex)
-        stats = lockkey.lock_test_pass_rate(key, candidate, model, trials=args.trials,
-                                            rng=args.seed + 1)
-        obj = {
-            "seed": args.seed,
-            "attack": args.attack,
-            "M": args.M,
-            "N": args.N,
-            "amp": args.amp,
-            "trials": args.trials,
-            "pass_rate": stats.rate,
-            "wilson_95": [stats.wilson_low, stats.wilson_high],
-            "analytic_pass_probability": analytic,
-        }
-        return Report(fields=obj)
-    elif args.action == "entropy":
-        if args.alpha_sq is not None:
-            amplitude = math.sqrt(domain.magnitude(args.alpha_sq, "alpha_sq",
-                                                   limit=domain.MAX_AMPLITUDE ** 2))
-            results = [
-                {"N": n, "alpha_sq": args.alpha_sq,
-                 "S_bits": lockkey.holevo_entropy_finite(amplitude, n).bits}
-                for n in args.N
-            ]
-            return Report(fields={"results": results})
-        else:
-            rows = _entropy_grid(args.N, args.alpha_sq_max, args.points)
-            return Report(fields={"rows": rows}, columns=("alpha_sq", "N", "S_bits"), rows=rows,
-                          plot=Plot("key-position entropy", "|alpha|^2", "S (bits)",
-                                    ("S_bits",), "N", tuple(args.N)))
-    else:  # attack-scan
-        best = lockkey.optimal_coherent_attack(args.amp)
-        beta_max = args.beta_max if args.beta_max is not None else 2.0 * args.amp + 5.0
-        betas = _sweep_grid(beta_max, args.step, 2)
-        p_pass = lockkey.attack_pass_probability(args.amp, betas)
-        rows = [{"beta": b, "p_pass": p} for b, p in zip(betas.tolist(), p_pass.tolist())]
-        obj = {
-            "amp": args.amp,
-            "beta_star": best.beta_star,
-            "p_star": best.p_star,
-            "rows": rows,
-        }
-        return Report(fields=obj, columns=("beta", "p_pass"), rows=rows,
-                      plot=Plot("false-key pass probability", "|beta|", "p_pass", ("p_pass",)))
+def _cmd_lockkey_entropy(args) -> Report:
+    if args.alpha_sq is not None:
+        amplitude = math.sqrt(domain.magnitude(args.alpha_sq, "alpha_sq",
+                                               limit=domain.MAX_AMPLITUDE ** 2))
+        results = [
+            {"N": n, "alpha_sq": args.alpha_sq,
+             "S_bits": lockkey.holevo_entropy_finite(amplitude, n).bits}
+            for n in args.N
+        ]
+        return Report(fields={"results": results})
+    rows = _entropy_grid(args.N, args.alpha_sq_max, args.points)
+    return Report(fields={"rows": rows}, columns=("alpha_sq", "N", "S_bits"), rows=rows,
+                  plot=Plot("key-position entropy", "|alpha|^2", "S (bits)",
+                            ("S_bits",), "N", tuple(args.N)))
+
+
+def _cmd_lockkey_attack_scan(args) -> Report:
+    best = lockkey.optimal_coherent_attack(args.amp)
+    beta_max = args.beta_max if args.beta_max is not None else 2.0 * args.amp + 5.0
+    betas = _sweep_grid(beta_max, args.step, 2)
+    p_pass = lockkey.attack_pass_probability(args.amp, betas)
+    rows = [{"beta": b, "p_pass": p} for b, p in zip(betas.tolist(), p_pass.tolist())]
+    obj = {
+        "amp": args.amp,
+        "beta_star": best.beta_star,
+        "p_star": best.p_star,
+        "rows": rows,
+    }
+    return Report(fields=obj, columns=("beta", "p_pass"), rows=rows,
+                  plot=Plot("false-key pass probability", "|beta|", "p_pass", ("p_pass",)))
 
 
 def _cmd_pkd(args) -> Report:
@@ -425,21 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--trials", type=int, default=100_000)
     ps.add_argument("--efficiency", type=float, default=1.0)
     ps.add_argument("--dark-mean", type=float, default=0.0)
-    ps.add_argument("--threshold-detectors", action="store_true")
-    ps.set_defaults(func=_cmd_lockkey)
+    ps.set_defaults(func=_cmd_lockkey_simulate)
 
     pe = action.add_parser("entropy", parents=[common], help="information bound per key position")
     pe.add_argument("--N", nargs="+", type=int, default=[2, 3, 4, 5, 6])
     pe.add_argument("--alpha-sq", type=float, default=None)
     pe.add_argument("--alpha-sq-max", type=float, default=25.0)
     pe.add_argument("--points", type=int, default=51)
-    pe.set_defaults(func=_cmd_lockkey)
+    pe.set_defaults(func=_cmd_lockkey_entropy)
 
     pa = action.add_parser("attack-scan", parents=[common], help="coherent false-key scan")
     pa.add_argument("--amp", type=float, required=True)
     pa.add_argument("--beta-max", type=float, default=None)
     pa.add_argument("--step", type=float, default=0.01)
-    pa.set_defaults(func=_cmd_lockkey)
+    pa.set_defaults(func=_cmd_lockkey_attack_scan)
 
     p = sub.add_parser("pkd", parents=[common], help="public-key distribution simulation")
     p.add_argument("--scheme", choices=("center", "distributed"), default="center")

@@ -1,17 +1,17 @@
 """Photon-detector models and the Monte Carlo engine for click statistics.
 
-Counts registered on a coherent mode of mean photon number ``m`` are Poisson
-with mean ``efficiency * m + dark_mean``: inefficiency is Bernoulli thinning
-(mean scaling for a Poisson) and dark counts are an independent additive
-Poisson term per detector per window.  A non-number-resolving detector
-reduces the count to click / no-click.
+A detector clicks or stays silent.  On a coherent mode of mean photon number
+``m`` it clicks with probability ``1 - exp(-(efficiency * m + dark_mean))``,
+the chance that its Poisson count is nonzero: inefficiency thins the mean and
+dark counts add an independent term per detector per window.
 
 Randomness contract: every stochastic entry point accepts either an integer
 seed or a ready ``numpy.random.Generator``.  Seeds feed a counter-based
 Philox stream; inside the trial engine ``bernoulli_counts``, trial ``i``
 consumes the ``i``-th fixed-width row of that stream (one uniform per
-position, e.g. per watched detector, inverted through the exact Poisson
-CDF), so trials are independent and reproducible.  Contiguous ranges of
+position, e.g. per watched detector, compared with its click probability),
+so trials are independent and reproducible.  A single trial's per-position
+clicks, ``trial_clicks``, are the engine's trial 0.  Contiguous ranges of
 rows are filled in parallel, one thread per available CPU, each from a
 Philox generator placed at its range's first uniform (the stream can be
 entered at any position), so the result and every later draw equal those
@@ -36,7 +36,6 @@ from .linear import CoherentRegister, LinearNetwork, apply_network
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # Not domain.BLOCK_ENTRIES: at 2^16 an M = 64, 10^6-trial lock test slowed from 264 to 300 ms.
 BLOCK_UNIFORMS = 1 << 18  # uniforms in flight in ``bernoulli_counts``, all threads (2 MiB of float64)
-MAX_POISSON_MEAN = 9.2e18  # numpy's Poisson sampler accepts means up to about 9.22e18
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,10 @@ class DetectorModel:
 
     efficiency: float = 1.0
     dark_mean: float = 0.0
-    number_resolving: bool = True
 
     def __post_init__(self):
         domain.fraction(self.efficiency, "efficiency")
         domain.magnitude(self.dark_mean, "dark_mean")
-
-    def registered_mean(self, mean_photon: float) -> float:
-        """Mean of the registered count distribution for a given incident mean."""
-        return self.efficiency * mean_photon + self.dark_mean
 
 
 IDEAL = DetectorModel()
@@ -81,29 +75,13 @@ def stream(seed) -> np.random.Generator:
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval (95%, z = ``Z95``) for a binomial proportion."""
     trials = domain.integer(trials, "trials", 1)
+    successes = domain.integer(successes, "successes", 0, trials)
     z = Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def sample_counts(mean_photon, model: DetectorModel = IDEAL, rng=0, size=None):
-    """Sample registered counts for modes of the given mean photon numbers.
-
-    ``mean_photon`` is a scalar or an array of means, one independent count
-    per entry, drawn in order.  Returns an int for a scalar mean without
-    ``size``, otherwise an int array, distributed as
-    Poisson(efficiency * mean + dark_mean); a non-number-resolving model
-    reduces the result to 0/1.
-    """
-    means = domain.magnitude(mean_photon, "mean photon number", limit=math.inf)
-    registered = domain.magnitude(model.registered_mean(means), "mean count", limit=MAX_POISSON_MEAN)
-    counts = stream(rng).poisson(registered, size=size)
-    if not model.number_resolving:
-        counts = np.minimum(counts, 1)
-    return int(counts) if np.ndim(counts) == 0 else counts
 
 
 def click_probabilities(means, model: DetectorModel = IDEAL) -> np.ndarray:
@@ -152,6 +130,17 @@ def _fill_counts(gen: np.random.Generator, p: np.ndarray, out: np.ndarray, rows:
         gen.random(out=uniforms[:n])
         np.less(uniforms[:n], p, out=hits[:n])
         np.sum(hits[:n], axis=1, out=out[start:start + n])
+
+
+def trial_clicks(p, rng) -> np.ndarray:
+    """Clicks (0/1, as ``uint8``) of one trial at independent Bernoulli(p[j]) positions.
+
+    This is trial 0 of ``bernoulli_counts`` before its row sum: the same
+    uniforms, one per position in C order, and the same stream position
+    afterwards.  Every ``p[j]`` must lie in [0, 1].
+    """
+    p = np.asarray(domain.fraction(p, "hit probability p"))
+    return (stream(rng).random(p.shape) < p).view(np.uint8)
 
 
 def bernoulli_counts(p, trials: int, rng) -> np.ndarray:

@@ -118,13 +118,17 @@ class LinearNetwork:
     ``_gram_defect``, which the error message reports.  Finiteness is checked
     only when the certificate fails, as a non-finite matrix always makes it
     fail.  A finite matrix whose products overflow gets a non-finite defect,
-    rejected without a warning.
+    rejected without a warning.  The network keeps the caller's array only
+    when it owns its data and is already read-only; a writable array or a
+    view is copied, so no later write reaches the validated matrix.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
+        if mat.base is not None or (mat is self.matrix and mat.flags.writeable):
+            mat = mat.copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("network matrix must be square and non-empty")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -178,6 +182,7 @@ def make_balanced_multiport(n_modes: int) -> LinearNetwork:
         index %= n_modes
         # The index is in range; mode="raise" would gather into a buffer first.
         np.take(roots, index, out=mat[start:start + rows], mode="clip")
+    mat.setflags(write=False)  # handed over, not copied
     return LinearNetwork(mat)
 
 
@@ -204,6 +209,7 @@ def make_phase_shift(phases) -> LinearNetwork:
     """
     # LinearNetwork rejects what is not a non-empty 1-D sequence (np.diag of it is not square).
     mat = np.diag(np.exp(-1j * np.atleast_1d(np.asarray(phases, dtype=float))))
+    mat.setflags(write=False)  # handed over, not copied
     return LinearNetwork(mat)
 
 
@@ -213,7 +219,9 @@ def compose(outer: LinearNetwork, inner: LinearNetwork) -> LinearNetwork:
         raise ValueError(
             f"cannot compose networks of {outer.n_modes} and {inner.n_modes} modes"
         )
-    return LinearNetwork(inner.matrix @ outer.matrix)
+    product = inner.matrix @ outer.matrix
+    product.setflags(write=False)  # handed over, not copied
+    return LinearNetwork(product)
 
 
 def apply_network(network: LinearNetwork, register: CoherentRegister) -> CoherentRegister:

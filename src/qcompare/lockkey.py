@@ -28,7 +28,7 @@ import numpy as np
 
 from . import domain
 from .detection import (IDEAL, DetectorModel, TrialStats, bernoulli_counts, click_probabilities,
-                        sample_counts, stream, wilson_interval)
+                        stream, trial_clicks, wilson_interval)
 from .errors import InvariantError
 from .fock import MAX_COHERENT_AMPLITUDE, coherent_fock
 
@@ -86,13 +86,15 @@ def _compared(key: KeyString, candidate) -> tuple[np.ndarray, np.ndarray, np.nda
 def lock_test(key: KeyString, candidate, model: DetectorModel = IDEAL, rng=0) -> LockTestResult:
     """Compare a candidate string against the lock, one balanced splitter per position.
 
-    The test passes iff no difference mode clicks anywhere.  After a silent
-    test the second splitter of each position returns |(lock + candidate)/2>
-    in both halves, which equals the original lock state when the candidate
-    matched; the per-position recovered amplitudes are reported either way.
+    The test passes iff no difference mode clicks anywhere; ``clicks`` (0 or
+    1 per position) is trial 0 of ``lock_test_pass_rate`` for the same seed.
+    After a silent test the second splitter of each position returns
+    |(lock + candidate)/2> in both halves, which equals the original lock
+    state when the candidate matched; the per-position recovered amplitudes
+    are reported either way.
     """
     lock, cand, diff_means = _compared(key, candidate)
-    clicks = tuple(sample_counts(diff_means, model, rng).tolist())
+    clicks = tuple(trial_clicks(click_probabilities(diff_means, model), rng).tolist())
     return LockTestResult(
         passed=not any(clicks),
         clicks=clicks,

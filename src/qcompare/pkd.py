@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domain
-from .detection import (bernoulli_counts, click_probabilities, sample_counts, stream,
+from .detection import (bernoulli_counts, click_probabilities, stream, trial_clicks,
                         wilson_interval)
 from .errors import InvariantError
 from .linear import multiport_outputs
@@ -155,12 +155,16 @@ def verify_against_private(copy_amplitudes, claimed_phases, n_phases: int, ampli
 
 def coherent_with_overlap(alpha: complex, overlap: float) -> complex:
     """A coherent amplitude whose state has squared overlap ``overlap`` with |alpha>."""
+    alpha = complex(domain.amplitudes(alpha, "alpha")[0])
     overlap = domain.fraction(overlap, "overlap", positive=True)
-    return complex(alpha) + math.sqrt(-math.log(overlap))
+    return alpha + math.sqrt(-math.log(overlap))
 
 
 def cheat_bound(security_s: float, length: int) -> float:
     """Upper bound (1/2)^(s M - 1) on splitting the recipients' verdicts."""
+    security_s = domain.fraction(security_s, "security parameter s", positive=True)
+    length = domain.integer(length, "key length", 1)
+    domain.size(length, "the key")
     sm = security_s * length
     if sm < 1.0:
         raise ValueError(f"s * length must be at least 1, got {sm}")
@@ -266,7 +270,7 @@ class Party:
 
     name: str
     held: np.ndarray
-    clicks: np.ndarray  # (length, copies - 1) counts in the comparison modes
+    clicks: np.ndarray  # (length, copies - 1) clicks (0/1) in the comparison modes
     transcript: ProtocolTranscript = field(default_factory=ProtocolTranscript)
 
     @property
@@ -332,7 +336,7 @@ def _run_exchange(copies, rng, tamper: CharlieTamper | None):
     if any(a.shape != (length,) for a in arrs):
         raise ValueError("all copies must have the same number of positions")
     inputs, gamma, deviation = _exchange_outputs(np.array(arrs), tamper)
-    counts = sample_counts(np.abs(gamma[..., 1:]) ** 2, rng=rng)
+    counts = trial_clicks(click_probabilities(np.abs(gamma[..., 1:]) ** 2), rng)
 
     parties = []
     for r in range(t_count):

@@ -436,6 +436,13 @@ class TestContracts:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_retired_threshold_flag_exits_2(self, capsys):
+        # The flag changed no output byte; it is a usage error now, not accepted silently.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lockkey", "simulate", "--threshold-detectors"])
+        assert exc.value.code == 2
+        assert "--threshold-detectors" in capsys.readouterr().err
+
     def test_invariant_error_exits_3(self, monkeypatch, capsys):
         def boom(args):
             raise InvariantError("forms disagree")
@@ -459,7 +466,9 @@ class TestContracts:
 # Fixed-seed CLI outputs and their sha256, recorded before the trial engine
 # was streamed in blocks; see TestGoldenOutputs.  The two `lockkey simulate`
 # runs with a lossy, noisy detector were re-recorded when their analytic pass
-# probability began to include the detector.
+# probability began to include the detector.  The three charlie-flip runs were
+# re-recorded when the exchange transcript's clicks came from the trial engine
+# (one uniform per watched mode) instead of Poisson draws.
 GOLDEN = [
     ("lockkey simulate --attack key --M 8 --trials 5000 --seed 0",
      "4207cabd8c0da07dbb2093c73b684f583adf03dd7d9bdbbe3a039f632df4d043"),
@@ -467,7 +476,7 @@ GOLDEN = [
      "fcc745ef536518504923e47faf545540240e82ba16397dc8e48fbc4faefa036a"),
     ("lockkey simulate --attack coherent --beta 0.8 --M 12 --trials 5000 --seed 123",
      "b8eb7a5960f2d999e4c6246723958e4a237999808a4c4a68f6955768e91ab30e"),
-    ("lockkey simulate --attack key --M 16 --amp 0.5 --efficiency 0.9 --dark-mean 0.02 --threshold-detectors --trials 5000 --seed 7",
+    ("lockkey simulate --attack key --M 16 --amp 0.5 --efficiency 0.9 --dark-mean 0.02 --trials 5000 --seed 7",
      "3d738cfae5ed6a698c7fd80166f41171d1ba6de5023f48ec82e330fd8d3b464e"),
     ("pkd --scheme center --M 6 --trials 300 --seed 0 --format csv",
      "016dee34762b5e352b7635e624a27ddc82c786a2085ef6fc01c942c5f61d142b"),
@@ -482,13 +491,13 @@ GOLDEN = [
     ("pkd --scheme distributed --recipients 3 --M 5 --trials 200 --seed 123 --format json",
      "2a749282e94988e716d5dcafc7015c7ece43de7c504716b9808da7ffc797b160"),
     ("pkd --scheme distributed --adversary charlie-flip --M 6 --amp 0.7 --s 0.5 --trials 300 --seed 7 --format csv",
-     "148b9248ae08c7b974a7e51e4413350f56e532b9bfa44fa62f5e0767168f9a68"),
+     "23e7d69486d9560251aed721bddd0fa151463e396fd466a12d65d3dad4744e31"),
     ("pkd --scheme distributed --adversary charlie-flip --M 6 --amp 0.7 --s 0.5 --trials 300 --seed 7 --format json",
-     "d04a408159c85e79d995ef089e02ec5016a1cd68d8ff064073b7eb651b3c70cb"),
+     "a96dd4d7abf73306b345726c66d1785680133d587ab1115c7cc321bc448f9a12"),
     ("lockkey simulate --attack coherent --beta 0.1 --M 64 --amp 0.12 --efficiency 0.9 --dark-mean 0.002 --trials 20000 --seed 5",
      "ae136d5464e413a8e480ed40e434176de955c3a765271b1bd0f9aa7d87ebda39"),
     ("pkd --scheme distributed --adversary charlie-flip --M 40 --amp 0.3 --s 0.1 --trials 10000 --seed 11 --format json",
-     "1ba3c11516c96545ac72aba97e3f043742df9deb996ca1bcafdc05d4cee1d407"),
+     "0549c5e7fb9a1c5262226ce50883fc291245e3ab374d814243d527429f973d41"),
     ("compare --alpha 1,0.5 --beta -1,0 --sweep-step 0.25 --format csv",
      "c874c438f9e20dea5ab1447eb44dce7ed9a7304632b030ff2db51c74a54441c5"),
     ("compare --alpha 1,0.5 --beta -1,0 --sweep-step 0.25 --format svg",
@@ -540,7 +549,7 @@ class TestGoldenOutputs:
     """Pin each fixed-seed output byte for byte across commits, not just across reruns.
 
     The hashes assume numpy's current Philox bit stream and Generator
-    sampling algorithms (``random``, ``integers``, ``binomial``, ``poisson``)
+    sampling algorithms (``random``, ``integers``, ``binomial``)
     and IEEE-754 doubles with the platform's ``exp``/``log``; a numpy release
     or math library that changes any of them changes these bytes without any
     change to qcompare.

@@ -11,9 +11,10 @@ from qcompare.detection import (
     IDEAL,
     DetectorModel,
     bernoulli_counts,
+    click_probabilities,
     run_trials,
-    sample_counts,
     stream,
+    trial_clicks,
     wilson_interval,
 )
 from qcompare.linear import CoherentRegister, make_balanced_multiport, make_beam_splitter
@@ -27,7 +28,6 @@ class TestDetectorModel:
     def test_defaults_are_ideal(self):
         assert IDEAL.efficiency == 1.0
         assert IDEAL.dark_mean == 0.0
-        assert IDEAL.number_resolving
 
     @pytest.mark.parametrize("kwargs", [
         {"efficiency": -0.1}, {"efficiency": 1.2}, {"dark_mean": -1.0},
@@ -37,57 +37,54 @@ class TestDetectorModel:
             DetectorModel(**kwargs)
 
 
-class TestSampleCounts:
+class TestTrialClicks:
     def test_zero_mean_ideal_never_clicks(self):
-        counts = sample_counts(0.0, IDEAL, rng=1, size=1000)
-        assert np.all(counts == 0)
+        clicks = trial_clicks(click_probabilities(np.zeros(1000)), rng=1)
+        assert not clicks.any()
 
     def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            sample_counts(-0.5, IDEAL, rng=0)
+        for means in (-0.5, [0.5, -0.1]):
+            with pytest.raises(ValueError, match="mean photon number"):
+                click_probabilities(means)
 
     def test_click_rate_matches_two_state_success_probability(self):
         # mean |alpha-beta|^2/2 with alpha=1, beta=-1
-        mean = 2.0
         n = 100_000
-        counts = sample_counts(mean, IDEAL, rng=7, size=n)
-        rate = np.count_nonzero(counts) / n
-        expected = 1.0 - math.exp(-mean)
-        assert abs(rate - expected) < three_sigma(expected, n)
+        expected = 1.0 - math.exp(-2.0)
+        clicks = trial_clicks(click_probabilities(np.full(n, 2.0)), rng=7)
+        assert abs(np.count_nonzero(clicks) / n - expected) < three_sigma(expected, n)
 
-    def test_efficiency_thins_the_mean(self):
-        model = DetectorModel(efficiency=0.5)
-        n = 100_000
-        counts = sample_counts(2.0, model, rng=11, size=n)
-        rate = np.count_nonzero(counts) / n
-        expected = 1.0 - math.exp(-1.0)
-        assert abs(rate - expected) < three_sigma(expected, n)
-        assert np.mean(counts) == pytest.approx(1.0, abs=3 * math.sqrt(1.0 / n))
+    def test_efficiency_and_dark_counts_set_the_click_probability(self):
+        model = DetectorModel(efficiency=0.5, dark_mean=0.25)
+        assert click_probabilities(2.0, model) == pytest.approx(1.0 - math.exp(-1.25), rel=1e-15)
 
-    def test_threshold_detector_reports_clicks(self):
-        model = DetectorModel(number_resolving=False)
-        counts = sample_counts(5.0, model, rng=3, size=500)
-        assert set(np.unique(counts)) <= {0, 1}
-        assert sample_counts(5.0, model, rng=3) in (0, 1)
+    def test_clicks_are_zero_or_one_in_the_shape_of_p(self):
+        p = np.array([[0.0, 0.3, 1.0], [0.9, 0.5, 0.01]])
+        clicks = trial_clicks(p, rng=3)
+        assert clicks.shape == p.shape and clicks.dtype == np.uint8
+        assert set(np.unique(clicks)) <= {0, 1}
+        assert clicks[0, 0] == 0 and clicks[0, 2] == 1
 
     def test_determinism(self):
-        a = sample_counts(1.3, IDEAL, rng=42, size=50)
-        b = sample_counts(1.3, IDEAL, rng=42, size=50)
-        assert np.array_equal(a, b)
+        p = np.linspace(0.0, 1.0, 50)
+        np.testing.assert_array_equal(trial_clicks(p, rng=42), trial_clicks(p, rng=42))
 
-    @pytest.mark.parametrize("model", [IDEAL, DetectorModel(0.7, 0.05, number_resolving=False)])
-    def test_array_of_means_equals_scalar_draws_in_order(self, model):
-        means = np.array([[0.0, 2.5, 0.3], [7.0, 0.01, 1.2]])
-        g_scalar, g_array = stream(9), stream(9)
-        scalar = [[sample_counts(float(m), model, g_scalar) for m in row] for row in means]
-        counts = sample_counts(means, model, g_array)
-        assert counts.shape == means.shape
-        assert counts.tolist() == scalar
-        assert g_array.random() == g_scalar.random()
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3, 4)])
+    def test_is_trial_zero_of_the_engine(self, seed, shape):
+        p = stream(100 + seed).random(shape)
+        gen, ref = stream(seed), stream(seed)
+        for g in (gen, ref):  # leave a spare 32-bit half, which must carry over
+            g.integers(0, 1000, size=1, dtype=np.int32)
+        assert int(trial_clicks(p, gen).sum()) == bernoulli_counts(p.ravel(), 1, ref)[0]
+        np.testing.assert_array_equal(gen.integers(0, 2**31, size=3, dtype=np.int32),
+                                      ref.integers(0, 2**31, size=3, dtype=np.int32))
+        np.testing.assert_array_equal(gen.random(5), ref.random(5))
 
-    def test_negative_mean_in_array_rejected(self):
-        with pytest.raises(ValueError):
-            sample_counts([0.5, -0.1], IDEAL, rng=0)
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 2.0])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"probability p must lie in \[0, 1\]"):
+            trial_clicks([0.5, bad], 1)
 
 
 class TestRunTrials:
@@ -263,6 +260,12 @@ class TestHelpers:
         assert low < 0.5 < high
         assert wilson_interval(0, 100)[0] == pytest.approx(0.0, abs=1e-12)
         assert wilson_interval(100, 100)[1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("successes", [-1, 101, 2.5, math.nan])
+    def test_wilson_interval_rejects_successes_outside_the_trials(self, successes):
+        # -1 and 101 raised a bare "math domain error"; 2.5 and NaN were accepted.
+        with pytest.raises(ValueError, match=r"successes must be an integer in \[0, 100\]"):
+            wilson_interval(successes, 100)
 
     def test_stream_accepts_generator(self):
         gen = stream(4)

@@ -127,7 +127,7 @@ class TestLibraryInputs:
         lambda: fock.coherent_fock(1e200, 10),
         lambda: lockkey.KeyString(8, 1.0, (0, 2.5)),
         lambda: lockkey.KeyString(8, NAN, (0, 1)),
-        lambda: detection.sample_counts(1e20, rng=0),
+        lambda: pkd.cheat_bound(math.nan, 10),
         lambda: detection.stream(2**128),
     ])
     def test_out_of_domain_input_is_a_clean_value_error(self, call):

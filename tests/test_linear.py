@@ -141,6 +141,43 @@ class TestNetworkInvariants:
         assert means[1] == pytest.approx(2.0, abs=1e-12)
 
 
+class TestMatrixOwnership:
+    def test_writable_array_is_copied_and_left_writable(self):
+        a = np.eye(2, dtype=complex)
+        net = LinearNetwork(a)
+        assert a.flags.writeable and not net.matrix.flags.writeable
+        a[0, 0] = 5.0
+        assert net.matrix[0, 0] == 1.0
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_write_through_a_view_does_not_reach_the_matrix(self, read_only):
+        # A kept view let b[0, 0] = 5 turn the validated matrix non-unitary.
+        b = np.eye(2, dtype=complex)
+        view = b[:, :]
+        view.setflags(write=not read_only)
+        net = LinearNetwork(view)
+        b[0, 0] = 5.0
+        assert net.matrix[0, 0] == 1.0
+
+    def test_reversed_view_is_copied_contiguous(self):
+        net = LinearNetwork(dense_dft(16)[::-1])
+        assert net.matrix.flags.c_contiguous and net.matrix.base is None
+
+    def test_read_only_owner_is_kept(self):
+        a = np.eye(3, dtype=complex)
+        a.setflags(write=False)
+        assert LinearNetwork(a).matrix is a
+
+    def test_constructors_hand_their_matrix_over(self):
+        for net in (make_balanced_multiport(8), make_phase_shift([0.1, 0.2]),
+                    compose(make_balanced_multiport(4), make_balanced_multiport(4))):
+            assert net.matrix.base is None and not net.matrix.flags.writeable
+        dft = make_balanced_multiport(512)
+        # DFT^2 is a permutation, judged by the Gram product: 1.75x the matrix
+        # with its row blocks; a copy of the product would add 1x.
+        assert traced_peak(compose, dft, dft) <= 2.0 * dft.matrix.nbytes
+
+
 def dense_dft(n):
     """The DFT matrix by N^2 complex exponentials of 2 pi k l / N."""
     k = np.arange(n)

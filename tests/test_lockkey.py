@@ -107,6 +107,17 @@ class TestLockTest:
         expected = math.exp(-abs(2 * amp) ** 2 / 2)  # e^-8 at the flipped position
         assert abs(stats.rate - expected) < three_sigma(expected, stats.trials)
 
+    def test_single_test_is_one_trial_of_the_pass_rate(self):
+        # The Poisson sampler it replaced disagreed with the engine on 4 of 200 seeds.
+        model = DetectorModel(efficiency=0.7, dark_mean=0.05)
+        key = generate_key(6, 8, 1.0, rng=3)
+        candidate = np.zeros(6)
+        for seed in range(300):
+            result = lock_test(key, candidate, model, rng=seed)
+            stats = lock_test_pass_rate(key, candidate, model, trials=1, rng=seed)
+            assert result.passed == (stats.successes == 1)
+            assert set(result.clicks) <= {0, 1}
+
     def test_mismatched_candidate_recovery_is_the_average(self):
         key = generate_key(3, 8, 1.0, rng=4)
         candidate = np.zeros(3)
@@ -376,7 +387,7 @@ class TestAnalyticPassProbability:
             analytic_pass_probability(1.0, 4, beta, DetectorModel(efficiency=1e-4))
 
     def test_key_passes_unless_a_dark_count_fires(self):
-        model = DetectorModel(efficiency=0.2, dark_mean=0.02, number_resolving=False)
+        model = DetectorModel(efficiency=0.2, dark_mean=0.02)
         assert analytic_pass_probability(5.0, 16, None, model) == math.exp(-16 * 0.02)
 
 

@@ -159,6 +159,12 @@ class TestVerification:
         beta = coherent_with_overlap(alpha, 0.5)
         assert math.exp(-abs(beta - alpha) ** 2) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [math.nan, complex(0.0, math.nan), math.inf, 1e101])
+    def test_overlap_constructor_rejects_alpha_outside_the_domain(self, alpha):
+        # A NaN alpha came back as a NaN amplitude.
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_with_overlap(alpha, 0.5)
+
 
 class TestDishonestAlice:
     def test_single_position_splits_with_probability_half(self):
@@ -266,6 +272,23 @@ class TestCheatBound:
     def test_rejects_sub_unit_exponent(self):
         with pytest.raises(ValueError):
             cheat_bound(0.1, 5)
+
+    @pytest.mark.parametrize("s", [math.nan, 2.0, 0.0, -0.5, math.inf])
+    def test_rejects_s_outside_the_unit_interval(self, s):
+        # NaN gave nan and s = 2 gave 1.9e-6, a bound no verdict rule has.
+        with pytest.raises(ValueError, match="security parameter s must lie in"):
+            cheat_bound(s, 10)
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan, 0, 2.5, -3])
+    def test_rejects_a_length_that_is_no_positive_integer(self, length):
+        # length = inf gave a bound of 0.0.
+        with pytest.raises(ValueError, match="key length must be an integer"):
+            cheat_bound(1.0, length)
+
+    def test_rejects_a_length_beyond_the_work_budget(self):
+        # 10**400 raised OverflowError, as the other key-length guards once did.
+        with pytest.raises(ValueError, match="WORK_BUDGET"):
+            cheat_bound(1.0, 10**400)
 
 
 class TestDistributedExchange:
