@@ -17,8 +17,8 @@ Philox generator placed at its range's first uniform (the stream can be
 entered at any position), so the result and every later draw equal those
 of one full-table draw whatever the number of CPUs.  Each range is drawn in
 blocks that together hold about ``BLOCK_UNIFORMS`` uniforms and are reduced
-to per-trial counts at once, so memory stays bounded whatever the number of
-trials.
+to per-trial counts at once, so besides one block in flight the engine holds
+only the counts: one byte per trial up to 255 positions, two up to 65 535.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _fill_counts(gen: np.random.Generator, p: np.ndarray, out: np.ndarray, rows:
         n = min(rows, out.size - start)
         gen.random(out=uniforms[:n])
         np.less(uniforms[:n], p, out=hits[:n])
-        np.sum(hits[:n], axis=1, out=out[start:start + n])
+        np.add.reduce(hits[:n], axis=1, dtype=out.dtype, out=out[start:start + n])
 
 
 def trial_clicks(p, rng) -> np.ndarray:
@@ -148,16 +148,20 @@ def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
 
     Trial ``i`` draws one uniform ``u`` per position and counts ``u < p[j]``;
     for a click probability ``1 - exp(-mean)`` that is exactly the event that
-    the inverse-CDF Poisson count is nonzero.  The trials are split into
-    contiguous ranges, one per available CPU (at most one per block of
-    ``BLOCK_UNIFORMS`` uniforms).  The calling thread fills the first range
-    with the caller's generator; a thread per further range fills it from a
-    Philox generator placed at the range's first uniform.  Each range is
-    drawn in blocks of ``BLOCK_UNIFORMS // ranges`` uniforms, reduced to
-    counts before the next, so no (trials, len(p)) table is ever held.  The
-    counts, and the caller's stream position afterwards, equal those of one
-    full-table draw whatever the number of CPUs.  A generator other than
-    Philox fills a single range.  Every ``p[j]`` must lie in [0, 1].
+    the inverse-CDF Poisson count is nonzero.  The counts come in the
+    narrowest unsigned type that holds ``len(p)``,
+    ``numpy.min_scalar_type(len(p))``: ``uint8`` up to 255 positions and
+    ``uint16`` up to 65 535, so a caller's arithmetic on them may wrap.  The
+    trials are split into contiguous ranges, one per available CPU (at most
+    one per block of ``BLOCK_UNIFORMS`` uniforms).  The calling thread fills
+    the first range with the caller's generator; a thread per further range
+    fills it from a Philox generator placed at the range's first uniform.
+    Each range is drawn in blocks of ``BLOCK_UNIFORMS // ranges`` uniforms,
+    each row-summed straight into the counts before the next is drawn, so no
+    (trials, len(p)) table is ever held.  The counts, and the caller's stream
+    position afterwards, equal those of one full-table draw whatever the
+    number of CPUs.  A generator other than Philox fills a single range.
+    Every ``p[j]`` must lie in [0, 1].
     """
     trials = domain.integer(trials, "trials", 1)
     domain.size(trials, "the per-trial counts")
@@ -171,7 +175,7 @@ def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
     bounds = [trials * k // ranges for k in range(ranges + 1)]
     state = gen.bit_generator.state if ranges > 1 else None
     gens = [gen] + [_philox_at(state, start * p.size) for start in bounds[1:-1]]
-    counts = np.empty(trials, dtype=np.int64)
+    counts = np.empty(trials, dtype=np.min_scalar_type(p.size))  # a count never exceeds p.size
     errors = []
 
     def fill(k):

@@ -54,6 +54,14 @@ def amplitudes(values, name: str = "amplitudes", *, minimum: int = 1,
     return arr
 
 
+def amplitude(value, name: str, *, limit: float = MAX_AMPLITUDE) -> complex:
+    """One finite complex number with |a| <= ``limit``; a sequence of any length but 1 is rejected."""
+    arr = np.asarray(value, dtype=complex)
+    if arr.size != 1:
+        raise ValueError(f"{name} must be a single complex number, got shape {arr.shape}")
+    return complex(amplitudes(arr.reshape(1), name, limit=limit)[0])
+
+
 def _interval(value, name: str, limit: float, positive: bool, limit_text: str):
     """A real in [0, limit] ((0, limit] if ``positive``): a float, or a float array for arrays."""
     # Scalars skip numpy's per-call overhead; the exact-type test skips the ABC check's.

@@ -91,7 +91,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     """
     cutoff = domain.integer(cutoff, "cutoff", 1)
     domain.size(cutoff + 1, "the coherent state")
-    alpha = complex(domain.amplitudes(alpha, "alpha", limit=MAX_COHERENT_AMPLITUDE)[0])
+    alpha = domain.amplitude(alpha, "alpha", limit=MAX_COHERENT_AMPLITUDE)
     amps = np.empty(cutoff + 1, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, cutoff + 1):
@@ -107,7 +107,7 @@ def squeezed_vacuum_fock(xi: complex, cutoff: int) -> tuple[FockVector, float]:
     constant is ``s = (1 - 4 |xi|^2)^{1/4}``; ``s`` is returned alongside the
     state.  The cutoff must be even so the top populated level is complete.
     """
-    xi = complex(domain.amplitudes(xi, "xi", limit=math.nextafter(0.5, 0.0))[0])  # |xi| < 1/2
+    xi = domain.amplitude(xi, "xi", limit=math.nextafter(0.5, 0.0))  # |xi| < 1/2
     if domain.integer(cutoff, "cutoff", 2) % 2:
         raise ValueError(f"cutoff must be even, got {cutoff}")
     domain.size(cutoff + 1, "the squeezed state")

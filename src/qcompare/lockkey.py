@@ -107,7 +107,7 @@ def lock_test_pass_rate(key: KeyString, candidate, model: DetectorModel = IDEAL,
     """Empirical probability that the candidate silently passes the lock test."""
     _, _, diff_means = _compared(key, candidate)
     clicks = bernoulli_counts(click_probabilities(diff_means, model), trials, rng)
-    successes = int(np.count_nonzero(clicks == 0))
+    successes = clicks.size - int(np.count_nonzero(clicks))  # no trial-long ``clicks == 0``
     low, high = wilson_interval(successes, trials)
     return TrialStats(successes / trials, low, high, successes, trials)
 

@@ -155,7 +155,7 @@ def verify_against_private(copy_amplitudes, claimed_phases, n_phases: int, ampli
 
 def coherent_with_overlap(alpha: complex, overlap: float) -> complex:
     """A coherent amplitude whose state has squared overlap ``overlap`` with |alpha>."""
-    alpha = complex(domain.amplitudes(alpha, "alpha")[0])
+    alpha = domain.amplitude(alpha, "alpha")
     overlap = domain.fraction(overlap, "overlap", positive=True)
     return alpha + math.sqrt(-math.log(overlap))
 
@@ -514,7 +514,9 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
         raise ValueError(f"unsupported adversary {adversary!r} for the distributed scheme")
     if adversary == "charlie-flip" and recipients != 2:
         raise ValueError("the charlie-flip adversary is defined for 2 recipients")
-    # Two int64 columns (clicks, Bob's errors) and three one-byte ones: about 21 bytes per trial.
+    # Two count columns (clicks, Bob's errors; one byte each up to 255 positions, two up to
+    # 65 535), three one-byte ones and the verdict temporaries: 8-10 bytes per trial.  The
+    # limit dates from int64 counts (21 bytes) and is kept so the accepted trials do not move.
     trials = domain.integer(trials, "trials", 1)
     domain.size(3 * trials, "the per-trial columns")
     gen = stream(rng)

@@ -1,9 +1,13 @@
 import math
 import sys
 import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcompare import detection
 from qcompare.detection import (
@@ -126,6 +130,19 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(reg, make_beam_splitter(0.5), [2], IDEAL, trials=10, rng=0)
 
+    def test_ten_million_trials_in_bounded_memory(self):
+        # One-byte counts (10 MB) and one block in flight; int64 counts took 82.5 MB.
+        reg = CoherentRegister([1.0, -1.0])
+        tracemalloc.start()
+        try:
+            stats = run_trials(reg, make_beam_splitter(0.5), [1], IDEAL, trials=10**7, rng=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = 1.0 - math.exp(-2.0)
+        assert abs(stats.rate - expected) < three_sigma(expected, stats.trials)
+        assert peak <= 16e6, peak
+
     def test_seed_determinism(self):
         reg = CoherentRegister([0.8, -0.3 + 0.2j])
         a = run_trials(reg, make_beam_splitter(0.5), [0, 1], IDEAL, trials=2000, rng=77)
@@ -235,6 +252,25 @@ class TestBernoulliCounts:
         np.testing.assert_array_equal(bernoulli_counts(self.P, self.TRIALS, gen),
                                       one_shot_counts(self.P, self.TRIALS, ref))
         assert placed == []
+        self.assert_same_next_draws(gen, ref)
+
+    # Widths about the uint8 -> uint16 switch of the counts; CPUs drive the range count.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(width=st.sampled_from([1, 7, 255, 256, 257]), cpus=st.integers(1, 5),
+           span=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1),
+           doubles=st.integers(0, 5), int32s=st.integers(0, 1), ones=st.booleans())
+    @example(width=256, cpus=3, span=2.5, seed=0, doubles=1, int32s=1, ones=True)
+    def test_property_equals_one_shot_table(self, width, cpus, span, seed, doubles, int32s, ones):
+        trials = 1 + int(span * (BLOCK_UNIFORMS // width))  # up to five blocks
+        p = np.ones(width) if ones else stream(seed).random(width)
+        gen, ref = stream(seed), stream(seed)
+        self.predraw(doubles, int32s, gen, ref)
+        with mock.patch.object(detection, "_available_cpus", lambda: cpus):
+            counts = bernoulli_counts(p, trials, gen)
+        assert counts.dtype == np.min_scalar_type(width)
+        np.testing.assert_array_equal(counts, one_shot_counts(p, trials, ref))
+        if ones:  # 256 hits must not wrap to 0 in the counts
+            assert np.all(counts == width)
         self.assert_same_next_draws(gen, ref)
 
     def test_worker_exception_propagates(self, monkeypatch, placed):

@@ -43,6 +43,16 @@ class TestGuards:
         with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
             domain.amplitudes([[1.0]])
 
+    def test_amplitude(self):
+        value = domain.amplitude(np.array([[2.0 - 1j]]), "a")
+        assert type(value) is complex and value == 2.0 - 1j
+        assert domain.amplitude(3, "a") == 3.0
+        for several in ([0.5, 3.0], [], np.zeros((2, 1))):
+            with pytest.raises(ValueError, match="a must be a single complex number"):
+                domain.amplitude(several, "a")
+        with pytest.raises(ValueError, match=r"a must be finite with magnitude <= 1\.0, got"):
+            domain.amplitude(2.0, "a", limit=1.0)
+
     def test_magnitude(self):
         assert domain.magnitude(0, "x") == 0.0 and isinstance(domain.magnitude(2, "x"), float)
         assert domain.magnitude(MAX_AMPLITUDE, "x") == MAX_AMPLITUDE

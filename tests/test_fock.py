@@ -84,6 +84,11 @@ class TestCoherentFock:
         with pytest.raises(ValueError):
             coherent_fock(1.0, 0)
 
+    def test_rejects_several_amplitudes(self):
+        # Read as its first entry: coherent_fock([0.5, 3.0], 10) equalled coherent_fock(0.5, 10).
+        with pytest.raises(ValueError, match="alpha must be a single complex number"):
+            coherent_fock([0.5, 3.0], 10)
+
     def test_poisson_distribution(self):
         dist = photon_distribution(coherent_fock(1.0, 30))
         expect = np.array([math.exp(-1.0) / math.factorial(n) for n in range(31)])
@@ -118,6 +123,10 @@ class TestSqueezedVacuum:
     def test_rejects_odd_cutoff(self):
         with pytest.raises(ValueError):
             squeezed_vacuum_fock(0.2, 41)
+
+    def test_rejects_several_squeezing_parameters(self):
+        with pytest.raises(ValueError, match="xi must be a single complex number"):
+            squeezed_vacuum_fock([0.2, 0.4], 40)
 
 
 class TestBeamSplitterBlocks:

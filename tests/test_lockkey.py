@@ -146,7 +146,8 @@ class TestLockTest:
         assert abs(rate - expected) < three_sigma(expected, trials_per_key * n_phases)
 
     def test_pass_rate_memory_is_bounded_in_trials(self):
-        # a full (trials, M) float table would need 512 MB here
+        # A full (trials, M) float table would need 512 MB here.  One block in
+        # flight and one-byte counts take 3.5 MB; int64 counts took 10.5 MB.
         key = generate_key(64, 8, 0.12, rng=4)
         tracemalloc.start()
         try:
@@ -154,7 +155,7 @@ class TestLockTest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak <= 4e6, peak
 
     @pytest.mark.parametrize("length", [10**400, domain.WORK_BUDGET + 1],
                              ids=["10**400", "WORK_BUDGET+1"])

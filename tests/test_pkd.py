@@ -165,6 +165,11 @@ class TestVerification:
         with pytest.raises(ValueError, match="alpha must be finite"):
             coherent_with_overlap(alpha, 0.5)
 
+    def test_overlap_constructor_rejects_several_amplitudes(self):
+        # coherent_with_overlap([1.0, 7.0], 0.5) returned 1.83, ignoring the 7.
+        with pytest.raises(ValueError, match="alpha must be a single complex number"):
+            coherent_with_overlap([1.0, 7.0], 0.5)
+
 
 class TestDishonestAlice:
     def test_single_position_splits_with_probability_half(self):
