@@ -342,8 +342,7 @@ def _cmd_pkd(args) -> Report:
         "summary": summary,
         "events": events,
     }
-    columns = ("trial", "e_bob", "e_charlie", "verdict_bob", "verdict_charlie", "clicks")
-    return Report(fields=obj, columns=columns, rows=rows)
+    return Report(fields=obj, columns=pkd.TRIAL_COLUMNS, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,8 @@ VERDICT_UNSURE = "unsure"
 VERDICT_REJECT = "reject"
 VERDICTS = (VERDICT_ACCEPT, VERDICT_UNSURE, VERDICT_REJECT)
 ACCEPT, UNSURE, REJECT = range(3)  # verdict codes: indices into VERDICTS
-
-
-def _c_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+# The per-trial rows of the protocol drivers, in ``TrialTable`` order.
+TRIAL_COLUMNS = ("trial", "e_bob", "e_charlie", "verdict_bob", "verdict_charlie", "clicks")
 
 
 class ProtocolTranscript:
@@ -63,9 +61,10 @@ class ProtocolTranscript:
     def record(self, party: str, action: str, position=None, amplitudes=None, counts=None, **extra):
         event = {"party": party, "action": action, "position": position}
         if amplitudes is not None:
-            event["amplitudes"] = [_c_pair(complex(a)) for a in np.atleast_1d(amplitudes)]
+            pairs = np.atleast_1d(amplitudes).astype(complex).view(float).reshape(-1, 2)
+            event["amplitudes"] = pairs.tolist()
         if counts is not None:
-            event["counts"] = [int(c) for c in np.atleast_1d(counts)]
+            event["counts"] = np.atleast_1d(np.asarray(counts, dtype=np.int64)).tolist()
         event.update(extra)
         self.events.append(event)
 
@@ -105,14 +104,17 @@ def verdicts(errors, security_s: float, length: int) -> np.ndarray:
     """Verdict code (an index into ``VERDICTS``, as ``uint8``) for each error count.
 
     ACCEPT on zero errors, REJECT at errors >= s * length, UNSURE in between.
+    As UNSURE is 1 and REJECT 2, the code of an integer count e is
+    ``(e != 0) + (e >= max(ceil(s * length), 1))``, with one boolean temporary.
     """
     domain.fraction(security_s, "security parameter s", positive=True)
     errors = np.asarray(errors)
     # An integer threshold: numpy 1.x would compare uint8 counts with a float in float16.
-    reject_at = math.ceil(security_s * length)
-    code = np.uint8  # one byte per verdict
-    return np.where(errors == 0, code(ACCEPT),
-                    np.where(errors >= reject_at, code(REJECT), code(UNSURE)))
+    # At least 1, so that zero errors stay ACCEPT when s * length rounds up to 0.
+    reject_at = max(math.ceil(security_s * length), 1)
+    code = np.not_equal(errors, 0, out=np.empty(errors.shape, dtype=np.uint8))
+    code += errors >= reject_at
+    return code
 
 
 def verdict_for(errors: int, security_s: float, length: int) -> str:
@@ -122,12 +124,8 @@ def verdict_for(errors: int, security_s: float, length: int) -> str:
 
 def _split_verdicts(codes_a, codes_b) -> np.ndarray:
     """True where one party accepts while the other rejects."""
-    return ((codes_a == ACCEPT) & (codes_b == REJECT)) | ((codes_b == ACCEPT) & (codes_a == REJECT))
-
-
-def _incorrect_probability(held, target) -> np.ndarray:
-    """Per-position chance that testing |held> against |target> reports "incorrect"."""
-    return np.clip(1.0 - np.exp(-np.abs(held - target) ** 2), 0.0, 1.0)
+    # Of the codes 0, 1 and 2, only ACCEPT and REJECT differ in exactly these bits.
+    return (codes_a ^ codes_b) == ACCEPT ^ REJECT
 
 
 @dataclass(frozen=True)
@@ -142,14 +140,16 @@ def verify_against_private(copy_amplitudes, claimed_phases, n_phases: int, ampli
 
     Each position is measured with the two-outcome test {|target><target|,
     1 - |target><target|}; the incorrect outcome fires with probability
-    ``1 - |<target|held>|^2 = 1 - exp(-|held - target|^2)``.  The outcomes
-    are one trial of the trial engine, ``bernoulli_counts``.
+    ``1 - |<target|held>|^2 = 1 - exp(-|held - target|^2)``, the click
+    probability of an ideal detector on a mode of mean ``|held - target|^2``.
+    The outcomes are one trial of the trial engine, ``trial_clicks``.
     """
     held = domain.amplitudes(copy_amplitudes, "held copy", limit=math.inf)
     target = private_key_amplitudes(claimed_phases, n_phases, amplitude)
     if held.shape != target.shape:
         raise ValueError(f"copy has {held.size} positions, claimed key has {target.size}")
-    errors = int(bernoulli_counts(_incorrect_probability(held, target), 1, rng)[0])
+    clicks = trial_clicks(click_probabilities(np.abs(held - target) ** 2), rng)
+    errors = int(np.count_nonzero(clicks))
     return VerificationResult(errors=errors, verdict=verdict_for(errors, security_s, held.size))
 
 
@@ -389,7 +389,7 @@ def _bob_counts(gamma, deviation, trials: int, gen):
     probabilities are exactly 0.
     """
     click_mean = np.abs(gamma[0, :, 1:]) ** 2
-    p_error = _incorrect_probability(deviation[0], 0.0)
+    p_error = click_probabilities(np.abs(deviation[0]) ** 2)
     clicks = bernoulli_counts(click_probabilities(click_mean.ravel()), trials, gen)
     errors = bernoulli_counts(p_error, trials, gen)
     return click_mean, p_error, clicks, errors
@@ -430,8 +430,8 @@ def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length:
 class TrialTable(Sequence):
     """Per-trial rows of a protocol driver, held as read-only columns.
 
-    Row ``i`` is the dict ``{"trial", "e_bob", "e_charlie", "verdict_bob",
-    "verdict_charlie", "clicks"}``; it is built only when read.  Iteration
+    Row ``i`` is the dict with keys ``TRIAL_COLUMNS``; it is built only when
+    read.  A column whose every entry is known may be a zero-stride view.  Iteration
     converts ``domain.CHUNK_ROWS`` rows of every column at a time, so a table
     costs the bytes of its columns, not of its rows.
     """
@@ -471,7 +471,7 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
     if adversary not in ("none", "alice-overlap-half"):
         raise ValueError(f"unsupported adversary {adversary!r} for the center scheme")
     copies = domain.integer(copies, "recipients", 2)
-    # Five one-byte columns and their verdict temporaries: about 9 bytes per trial.
+    # Two error columns and two verdict ones: 4 bytes per trial (no clicks column is held).
     trials = domain.integer(trials, "trials", 1)
     domain.size(trials, "the per-trial columns")
     gen = stream(rng)
@@ -488,9 +488,9 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
     if adversary != "none":
         transcript.record("alice", "substitute", position=0,
                           amplitudes=[coherent_with_overlap(key.amplitudes()[0], attack.overlap)])
-    v_bob = verdicts(errors[0], security_s, length)
-    v_charlie = verdicts(errors[1], security_s, length)
-    rows = TrialTable(errors[0], errors[1], v_bob, v_charlie, np.zeros(trials, dtype=np.uint8))
+    v_bob, v_charlie = verdicts(errors, security_s, length)
+    rows = TrialTable(errors[0], errors[1], v_bob, v_charlie,
+                      np.broadcast_to(np.uint8(0), trials))  # no clicks: nothing is compared
     summary = {
         "scheme": "center",
         "adversary": adversary,
@@ -514,9 +514,9 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
         raise ValueError(f"unsupported adversary {adversary!r} for the distributed scheme")
     if adversary == "charlie-flip" and recipients != 2:
         raise ValueError("the charlie-flip adversary is defined for 2 recipients")
-    # Two count columns (clicks, Bob's errors; one byte each up to 255 positions, two up to
-    # 65 535), three one-byte ones and the verdict temporaries: 8-10 bytes per trial.  The
-    # limit dates from int64 counts (21 bytes) and is kept so the accepted trials do not move.
+    # Bob's clicks and errors (one byte each up to 255 positions, two up to 65 535) and his
+    # verdicts: 3-5 bytes per trial; Charlie's columns are zero-stride views.  The limit dates
+    # from int64 counts (21 bytes) and is kept so the accepted trials do not move.
     trials = domain.integer(trials, "trials", 1)
     domain.size(3 * trials, "the per-trial columns")
     gen = stream(rng)
@@ -526,10 +526,10 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
     tamper = CharlieTamper("flip" if adversary == "charlie-flip" else "none")
     parties, gamma, deviation = _run_exchange([alpha] * recipients, gen, tamper)
     _, _, clicks, e_bob = _bob_counts(gamma, deviation, trials, gen)
-    # Charlie's incoming shares are never tampered, so he recovers his copy exactly.
-    e_charlie = np.zeros(trials, dtype=np.uint8)
     v_bob = verdicts(e_bob, security_s, length)
-    rows = TrialTable(e_bob, e_charlie, v_bob, verdicts(e_charlie, security_s, length), clicks)
+    # Charlie's incoming shares are never tampered: he recovers his copy exactly and accepts.
+    rows = TrialTable(e_bob, np.broadcast_to(np.uint8(0), trials), v_bob,
+                      np.broadcast_to(np.uint8(ACCEPT), trials), clicks)
     events = []
     for party in parties:
         events.extend(party.transcript.events)

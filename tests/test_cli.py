@@ -10,7 +10,6 @@ import stat
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 from qcompare import cli, comparison, linear, pkd
 from qcompare.domain import CHUNK_ROWS, WORK_BUDGET
 from qcompare.errors import InvariantError
+from support import traced_peak
 
 
 def read(path):
@@ -292,17 +292,12 @@ class TestStreamedCsv:
     def test_pkd_csv_at_the_row_budget_in_bounded_memory(self, tmp_path):
         # The row dicts and the joined text of 2 * 10^5 rows took 89.7 MB.
         out = tmp_path / "pkd.csv"
-        tracemalloc.start()
-        try:
-            code = cli.main(["pkd", "--scheme", "center", "--format", "csv", "--trials", "200000",
-                             "--adversary", "alice-overlap-half", "--s", "0.1",
-                             "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(cli.main, ["pkd", "--scheme", "center", "--format", "csv",
+                                            "--trials", "200000", "--adversary",
+                                            "alice-overlap-half", "--s", "0.1", "--out", str(out)])
         assert code == 0
         assert out.read_text().count("\n") == 200_002
-        assert peak <= 16.0, peak
+        assert peak <= 16e6, peak
 
 
 class TestStreamedJson:
@@ -316,16 +311,11 @@ class TestStreamedJson:
     def test_pkd_json_in_bounded_memory(self, tmp_path):
         # The joined text and json's chunk list of this report peaked at 59.8 MB traced.
         out = tmp_path / "pkd.json"
-        tracemalloc.start()
-        try:
-            code = cli.main(["pkd", "--scheme", "distributed", "--recipients", "6", "--M", "2000",
-                             "--trials", "10", "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(cli.main, ["pkd", "--scheme", "distributed", "--recipients", "6",
+                                            "--M", "2000", "--trials", "10", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["params"]["M"] == 2000
-        assert peak <= 30.0, peak
+        assert peak <= 30e6, peak
 
 
 class TestContracts:

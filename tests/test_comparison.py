@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from qcompare.detection import IDEAL, run_trials
 from qcompare.domain import MAX_AMPLITUDE
 from qcompare.errors import InvariantError
 from qcompare.linear import CoherentRegister, make_balanced_multiport
+from support import traced_peak
 
 RNG = np.random.default_rng(31415)
 
@@ -325,12 +325,7 @@ class TestLogDomainForms:
         rng = np.random.default_rng(n)
         amps = complex(*rng.standard_normal(2)) + (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(n)
-        tracemalloc.start()
-        try:
-            report = compare_report(amps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(compare_report, amps)
         # One N x N complex table alone would take 256 MB at N = 4000.
         assert peak < 8e6
         assert max(report.forms) - min(report.forms) <= FORM_AGREEMENT_TOL

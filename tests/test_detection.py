@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,10 +21,7 @@ from qcompare.detection import (
     wilson_interval,
 )
 from qcompare.linear import CoherentRegister, make_balanced_multiport, make_beam_splitter
-
-
-def three_sigma(p, n):
-    return 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / n)
+from support import three_sigma, traced_peak
 
 
 class TestDetectorModel:
@@ -133,12 +129,8 @@ class TestRunTrials:
     def test_ten_million_trials_in_bounded_memory(self):
         # One-byte counts (10 MB) and one block in flight; int64 counts took 82.5 MB.
         reg = CoherentRegister([1.0, -1.0])
-        tracemalloc.start()
-        try:
-            stats = run_trials(reg, make_beam_splitter(0.5), [1], IDEAL, trials=10**7, rng=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        stats, peak = traced_peak(run_trials, reg, make_beam_splitter(0.5), [1], IDEAL,
+                                  trials=10**7, rng=3)
         expected = 1.0 - math.exp(-2.0)
         assert abs(stats.rate - expected) < three_sigma(expected, stats.trials)
         assert peak <= 16e6, peak

@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcompare import comparison, detection, domain, fock, linear, lockkey, pkd
 from qcompare.domain import MAX_AMPLITUDE, WORK_BUDGET
+from support import traced_peak
 
 NAN = math.nan
 
@@ -112,13 +112,11 @@ class TestBudgetsRejectBeforeAllocating:
         lambda: pkd.run_center_protocol(4, 8, 1.0, 2, 0.5, 10**9, "none"),
     ])
     def test_oversized_request_fails_by_estimate(self, call):
-        tracemalloc.start()
-        try:
+        def oversized():
             with pytest.raises(ValueError, match="WORK_BUDGET"):
                 call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(oversized)
         assert peak < 1e6, peak
 
 

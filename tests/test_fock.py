@@ -2,7 +2,6 @@ import itertools
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from qcompare.fock import (
 )
 from qcompare.fock import _bs_blocks, _bs_windows
 from qcompare.linear import CoherentRegister, apply_network, make_beam_splitter
+from support import traced_peak
 
 RNG = np.random.default_rng(905)
 
@@ -197,13 +197,11 @@ class TestBeamSplitterBlocks:
         _bs_windows.cache_clear()
         state = coherent_pair(0.3, -0.2j, 96)
         sweep = [float(t) for t in np.linspace(0.05, 0.95, 10)]
-        tracemalloc.start()
-        try:
+        def apply_sweep():
             for transmittance in sweep:
                 apply_bs_fock(state, transmittance)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(apply_sweep)
         info = _bs_windows.cache_info()
         assert (info.misses, info.currsize) == (10, 1)
         _bs_windows(sweep[-1], 96)
@@ -260,12 +258,7 @@ class TestBeamSplitterBlocks:
         with pytest.raises(ValueError, match="WORK_BUDGET"):
             _bs_windows(0.37, cutoff + 1)
         state = coherent_pair(0.3, -0.2j, cutoff)
-        tracemalloc.start()
-        try:
-            out = apply_bs_fock(state, 0.37)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(apply_bs_fock, state, 0.37)
         assert peak <= 82.8e6, peak
         t, r = math.sqrt(0.37), math.sqrt(0.63)
         assert fidelity(out, coherent_pair(0.3 * t - 0.2j * r, 0.3 * r + 0.2j * t,

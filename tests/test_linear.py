@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +15,7 @@ from qcompare.linear import (
     make_phase_shift,
     output_means,
 )
+from support import traced_peak
 
 RNG = np.random.default_rng(20240811)
 
@@ -175,7 +175,7 @@ class TestMatrixOwnership:
         dft = make_balanced_multiport(512)
         # DFT^2 is a permutation, judged by the Gram product: 1.75x the matrix
         # with its row blocks; a copy of the product would add 1x.
-        assert traced_peak(compose, dft, dft) <= 2.0 * dft.matrix.nbytes
+        assert traced_peak(compose, dft, dft)[1] <= 2.0 * dft.matrix.nbytes
 
 
 def dense_dft(n):
@@ -194,16 +194,6 @@ def one_shot_dft(n):
 def assert_bitwise(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
-
-
-def traced_peak(fn, *args):
-    """Peak bytes traced while ``fn(*args)`` runs, above what was held before."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestFourierCertificate:
@@ -239,12 +229,8 @@ class TestFourierCertificate:
 
     def test_budget_maximum_dft_memory(self):
         # The index and the certificate's FFT go by row blocks: the matrix is the peak.
-        tracemalloc.start()
-        try:
-            mat = make_balanced_multiport(3162).matrix
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        net, peak = traced_peak(make_balanced_multiport, 3162)
+        mat = net.matrix
         assert peak <= 1.05 * mat.nbytes, peak / mat.nbytes
 
     @pytest.mark.parametrize("n", SIZES)
@@ -335,7 +321,7 @@ class TestApplyWithoutCopies:
     def test_apply_allocates_no_matrix(self):
         net = make_balanced_multiport(1024)
         reg = CoherentRegister(random_amplitudes(1024))
-        assert traced_peak(apply_network, net, reg) <= 0.01 * net.matrix.nbytes
+        assert traced_peak(apply_network, net, reg)[1] <= 0.01 * net.matrix.nbytes
 
     @pytest.mark.parametrize("n", [2, 7, 97])
     def test_gram_defect_is_bitwise_the_full_product(self, n):
@@ -346,7 +332,7 @@ class TestApplyWithoutCopies:
     def test_gram_defect_holds_row_blocks_only(self):
         mat = make_balanced_multiport(1024).matrix[::-1]
         assert linear._gram_defect(mat) == np.max(np.abs(mat @ mat.conj().T - np.eye(1024)))
-        assert traced_peak(linear._gram_defect, mat) <= 0.25 * mat.nbytes
+        assert traced_peak(linear._gram_defect, mat)[1] <= 0.25 * mat.nbytes
 
     def test_gram_defect_keeps_a_nan_block(self):
         mat = np.eye(300, dtype=complex)

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,7 @@ from qcompare.lockkey import (
     photon_budget_ok,
     stirling_entropy_approx,
 )
+from support import three_sigma, traced_peak
 
 SQRT2 = math.sqrt(2.0)
 # Largest key amplitude whose attack scan fits the work budget.
@@ -54,10 +54,6 @@ def full_scan_attack(amplitude):
     p_star = max(v for _, v in candidates)
     beta_star = min(b for b, v in candidates if v >= p_star - 1e-15)
     return AttackOptimum(beta_star=beta_star, p_star=p_star)
-
-
-def three_sigma(p, n):
-    return 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / n)
 
 
 class TestKeyGeneration:
@@ -149,12 +145,8 @@ class TestLockTest:
         # A full (trials, M) float table would need 512 MB here.  One block in
         # flight and one-byte counts take 3.5 MB; int64 counts took 10.5 MB.
         key = generate_key(64, 8, 0.12, rng=4)
-        tracemalloc.start()
-        try:
-            lock_test_pass_rate(key, np.zeros(64), IDEAL, trials=1_000_000, rng=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lock_test_pass_rate, key, np.zeros(64), IDEAL, trials=1_000_000,
+                              rng=5)
         assert peak <= 4e6, peak
 
     @pytest.mark.parametrize("length", [10**400, domain.WORK_BUDGET + 1],

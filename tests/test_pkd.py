@@ -1,11 +1,13 @@
+import itertools
 import json
 import math
 import time
-import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from qcompare import pkd
@@ -13,13 +15,16 @@ from qcompare.detection import bernoulli_counts, click_probabilities, stream
 from qcompare.domain import BLOCK_ENTRIES, CHUNK_ROWS, WORK_BUDGET
 from qcompare.lockkey import generate_key
 from qcompare.pkd import (
+    ACCEPT,
+    REJECT,
+    TRIAL_COLUMNS,
+    UNSURE,
     VERDICTS,
     AliceCenterAttack,
     CharlieTamper,
     ProtocolTranscript,
     TrialTable,
     _exchange_outputs,
-    _incorrect_probability,
     _split_verdicts,
     cheat_bound,
     coherent_with_overlap,
@@ -34,12 +39,9 @@ from qcompare.pkd import (
     verdicts,
     verify_against_private,
 )
+from support import three_sigma, traced_peak
 
 RNG = np.random.default_rng(2718)
-
-
-def three_sigma(p, n):
-    return 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / n)
 
 
 class TestTrustedCenter:
@@ -101,7 +103,7 @@ class TestVerification:
         held = target.copy()
         held[0] = coherent_with_overlap(held[0], 0.5)
         trials = 100_000
-        errors = bernoulli_counts(_incorrect_probability(held, target), trials, 17)
+        errors = bernoulli_counts(click_probabilities(np.abs(held - target) ** 2), trials, 17)
         assert set(np.unique(errors)) <= {0, 1}
         rate = np.count_nonzero(errors) / trials
         assert abs(rate - 0.5) < three_sigma(0.5, trials)
@@ -113,7 +115,8 @@ class TestVerification:
         target = private_key_amplitudes(claimed, n_phases, amp)
         expected = 1.0 - math.exp(-abs(held[0] - target[0]) ** 2)
         trials = 50_000
-        errs = int(bernoulli_counts(_incorrect_probability(held, target), trials, 0).sum())
+        p_incorrect = click_probabilities(np.abs(held - target) ** 2)
+        errs = int(bernoulli_counts(p_incorrect, trials, 0).sum())
         assert abs(errs / trials - expected) < three_sigma(expected, trials)
 
     def test_engine_draw_matches_a_direct_uniform_table(self):
@@ -171,6 +174,44 @@ class TestVerification:
             coherent_with_overlap([1.0, 7.0], 0.5)
 
 
+def where_verdicts(errors, security_s, length):
+    """Reference: the two-``np.where`` rule that ``verdicts`` computed before its code arithmetic."""
+    errors = np.asarray(errors)
+    reject_at = math.ceil(security_s * length)
+    code = np.uint8
+    return np.where(errors == 0, code(ACCEPT),
+                    np.where(errors >= reject_at, code(REJECT), code(UNSURE)))
+
+
+class TestVerdictProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+           s=st.floats(0.0, 1.0, exclude_min=True), length=st.integers(0, 300), data=st.data())
+    @example(dtype=np.uint8, s=1.0, length=300, data=None)  # a threshold no uint8 count reaches
+    @example(dtype=np.uint8, s=0.001, length=5, data=None)  # s M < 1: one error rejects
+    @example(dtype=np.int64, s=0.5, length=0, data=None)  # threshold 0
+    def test_property_equals_the_where_rule_and_is_monotone(self, dtype, s, length, data):
+        top = int(np.iinfo(dtype).max)
+        if data is None:
+            errors = np.array([0, 1, 2, top, 5, 255, 0], dtype=dtype)
+        else:
+            count = st.one_of(st.integers(0, min(top, 2 * length + 2)), st.just(top))
+            errors = np.array(data.draw(st.lists(count, max_size=300)), dtype=dtype)
+        codes = verdicts(errors, s, length)
+        assert codes.dtype == np.uint8 and codes.shape == errors.shape
+        np.testing.assert_array_equal(codes, where_verdicts(errors, s, length))
+        ordered = codes[np.argsort(errors, kind="stable")]
+        assert np.all(ordered[1:] >= ordered[:-1])  # more errors never soften the verdict
+        for e in errors[:3].tolist():
+            assert verdict_for(e, s, length) == VERDICTS[where_verdicts(e, s, length)]
+
+    def test_split_verdicts_on_every_code_pair(self):
+        a, b = np.array(list(itertools.product(range(3), repeat=2)), dtype=np.uint8).T
+        reference = ((a == ACCEPT) & (b == REJECT)) | ((b == ACCEPT) & (a == REJECT))
+        np.testing.assert_array_equal(_split_verdicts(a, b), reference)
+        assert np.count_nonzero(reference) == 2
+
+
 class TestDishonestAlice:
     def test_single_position_splits_with_probability_half(self):
         attack = AliceCenterAttack(positions=1, overlap=0.5)
@@ -217,17 +258,6 @@ def one_shot_alice_center(attack, security_s, length, trials, gen):
     return int(np.count_nonzero(split)), int(e_bob.sum()), int(e_charlie.sum())
 
 
-def peak_traced_mb(call):
-    """Result of ``call()`` and the peak memory it allocated, in MB, under tracemalloc."""
-    tracemalloc.start()
-    try:
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak / 1e6
-
-
 class TestDishonestAliceStreamed:
     # (attack, s, M): a rare split (s M = 10, all positions attacked) and a common one.
     CASES = [(AliceCenterAttack(positions=10, overlap=0.5), 1.0, 10),
@@ -248,19 +278,17 @@ class TestDishonestAliceStreamed:
     def test_million_trials_in_bounded_memory(self):
         # Two int64 error columns and their verdict temporaries took 41 MB.
         attack, s, m = self.CASES[0]
-        stats, peak = peak_traced_mb(
-            lambda: simulate_dishonest_alice_center(attack, s, m, 10**6, rng=5))
+        stats, peak = traced_peak(simulate_dishonest_alice_center, attack, s, m, 10**6, rng=5)
         assert stats.trials == 10**6 and stats.disagreement_rate <= stats.bound
-        assert peak <= 8.0, peak
+        assert peak <= 8e6, peak
 
     def test_ten_million_trials_accepted_in_bounded_memory(self):
         # One byte per trial (Bob's verdict codes) plus one block in flight.
         attack, s, m = self.CASES[0]
-        stats, peak = peak_traced_mb(
-            lambda: simulate_dishonest_alice_center(attack, s, m, 10**7, rng=6))
+        stats, peak = traced_peak(simulate_dishonest_alice_center, attack, s, m, 10**7, rng=6)
         assert stats.trials == 10**7
         assert abs(stats.disagreement_rate - 2.0**-19) < 5 * math.sqrt(2.0**-19 / 10**7)
-        assert peak <= 16.0, peak
+        assert peak <= 16e6, peak
         with pytest.raises(ValueError, match="WORK_BUDGET"):
             simulate_dishonest_alice_center(attack, s, m, 10**7 + 1, rng=6)
 
@@ -498,12 +526,23 @@ class TestProtocolDrivers:
         assert time.perf_counter() - start < 1.0
 
     def test_center_driver_million_trials_in_bounded_memory(self):
-        # Five one-byte columns and one error block in flight: 8.9 MB traced.
-        (summary, table, _), peak = peak_traced_mb(lambda: run_center_protocol(
-            10, 8, 1.0, 2, 0.1, 10**6, "alice-overlap-half", rng=3))
+        # Four one-byte columns, no clicks column and one verdicts call: 6.2 MB traced.
+        # Five columns and two verdicts calls took 8.1 MB.
+        (summary, table, _), peak = traced_peak(run_center_protocol, 10, 8, 1.0, 2, 0.1, 10**6,
+                                                "alice-overlap-half", rng=3)
         assert len(table) == 10**6 and summary["cheat_bound"] == 1.0
         assert abs(summary["disagreement_rate"] - 0.5) < three_sigma(0.5, 10**6)
-        assert peak <= 12.0, peak
+        assert peak <= 7e6, peak
+
+    @pytest.mark.parametrize("adversary", ["none", "charlie-flip"])
+    def test_distributed_driver_million_trials_in_bounded_memory(self, adversary):
+        # Bob's three one-byte columns; Charlie's two are zero-stride views.  With them
+        # held and verdicts taken of both, the driver took 7.9 MB (7.0 MB with the flip).
+        (summary, table, _), peak = traced_peak(run_distributed_protocol, 2, 16, 8, 1.0, 0.5,
+                                                10**6, adversary, rng=3)
+        assert len(table) == 10**6
+        assert (summary["bob_detection_rate"] == 0.0) == (adversary == "none")
+        assert peak <= 6.5e6, peak
 
 
 def old_trial_rows(e_bob, e_charlie, v_bob, v_charlie, clicks):
@@ -536,7 +575,7 @@ def old_distributed_rows(recipients, length, s, trials, adversary, seed):
     distributed_exchange([alpha] * recipients, rng=gen, tamper=tamper)
     _, gamma, deviation = _exchange_outputs(np.array([alpha, alpha]), tamper)
     clicks = bernoulli_counts(click_probabilities(np.abs(gamma[0, :, 1]) ** 2), trials, gen)
-    e_bob = bernoulli_counts(_incorrect_probability(deviation[0], 0.0), trials, gen)
+    e_bob = bernoulli_counts(click_probabilities(np.abs(deviation[0]) ** 2), trials, gen)
     e_charlie = np.zeros(trials, dtype=np.int64)
     return old_trial_rows(e_bob, e_charlie, verdicts(e_bob, s, length),
                           verdicts(e_charlie, s, length), clicks)
@@ -580,12 +619,38 @@ class TestTrialTable:
         with pytest.raises(ValueError):
             table._columns[0][0] = 1
 
+    def test_known_columns_are_zero_stride_views(self):
+        # The center driver's clicks and Charlie's distributed columns hold one byte each.
+        _, center, _ = run_center_protocol(2, 8, 1.0, 2, 0.5, 10, "none", rng=0)
+        _, distributed, _ = run_distributed_protocol(2, 6, 8, 0.7, 0.5, 10, "charlie-flip", rng=0)
+        assert center._columns[4].strides == (0,)
+        assert [c.strides for c in distributed._columns[1::2]] == [(0,), (0,)]
+        for table in (center, distributed):
+            assert tuple(table[0]) == TRIAL_COLUMNS
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(trials=st.integers(1, 2 * CHUNK + 1), seed=st.integers(0, 2**32 - 1),
+           charlie=st.sampled_from([0, 1]))
+    def test_property_iteration_equals_indexing(self, trials, seed, charlie):
+        gen = np.random.default_rng(seed)
+        e_bob = gen.integers(0, 300, trials).astype(np.uint16)
+        v_bob = gen.integers(0, 3, trials).astype(np.uint8)
+        clicks = gen.integers(0, 3, trials).astype(np.uint8)
+        table = TrialTable(e_bob, np.broadcast_to(np.uint8(charlie), trials), v_bob,
+                           np.broadcast_to(np.uint8(2 * charlie), trials), clicks)
+        rows = list(table)
+        assert len(rows) == len(table) == trials
+        assert rows == [table[i] for i in range(trials)]
+        assert rows[::-1] == [table[-1 - i] for i in range(trials)]
+        assert {(r["e_charlie"], r["verdict_charlie"]) for r in rows} == {
+            (charlie, VERDICTS[2 * charlie])}
+
     def test_center_driver_in_bounded_memory(self):
         # 10^5 row dicts took 38.8 MB; the columns take a byte per trial each.
-        (summary, table, _), peak = peak_traced_mb(lambda: run_center_protocol(
-            10, 8, 1.0, 2, 0.1, 10**5, "alice-overlap-half", rng=3))
+        (summary, table, _), peak = traced_peak(run_center_protocol, 10, 8, 1.0, 2, 0.1, 10**5,
+                                                "alice-overlap-half", rng=3)
         assert len(table) == 10**5 and summary["cheat_bound"] == 1.0
-        assert peak <= 8.0, peak
+        assert peak <= 8e6, peak
 
 
 class TestTranscript:
