@@ -42,8 +42,8 @@ for label, model in [
     ("dark mean 0.01", DetectorModel(dark_mean=0.01)),
 ]:
     stats = run_trials(reg, bs, watched_modes=[1], model=model, trials=100_000, rng=1)
-    print(f"  {label:15s} empirical rate {stats.rate:.4f}  "
-          f"95% CI [{stats.wilson_low:.4f}, {stats.wilson_high:.4f}]")
+    low, high = stats.wilson
+    print(f"  {label:15s} empirical rate {stats.rate:.4f}  95% CI [{low:.4f}, {high:.4f}]")
 print("  inefficiency only lowers the rate; dark counts would also fire on equal inputs,")
 print("  which is why they are the one imperfection that breaks the unambiguous verdict")
 

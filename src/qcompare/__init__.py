@@ -39,10 +39,9 @@ from .fock import (
 from .detection import (
     IDEAL,
     DetectorModel,
-    TrialStats,
+    Estimate,
     run_trials,
     stream,
-    wilson_interval,
 )
 from .comparison import (
     AmgmReport,

@@ -278,7 +278,7 @@ def _cmd_lockkey_simulate(args) -> Report:
         "amp": args.amp,
         "trials": args.trials,
         "pass_rate": stats.rate,
-        "wilson_95": [stats.wilson_low, stats.wilson_high],
+        "wilson_95": list(stats.wilson),
         "analytic_pass_probability": analytic,
     }
     return Report(fields=obj)

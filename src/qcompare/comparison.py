@@ -92,7 +92,7 @@ def unbalanced_test(alpha: complex, beta: complex, transmittance: float,
     sum to |alpha|^2 + |beta|^2.
     """
     net = compose(make_beam_splitter(transmittance), make_phase_shift([input_phase, 0.0]))
-    m0, m1 = output_means(net, CoherentRegister([alpha, beta]))
+    m0, m1 = output_means(net, CoherentRegister(domain.amplitudes([alpha, beta])))
     return float(m0), float(m1)
 
 

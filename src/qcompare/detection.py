@@ -54,14 +54,34 @@ IDEAL = DetectorModel()
 
 
 @dataclass(frozen=True)
-class TrialStats:
-    """Empirical event rate with its Wilson 95% confidence interval."""
+class Estimate:
+    """A Monte Carlo count: ``successes`` of ``trials``, with its rate and Wilson 95% interval."""
 
-    rate: float
-    wilson_low: float
-    wilson_high: float
     successes: int
     trials: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "trials", domain.integer(self.trials, "trials", 1))
+        object.__setattr__(self, "successes",
+                           domain.integer(self.successes, "successes", 0, self.trials))
+
+    @classmethod
+    def of(cls, events) -> Estimate:
+        """The count of nonzero entries among ``events``, one entry per trial."""
+        return cls(int(np.count_nonzero(events)), np.size(events))
+
+    @property
+    def rate(self) -> float:
+        return self.successes / self.trials
+
+    @property
+    def wilson(self) -> tuple[float, float]:
+        """Wilson score interval (95%, z = ``Z95``), widened to the rate if rounding left it out."""
+        z, n, p = Z95, self.trials, self.rate
+        denom = 1.0 + z * z / n
+        center = (p + z * z / (2 * n)) / denom
+        half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+        return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
 
 
 def stream(seed) -> np.random.Generator:
@@ -70,18 +90,6 @@ def stream(seed) -> np.random.Generator:
         return seed
     seed = domain.integer(seed, "seed", 0, 2**128 - 1)  # Philox keys are 128-bit
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval (95%, z = ``Z95``) for a binomial proportion."""
-    trials = domain.integer(trials, "trials", 1)
-    successes = domain.integer(successes, "successes", 0, trials)
-    z = Z95
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
 
 
 def click_probabilities(means, model: DetectorModel = IDEAL) -> np.ndarray:
@@ -206,18 +214,14 @@ def run_trials(
     model: DetectorModel = IDEAL,
     trials: int = 10_000,
     rng=0,
-) -> TrialStats:
+) -> Estimate:
     """Monte Carlo difference-detection rate for a register sent through a network.
 
-    Watches the listed output modes over ``trials`` repetitions and reports
-    the fraction of trials in which at least one watched detector registered
-    a count, with a Wilson 95% interval.
+    Watches the listed output modes over ``trials`` repetitions and counts
+    the trials in which at least one watched detector registered a count.
     """
     watched = sorted({domain.integer(m, "watched mode", 0, network.n_modes - 1)
                       for m in watched_modes})
     domain.integer(len(watched), "number of watched modes", 1)
     means = apply_network(network, register).mode_means()[watched]
-    clicks = bernoulli_counts(click_probabilities(means, model), trials, rng)
-    successes = int(np.count_nonzero(clicks))
-    low, high = wilson_interval(successes, trials)
-    return TrialStats(successes / trials, low, high, successes, trials)
+    return Estimate.of(bernoulli_counts(click_probabilities(means, model), trials, rng))

@@ -37,7 +37,11 @@ def amplitudes(values, name: str = "amplitudes", *, minimum: int = 1,
     """A 1-D complex array of at least ``minimum`` finite entries with |a| <= ``limit``."""
     # asarray plus a reshape costs half of atleast_1d, and this guard runs once
     # per point of the figure2/compare sweeps.
-    arr = np.asarray(values, dtype=complex)
+    try:
+        arr = np.asarray(values, dtype=complex)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} must be finite with magnitude <= {_limit_text(limit)}, "
+                         "got an integer beyond the float range") from None
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size < minimum:
@@ -56,7 +60,7 @@ def amplitudes(values, name: str = "amplitudes", *, minimum: int = 1,
 
 def amplitude(value, name: str, *, limit: float = MAX_AMPLITUDE) -> complex:
     """One finite complex number with |a| <= ``limit``; a sequence of any length but 1 is rejected."""
-    arr = np.asarray(value, dtype=complex)
+    arr = np.asarray(value)  # converted by ``amplitudes``, which names an overflow
     if arr.size != 1:
         raise ValueError(f"{name} must be a single complex number, got shape {arr.shape}")
     return complex(amplitudes(arr.reshape(1), name, limit=limit)[0])
@@ -66,13 +70,16 @@ def _interval(value, name: str, limit: float, positive: bool, limit_text: str):
     """A real in [0, limit] ((0, limit] if ``positive``): a float, or a float array for arrays."""
     # Scalars skip numpy's per-call overhead; the exact-type test skips the ABC check's.
     scalar = type(value) is float or isinstance(value, numbers.Real)
-    arr = float(value) if scalar else np.asarray(value, dtype=float)
-    inside = ((arr > 0.0) if positive else (arr >= 0.0)) & (arr <= limit)
-    if not (inside if scalar else inside.all()):
-        bad = arr if scalar or arr.ndim == 0 else arr[~inside].flat[0]
-        raise ValueError(f"{name} must lie in {'(' if positive else '['}0, "
-                         f"{limit_text}], got {float(bad)!r}")
-    return arr if scalar or arr.ndim else float(arr)
+    try:
+        arr = float(value) if scalar else np.asarray(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        got = "an integer beyond the float range"
+    else:
+        inside = ((arr > 0.0) if positive else (arr >= 0.0)) & (arr <= limit)
+        if inside if scalar else inside.all():
+            return arr if scalar or arr.ndim else float(arr)
+        got = repr(float(arr if scalar or arr.ndim == 0 else arr[~inside].flat[0]))
+    raise ValueError(f"{name} must lie in {'(' if positive else '['}0, {limit_text}], got {got}")
 
 
 def magnitude(value, name: str, *, limit: float = MAX_AMPLITUDE, positive: bool = False):

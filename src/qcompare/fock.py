@@ -78,7 +78,7 @@ def fidelity(a: FockVector, b: FockVector) -> float:
 
 def recommended_cutoff(alpha: complex) -> int:
     """Cutoff at which a coherent state's truncation deficit is far below 1e-10."""
-    a = abs(alpha)
+    a = abs(domain.amplitude(alpha, "alpha"))
     return max(20, math.ceil(a * a + 10.0 * a))
 
 

@@ -118,17 +118,15 @@ class LinearNetwork:
     ``_gram_defect``, which the error message reports.  Finiteness is checked
     only when the certificate fails, as a non-finite matrix always makes it
     fail.  A finite matrix whose products overflow gets a non-finite defect,
-    rejected without a warning.  The network keeps the caller's array only
-    when it owns its data and is already read-only; a writable array or a
-    view is copied, so no later write reaches the validated matrix.
+    rejected without a warning.  The caller's array is always copied, so no
+    later write reaches the validated matrix; the module's constructors hand
+    their fresh matrix over by ``_adopt``.
     """
 
     matrix: np.ndarray
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.base is not None or (mat is self.matrix and mat.flags.writeable):
-            mat = mat.copy()
+    def __post_init__(self, copy: bool = True):
+        mat = np.array(self.matrix, dtype=complex, order="C") if copy else self.matrix
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("network matrix must be square and non-empty")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -142,6 +140,14 @@ class LinearNetwork:
                     )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _adopt(cls, mat: np.ndarray) -> LinearNetwork:
+        """A network validated on ``mat`` itself, a fresh array that no caller holds."""
+        network = object.__new__(cls)
+        object.__setattr__(network, "matrix", mat)
+        network.__post_init__(copy=False)
+        return network
 
     @property
     def n_modes(self) -> int:
@@ -182,8 +188,7 @@ def make_balanced_multiport(n_modes: int) -> LinearNetwork:
         index %= n_modes
         # The index is in range; mode="raise" would gather into a buffer first.
         np.take(roots, index, out=mat[start:start + rows], mode="clip")
-    mat.setflags(write=False)  # handed over, not copied
-    return LinearNetwork(mat)
+    return LinearNetwork._adopt(mat)
 
 
 def multiport_outputs(amps: np.ndarray) -> np.ndarray:
@@ -209,8 +214,7 @@ def make_phase_shift(phases) -> LinearNetwork:
     """
     # LinearNetwork rejects what is not a non-empty 1-D sequence (np.diag of it is not square).
     mat = np.diag(np.exp(-1j * np.atleast_1d(np.asarray(phases, dtype=float))))
-    mat.setflags(write=False)  # handed over, not copied
-    return LinearNetwork(mat)
+    return LinearNetwork._adopt(mat)
 
 
 def compose(outer: LinearNetwork, inner: LinearNetwork) -> LinearNetwork:
@@ -219,9 +223,7 @@ def compose(outer: LinearNetwork, inner: LinearNetwork) -> LinearNetwork:
         raise ValueError(
             f"cannot compose networks of {outer.n_modes} and {inner.n_modes} modes"
         )
-    product = inner.matrix @ outer.matrix
-    product.setflags(write=False)  # handed over, not copied
-    return LinearNetwork(product)
+    return LinearNetwork._adopt(inner.matrix @ outer.matrix)
 
 
 def apply_network(network: LinearNetwork, register: CoherentRegister) -> CoherentRegister:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domain
-from .detection import (IDEAL, DetectorModel, TrialStats, bernoulli_counts, click_probabilities,
-                        stream, trial_clicks, wilson_interval)
+from .detection import (IDEAL, DetectorModel, Estimate, bernoulli_counts, click_probabilities,
+                        stream, trial_clicks)
 from .errors import InvariantError
 from .fock import MAX_COHERENT_AMPLITUDE, coherent_fock
 
@@ -103,13 +103,11 @@ def lock_test(key: KeyString, candidate, model: DetectorModel = IDEAL, rng=0) ->
 
 
 def lock_test_pass_rate(key: KeyString, candidate, model: DetectorModel = IDEAL,
-                        trials: int = 10_000, rng=0) -> TrialStats:
+                        trials: int = 10_000, rng=0) -> Estimate:
     """Empirical probability that the candidate silently passes the lock test."""
     _, _, diff_means = _compared(key, candidate)
     clicks = bernoulli_counts(click_probabilities(diff_means, model), trials, rng)
-    successes = clicks.size - int(np.count_nonzero(clicks))  # no trial-long ``clicks == 0``
-    low, high = wilson_interval(successes, trials)
-    return TrialStats(successes / trials, low, high, successes, trials)
+    return Estimate(clicks.size - int(np.count_nonzero(clicks)), trials)  # no ``clicks == 0``
 
 
 def photon_budget_ok(observed_mean_counts: float, length: int, amplitude: float) -> bool:

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domain
-from .detection import (bernoulli_counts, click_probabilities, stream, trial_clicks,
-                        wilson_interval)
+from .detection import Estimate, bernoulli_counts, click_probabilities, stream, trial_clicks
 from .errors import InvariantError
 from .linear import multiport_outputs
 from .lockkey import KeyString, generate_key
@@ -190,13 +189,14 @@ class AliceCenterAttack:
 
 @dataclass(frozen=True)
 class AliceCheatStats:
-    disagreement_rate: float
-    wilson_low: float
-    wilson_high: float
+    split: Estimate
     bound: float
-    trials: int
     errors_to_bob: int
     errors_to_charlie: int
+
+    @property
+    def disagreement_rate(self) -> float:  # kept because the benchmark reads it
+        return self.split.rate
 
 
 def _center_error_blocks(attack: AliceCenterAttack, trials: int, gen):
@@ -241,23 +241,14 @@ def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float
         else:
             successes += int(np.count_nonzero(_split_verdicts(bob, codes)))
         del errors, codes  # so that only one block is alive while the next is drawn
-    rate = successes / trials
-    bound = cheat_bound(security_s, length)
+    split = Estimate(successes, trials)
+    rate, bound = split.rate, cheat_bound(security_s, length)
     sigma = math.sqrt(max(rate * (1.0 - rate), bound * (1.0 - bound)) / trials)
     if rate > bound + 3.0 * sigma:
         raise InvariantError(
             f"empirical disagreement {rate} exceeds the bound {bound} beyond 3 sigma"
         )
-    low, high = wilson_interval(successes, trials)
-    return AliceCheatStats(
-        disagreement_rate=rate,
-        wilson_low=low,
-        wilson_high=high,
-        bound=bound,
-        trials=trials,
-        errors_to_bob=error_totals[0],
-        errors_to_charlie=error_totals[1],
-    )
+    return AliceCheatStats(split, bound, *error_totals)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +361,18 @@ def distributed_exchange(copies, rng=0, tamper: CharlieTamper | None = None) -> 
 
 @dataclass(frozen=True)
 class CharlieCheatStats:
-    bob_reject_rate: float
-    bob_detection_rate: float
-    reject_interval: tuple[float, float]
-    detection_interval: tuple[float, float]
-    trials: int
+    reject: Estimate
+    detection: Estimate
     per_position_click_mean: tuple[float, ...]
     per_position_error_prob: tuple[float, ...]
+
+    @property
+    def bob_reject_rate(self) -> float:  # kept because the benchmark reads it
+        return self.reject.rate
+
+    @property
+    def bob_detection_rate(self) -> float:  # kept because the benchmark reads it
+        return self.detection.rate
 
 
 def _bob_counts(gamma, deviation, trials: int, gen):
@@ -410,17 +406,10 @@ def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length:
     alpha = generate_key(length, 8, amplitude, gen).amplitudes()
     _, gamma, deviation = _exchange_outputs(np.array([alpha, alpha]), tamper)
     click_mean, p_error, clicks, errors = _bob_counts(gamma, deviation, trials, gen)
-    n_rej = int(np.count_nonzero(verdicts(errors, security_s, length) == REJECT))
-    n_det = int(np.count_nonzero(clicks))
-    return CharlieCheatStats(
-        bob_reject_rate=n_rej / trials,
-        bob_detection_rate=n_det / trials,
-        reject_interval=wilson_interval(n_rej, trials),
-        detection_interval=wilson_interval(n_det, trials),
-        trials=trials,
-        per_position_click_mean=tuple(float(c) for c in click_mean[:, 0]),  # T = 2: one mode
-        per_position_error_prob=tuple(float(p) for p in p_error),
-    )
+    reject = Estimate.of(verdicts(errors, security_s, length) == REJECT)
+    return CharlieCheatStats(reject, Estimate.of(clicks),
+                             tuple(click_mean[:, 0].tolist()),  # T = 2: one watched mode
+                             tuple(p_error.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +484,10 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
         "scheme": "center",
         "adversary": adversary,
         "copies_uniform": bool(np.all(pubkey == pubkey[0])),
-        "disagreement_rate": float(np.count_nonzero(_split_verdicts(v_bob, v_charlie))) / trials,
+        "disagreement_rate": Estimate.of(_split_verdicts(v_bob, v_charlie)).rate,
         "cheat_bound": cheat_bound(security_s, length),
-        "accept_rate_bob": float(np.count_nonzero(v_bob == ACCEPT)) / trials,
-        "accept_rate_charlie": float(np.count_nonzero(v_charlie == ACCEPT)) / trials,
+        "accept_rate_bob": Estimate.of(v_bob == ACCEPT).rate,
+        "accept_rate_charlie": Estimate.of(v_charlie == ACCEPT).rate,
     }
     return summary, rows, transcript.events
 
@@ -537,8 +526,8 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
         "scheme": "distributed",
         "adversary": adversary,
         "recipients": recipients,
-        "bob_reject_rate": float(np.count_nonzero(v_bob == REJECT)) / trials,
-        "bob_detection_rate": float(np.count_nonzero(clicks)) / trials,
+        "bob_reject_rate": Estimate.of(v_bob == REJECT).rate,
+        "bob_detection_rate": Estimate.of(clicks).rate,
         "honest_zero_clicks": bool(all(not p.clicked for p in parties)) if adversary == "none" else None,
     }
     return summary, rows, events

@@ -179,7 +179,7 @@ def test_criterion_10_verdict_splitting_probability_and_bound():
     single = simulate_dishonest_alice_center(
         AliceCenterAttack(positions=1, overlap=0.5), security_s=1.0, length=1,
         trials=100_000, rng=20)
-    sigma = math.sqrt(0.25 / single.trials)
+    sigma = math.sqrt(0.25 / single.split.trials)
     assert abs(single.disagreement_rate - 0.5) <= 3.0 * sigma
 
     strong = simulate_dishonest_alice_center(
@@ -187,7 +187,7 @@ def test_criterion_10_verdict_splitting_probability_and_bound():
         trials=1_000_000, rng=21)
     assert strong.bound == pytest.approx(2.0**-9)
     sigma10 = math.sqrt(max(strong.disagreement_rate * (1 - strong.disagreement_rate),
-                            1e-12) / strong.trials)
+                            1e-12) / strong.split.trials)
     assert strong.disagreement_rate <= strong.bound + 3.0 * sigma10
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

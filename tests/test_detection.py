@@ -13,12 +13,12 @@ from qcompare.detection import (
     BLOCK_UNIFORMS,
     IDEAL,
     DetectorModel,
+    Estimate,
     bernoulli_counts,
     click_probabilities,
     run_trials,
     stream,
     trial_clicks,
-    wilson_interval,
 )
 from qcompare.linear import CoherentRegister, make_balanced_multiport, make_beam_splitter
 from support import three_sigma, traced_peak
@@ -99,7 +99,8 @@ class TestRunTrials:
         stats = run_trials(reg, make_beam_splitter(0.5), [1], IDEAL, trials=100_000, rng=5)
         expected = 1.0 - math.exp(-2.0)
         assert abs(stats.rate - expected) < three_sigma(expected, stats.trials)
-        assert stats.wilson_low < expected < stats.wilson_high
+        low, high = stats.wilson
+        assert low < expected < high
 
     def test_dark_counts_fire_on_equal_inputs(self):
         reg = CoherentRegister([0.5, 0.5, 0.5])
@@ -282,19 +283,42 @@ class TestBernoulliCounts:
         assert threading.active_count() == threads
 
 
-class TestHelpers:
-    def test_wilson_interval_brackets_the_rate(self):
-        low, high = wilson_interval(50, 100)
+class TestEstimate:
+    def test_wilson_brackets_the_rate(self):
+        low, high = Estimate(50, 100).wilson
         assert low < 0.5 < high
-        assert wilson_interval(0, 100)[0] == pytest.approx(0.0, abs=1e-12)
-        assert wilson_interval(100, 100)[1] == pytest.approx(1.0, abs=1e-12)
+        # Exact: rounding left these ends 2.8e-17 and 1 ulp outside the rate at 0/7 and 10/10.
+        assert Estimate(0, 7).wilson[0] == 0.0 and Estimate(10, 10).wilson[1] == 1.0
 
     @pytest.mark.parametrize("successes", [-1, 101, 2.5, math.nan])
-    def test_wilson_interval_rejects_successes_outside_the_trials(self, successes):
+    def test_rejects_successes_outside_the_trials(self, successes):
         # -1 and 101 raised a bare "math domain error"; 2.5 and NaN were accepted.
         with pytest.raises(ValueError, match=r"successes must be an integer in \[0, 100\]"):
-            wilson_interval(successes, 100)
+            Estimate(successes, 100)
 
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, math.inf])
+    def test_rejects_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match=r"trials must be an integer >= 1"):
+            Estimate(0, trials)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 10**12).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+           st.lists(st.integers(0, 3), min_size=1, max_size=50))
+    @example((0, 1), [0])
+    @example((1, 1), [3])
+    @example((0, 10**12), [0, 1])
+    @example((10**12, 10**12), [1, 0, 2])
+    def test_property_rate_interval_and_count(self, counts, events):
+        successes, trials = counts
+        estimate = Estimate(successes, trials)
+        assert estimate.rate == successes / trials
+        low, high = estimate.wilson
+        assert 0.0 <= low <= estimate.rate <= high <= 1.0
+        mask = np.array(events, dtype=np.uint8)
+        assert Estimate.of(mask) == Estimate(np.count_nonzero(mask), mask.size)
+
+
+class TestHelpers:
     def test_stream_accepts_generator(self):
         gen = stream(4)
         assert stream(gen) is gen

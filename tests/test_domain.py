@@ -137,11 +137,36 @@ class TestLibraryInputs:
         lambda: lockkey.KeyString(8, NAN, (0, 1)),
         lambda: pkd.cheat_bound(math.nan, 10),
         lambda: detection.stream(2**128),
+        lambda: detection.DetectorModel(dark_mean=10**400),
+        lambda: linear.make_beam_splitter(10**400),
+        lambda: linear.CoherentRegister([10**400, 1]),
+        lambda: fock.recommended_cutoff(1e200),
+        lambda: fock.recommended_cutoff(math.inf),
+        lambda: comparison.unbalanced_test(1e200, 0, 0.5),
     ])
     def test_out_of_domain_input_is_a_clean_value_error(self, call):
-        # Each of these raised OverflowError or InvariantError, hung, or was accepted.
+        # Each of these raised OverflowError or InvariantError, hung, returned inf or was accepted.
         with pytest.raises(ValueError):
             call()
+
+    def test_guarded_entry_points_keep_their_values_up_to_max_amplitude(self):
+        a = MAX_AMPLITUDE
+        assert fock.recommended_cutoff(a) == math.ceil(a * a + 10.0 * a)
+        assert fock.recommended_cutoff(-3 + 4j) == 75
+        net = linear.compose(linear.make_beam_splitter(0.3), linear.make_phase_shift([0.7, 0.0]))
+        unguarded = linear.output_means(net, linear.CoherentRegister([a, 1j * a]))
+        assert comparison.unbalanced_test(a, 1j * a, 0.3, 0.7) == tuple(unguarded.tolist())
+
+    @pytest.mark.parametrize("guard", [
+        lambda: domain.magnitude(10**400, "x"),
+        lambda: domain.magnitude([1, -10**400], "x"),
+        lambda: domain.fraction(np.array([10**400], dtype=object), "x"),
+        lambda: domain.amplitudes([1, 10**400], "x"),
+        lambda: domain.amplitude(10**400, "x"),
+    ])
+    def test_integer_beyond_the_float_range_is_named(self, guard):
+        with pytest.raises(ValueError, match="x must .*, got an integer beyond the float range"):
+            guard()
 
     def test_key_string_stores_integer_phases(self):
         key = lockkey.KeyString(np.int64(8), np.float64(1.5), np.array([0.0, 3.0, 7.0]))

@@ -163,10 +163,14 @@ class TestMatrixOwnership:
         net = LinearNetwork(dense_dft(16)[::-1])
         assert net.matrix.flags.c_contiguous and net.matrix.base is None
 
-    def test_read_only_owner_is_kept(self):
-        a = np.eye(3, dtype=complex)
+    def test_read_only_owner_made_writable_does_not_reach_the_matrix(self):
+        # A kept read-only owner could be made writable again and turned non-unitary.
+        a = np.eye(2, dtype=complex)
         a.setflags(write=False)
-        assert LinearNetwork(a).matrix is a
+        net = LinearNetwork(a)
+        a.setflags(write=True)
+        a[0, 0] = 5
+        assert net.matrix[0, 0] == 1.0 and not net.matrix.flags.writeable
 
     def test_constructors_hand_their_matrix_over(self):
         for net in (make_balanced_multiport(8), make_phase_shift([0.1, 0.2]),

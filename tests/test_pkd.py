@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from qcompare import pkd
-from qcompare.detection import bernoulli_counts, click_probabilities, stream
+from qcompare.detection import Estimate, bernoulli_counts, click_probabilities, stream
 from qcompare.domain import BLOCK_ENTRIES, CHUNK_ROWS, WORK_BUDGET
 from qcompare.lockkey import generate_key
 from qcompare.pkd import (
@@ -218,7 +218,7 @@ class TestDishonestAlice:
         stats = simulate_dishonest_alice_center(attack, security_s=1.0, length=1,
                                                 trials=100_000, rng=4)
         assert stats.bound == 1.0
-        assert abs(stats.disagreement_rate - 0.5) < three_sigma(0.5, stats.trials)
+        assert abs(stats.disagreement_rate - 0.5) < three_sigma(0.5, stats.split.trials)
 
     def test_bound_respected_at_sm_ten(self):
         attack = AliceCenterAttack(positions=10, overlap=0.5)
@@ -271,7 +271,7 @@ class TestDishonestAliceStreamed:
             gen, ref = stream(seed), stream(seed)
             stats = simulate_dishonest_alice_center(attack, s, m, trials, rng=gen)
             successes, to_bob, to_charlie = one_shot_alice_center(attack, s, m, trials, ref)
-            assert stats.disagreement_rate == successes / trials
+            assert stats.split == Estimate(successes, trials)
             assert (stats.errors_to_bob, stats.errors_to_charlie) == (to_bob, to_charlie)
             assert gen.random() == ref.random()
 
@@ -279,14 +279,14 @@ class TestDishonestAliceStreamed:
         # Two int64 error columns and their verdict temporaries took 41 MB.
         attack, s, m = self.CASES[0]
         stats, peak = traced_peak(simulate_dishonest_alice_center, attack, s, m, 10**6, rng=5)
-        assert stats.trials == 10**6 and stats.disagreement_rate <= stats.bound
+        assert stats.split.trials == 10**6 and stats.disagreement_rate <= stats.bound
         assert peak <= 8e6, peak
 
     def test_ten_million_trials_accepted_in_bounded_memory(self):
         # One byte per trial (Bob's verdict codes) plus one block in flight.
         attack, s, m = self.CASES[0]
         stats, peak = traced_peak(simulate_dishonest_alice_center, attack, s, m, 10**7, rng=6)
-        assert stats.trials == 10**7
+        assert stats.split.trials == 10**7
         assert abs(stats.disagreement_rate - 2.0**-19) < 5 * math.sqrt(2.0**-19 / 10**7)
         assert peak <= 16e6, peak
         with pytest.raises(ValueError, match="WORK_BUDGET"):
@@ -406,7 +406,7 @@ class TestDishonestCharlie:
         assert stats.per_position_click_mean == pytest.approx(tuple([c] * m), abs=1e-12)
         expected = 1.0 - math.exp(-m * c)
         assert abs(stats.bob_detection_rate - expected) < max(
-            three_sigma(expected, stats.trials), 1e-4)
+            three_sigma(expected, stats.detection.trials), 1e-4)
 
     def test_small_tampering_detected_before_rejection(self):
         # rejection needs e >= sM while detection only needs one click, so the
