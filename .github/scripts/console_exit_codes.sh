@@ -25,8 +25,13 @@ expect_2 qcompare figure2 --format csv --out no-such-dir/fig2.csv
 expect_2 qcompare figure2 --format csv --out /dev/full
 expect_2 qcompare lockkey simulate --attack coherent --beta -1
 expect_2 qcompare lockkey simulate --attack vacuum --beta -1
+# compare is a JSON point report; the sweep over |alpha - beta| is figure2's.
+expect_2 qcompare compare --alpha 1,0 --beta 0,0 --format csv
+# The squeezed oracle's splitter is balanced: a transmittance is an error, not ignored.
+expect_2 qcompare oracle --xi1 0.2 --xi2 0.1 --transmittance 0.3
 # A retired option is a usage error, never accepted silently.
 expect_2 qcompare lockkey simulate --threshold-detectors
+expect_2 qcompare compare --alpha 1,0 --beta 0,0 --sweep-max 3
 
 stderr_file=$(mktemp)
 trap 'rm -f "$stderr_file"' EXIT

@@ -16,7 +16,6 @@ from qcompare import (
     multiport_success_forms,
     p_success_multiport,
     run_trials,
-    verify_amgm_inequality,
 )
 
 print("=== bunching of identical inputs (N = 4) ===")
@@ -42,7 +41,7 @@ print("=== always ahead of the universal strategy ===")
 report = compare_report(amps)
 print(f"  p_succ (multiport) = {report.p_succ_coherent:.6f}")
 print(f"  p_succ (universal) = {report.p_succ_universal:.6f}")
-amgm = verify_amgm_inequality(amps)
+amgm = report.amgm
 print(f"  failure probabilities: {amgm.lhs:.6f} <= {amgm.rhs:.6f}  (holds: {amgm.holds})")
 print("  the multiport failure probability is the geometric mean of the same")
 print("  permutation terms whose arithmetic mean the symmetry test fails with")

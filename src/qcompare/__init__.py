@@ -21,7 +21,6 @@ from .linear import (
     make_balanced_multiport,
     make_beam_splitter,
     make_phase_shift,
-    output_means,
 )
 from .fock import (
     FockVector,
@@ -57,7 +56,6 @@ from .comparison import (
     p_success_universal,
     p_symm,
     unbalanced_test,
-    verify_amgm_inequality,
 )
 from .lockkey import (
     AttackOptimum,

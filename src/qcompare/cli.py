@@ -2,7 +2,8 @@
 
 Subcommands: ``compare``, ``multiport``, ``oracle``, ``figure2``, ``figure4``,
 ``lockkey {simulate,entropy,attack-scan}``, ``pkd``.  Each takes ``--seed``,
-``--out`` and ``--format {csv,json,svg}`` (after the action, for ``lockkey``).
+``--out`` and ``--format {csv,json,svg}`` (after the action, for ``lockkey``);
+a format the report has no part for (``compare`` has JSON only) is an error.
 Exit codes: 0 on success, 2 on usage or validation errors or an unwritable
 ``--out``, 3 on an internal invariant violation.
 
@@ -23,8 +24,8 @@ import math
 import os
 import re
 import sys
-from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class Report:
 
     fields: dict | None = None  # the JSON object, without "schema"
     columns: tuple[str, ...] | None = None  # the CSV header; each row maps them to values
-    rows: Sequence = ()
+    rows: Iterable = ()  # read again for each plotted series
     plot: Plot | None = None
 
 
@@ -134,30 +135,12 @@ def _write(args, report: Report) -> None:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-_DELTA_COLUMNS = ("delta_abs", "p_succ", "p_asymm")
-
-
 def _sweep_grid(stop: float, step: float, columns: int) -> np.ndarray:
     """0, step, ... through ``stop`` (to half a step): a scan's x axis, for rows of ``columns``."""
     stop = domain.magnitude(stop, "sweep range", positive=True)
     step = domain.magnitude(step, "sweep step", positive=True)
     domain.size((stop / step + 1) * columns * domain.REPORT_ENTRIES, "the report table")
     return np.arange(0.0, stop + step / 2, step)
-
-
-def _delta_sweep(max_delta: float, step: float, title: str) -> Report:
-    """p_succ and p_asymm against |alpha - beta| from 0 to max_delta, with their plot."""
-    deltas = _sweep_grid(max_delta, step, len(_DELTA_COLUMNS))
-    rows = [
-        {
-            "delta_abs": float(d),
-            "p_succ": comparison.p_success_two(0.0, d),
-            "p_asymm": comparison.p_success_universal([0.0, d]),
-        }
-        for d in deltas
-    ]
-    return Report(columns=_DELTA_COLUMNS, rows=rows,
-                  plot=Plot(title, "|alpha - beta|", "probability", _DELTA_COLUMNS[1:]))
 
 
 def _entropy_grid(n_list, alpha_sq_max: float, points: int) -> list[dict]:
@@ -178,16 +161,14 @@ def _cmd_compare(args) -> Report:
     alpha = _parse_complex(args.alpha)
     beta = _parse_complex(args.beta)
     report = comparison.compare_report([alpha, beta])
-    if args.format == "json":
-        return Report(fields={
-            "alpha": [alpha.real, alpha.imag],
-            "beta": [beta.real, beta.imag],
-            "p_succ": report.p_succ_coherent,
-            "p_asymm": report.p_succ_universal,
-            "p_no_click": list(report.p_no_click),
-            "p_succ_conjugate": comparison.p_success_conjugate(alpha, beta),
-        })
-    return _delta_sweep(args.sweep_max, args.sweep_step, "two-state comparison")
+    return Report(fields={
+        "alpha": [alpha.real, alpha.imag],
+        "beta": [beta.real, beta.imag],
+        "p_succ": report.p_succ_coherent,
+        "p_asymm": report.p_succ_universal,
+        "p_no_click": list(report.p_no_click),
+        "p_succ_conjugate": comparison.p_success_conjugate(alpha, beta),
+    })
 
 
 def _cmd_multiport(args) -> Report:
@@ -214,6 +195,8 @@ def _cmd_oracle(args) -> Report:
     if args.xi1 is not None or args.xi2 is not None:
         if args.xi1 is None or args.xi2 is None:
             raise ValueError("squeezed mode needs both --xi1 and --xi2")
+        if args.transmittance is not None:
+            raise ValueError("squeezed mode takes no --transmittance: its splitter is balanced")
         p_odd = fock.odd_photon_probability(args.xi1, args.xi2, args.cutoff)
         obj = {
             "mode": "squeezed",
@@ -227,15 +210,16 @@ def _cmd_oracle(args) -> Report:
             raise ValueError("coherent mode needs --alpha and --beta")
         alpha = _parse_complex(args.alpha)
         beta = _parse_complex(args.beta)
+        transmittance = 0.5 if args.transmittance is None else args.transmittance
         joint = _coherent_pair(alpha, beta, args.cutoff)
-        out = fock.apply_bs_fock(joint, args.transmittance)
+        out = fock.apply_bs_fock(joint, transmittance)
         gamma_a, gamma_b = (complex(g) for g in apply_network(
-            make_beam_splitter(args.transmittance), CoherentRegister([alpha, beta])).amplitudes)
+            make_beam_splitter(transmittance), CoherentRegister([alpha, beta])).amplitudes)
         analytic = _coherent_pair(gamma_a, gamma_b, args.cutoff)
         obj = {
             "mode": "coherent",
             "cutoff": args.cutoff,
-            "transmittance": args.transmittance,
+            "transmittance": transmittance,
             "gamma_a": [gamma_a.real, gamma_a.imag],
             "gamma_b": [gamma_b.real, gamma_b.imag],
             "fidelity_vs_analytic": fock.fidelity(out, analytic),
@@ -246,8 +230,20 @@ def _cmd_oracle(args) -> Report:
 
 
 def _cmd_figure2(args) -> Report:
-    sweep = _delta_sweep(args.max, args.step, "success probability vs amplitude difference")
-    return replace(sweep, fields={"rows": sweep.rows})
+    """p_succ and p_asymm against |alpha - beta| from 0 to --max, with their plot."""
+    columns = ("delta_abs", "p_succ", "p_asymm")
+    deltas = _sweep_grid(args.max, args.step, len(columns))
+    rows = [
+        {
+            "delta_abs": float(d),
+            "p_succ": comparison.p_success_two(0.0, d),
+            "p_asymm": comparison.p_success_universal([0.0, d]),
+        }
+        for d in deltas
+    ]
+    return Report(fields={"rows": rows}, columns=columns, rows=rows,
+                  plot=Plot("success probability vs amplitude difference", "|alpha - beta|",
+                            "probability", columns[1:]))
 
 
 def _cmd_figure4(args) -> Report:
@@ -370,12 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_AmplitudeFriendlyParser)
 
-    p = sub.add_parser("compare", parents=[common],
-                       help="two-state comparison report (csv/svg: sweep over |alpha-beta|)")
+    p = sub.add_parser("compare", parents=[common], help="two-state comparison report (JSON)")
     p.add_argument("--alpha", required=True, help="first amplitude as re,im")
     p.add_argument("--beta", required=True, help="second amplitude as re,im")
-    p.add_argument("--sweep-max", type=float, default=4.0)
-    p.add_argument("--sweep-step", type=float, default=0.05)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("multiport", parents=[common], help="N-state comparison report")
@@ -388,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default=None)
     p.add_argument("--xi1", type=float, default=None)
     p.add_argument("--xi2", type=float, default=None)
-    p.add_argument("--transmittance", type=float, default=0.5)
+    p.add_argument("--transmittance", type=float, default=None,
+                   help="splitter transmittance, coherent mode only (default 0.5)")
     p.add_argument("--cutoff", type=int, default=40)
     p.set_defaults(func=_cmd_oracle)
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import domain
 from .errors import InvariantError
-from .linear import (CoherentRegister, compose, make_beam_splitter, make_phase_shift,
-                     multiport_outputs, output_means)
+from .linear import (CoherentRegister, apply_network, compose, make_beam_splitter,
+                     make_phase_shift, multiport_outputs)
 
 CLAMP_SLACK = 1e-14
 FORM_AGREEMENT_TOL = 1e-10
@@ -92,7 +92,7 @@ def unbalanced_test(alpha: complex, beta: complex, transmittance: float,
     sum to |alpha|^2 + |beta|^2.
     """
     net = compose(make_beam_splitter(transmittance), make_phase_shift([input_phase, 0.0]))
-    m0, m1 = output_means(net, CoherentRegister(domain.amplitudes([alpha, beta])))
+    m0, m1 = apply_network(net, CoherentRegister(domain.amplitudes([alpha, beta]))).mode_means()
     return float(m0), float(m1)
 
 
@@ -217,7 +217,12 @@ def p_success_universal(amplitudes) -> float:
 
 @dataclass(frozen=True)
 class AmgmReport:
-    """Both sides of the failure-probability inequality 1 - p_succ <= p_symm."""
+    """Both sides of the failure-probability inequality 1 - p_succ <= p_symm.
+
+    ``1 - p_succ`` is the geometric mean of the N! permutation terms whose
+    arithmetic mean is ``p_symm``, so lhs <= rhs always, with equality exactly
+    when all amplitudes coincide.
+    """
 
     lhs: float
     rhs: float
@@ -227,16 +232,6 @@ class AmgmReport:
 def _amgm(p_succ: float, p_sym: float) -> AmgmReport:
     lhs = 1.0 - p_succ
     return AmgmReport(lhs=lhs, rhs=p_sym, holds=lhs <= p_sym + 1e-12)
-
-
-def verify_amgm_inequality(amplitudes) -> AmgmReport:
-    """Check that the multiport strategy fails no more often than the universal one.
-
-    ``1 - p_success_multiport`` is the geometric mean of the N! permutation
-    terms whose arithmetic mean is ``p_symm``, so lhs <= rhs always, with
-    equality exactly when all amplitudes coincide.
-    """
-    return _amgm(p_success_multiport(amplitudes), p_symm(amplitudes))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ def amplitudes(values, name: str = "amplitudes", *, minimum: int = 1,
                limit: float = MAX_AMPLITUDE) -> np.ndarray:
     """A 1-D complex array of at least ``minimum`` finite entries with |a| <= ``limit``."""
     # asarray plus a reshape costs half of atleast_1d, and this guard runs once
-    # per point of the figure2/compare sweeps.
+    # per point of the figure2 sweep.
     try:
         arr = np.asarray(values, dtype=complex)
     except OverflowError:  # an integer beyond the float range
@@ -71,9 +71,15 @@ def _interval(value, name: str, limit: float, positive: bool, limit_text: str):
     # Scalars skip numpy's per-call overhead; the exact-type test skips the ABC check's.
     scalar = type(value) is float or isinstance(value, numbers.Real)
     try:
-        arr = float(value) if scalar else np.asarray(value, dtype=float)
+        arr = float(value) if scalar else np.asarray(value)
+        if not scalar:
+            if arr.dtype.kind == "c":  # casting would drop the imaginary part with a warning
+                raise TypeError("a complex value")
+            arr = arr.astype(float, copy=False)
     except OverflowError:  # an integer beyond the float range
         got = "an integer beyond the float range"
+    except (TypeError, ValueError):  # not a real number: complex, a string, None
+        got = repr(value)
     else:
         inside = ((arr > 0.0) if positive else (arr >= 0.0)) & (arr <= limit)
         if inside if scalar else inside.all():

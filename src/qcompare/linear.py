@@ -39,9 +39,6 @@ class CoherentRegister:
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
-    def __len__(self) -> int:
-        return self.amplitudes.size
-
     @property
     def n_modes(self) -> int:
         return self.amplitudes.size
@@ -49,11 +46,12 @@ class CoherentRegister:
     @property
     def mean_photon_number(self) -> float:
         """Total mean photon number; conserved by any network."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.sum(self.mode_means()))
 
     def mode_means(self) -> np.ndarray:
-        """Per-mode mean photon numbers |alpha_j|^2."""
-        return np.abs(self.amplitudes) ** 2
+        """Per-mode mean photon numbers |alpha_j|^2 (``inf`` where the square overflows)."""
+        with np.errstate(over="ignore"):
+            return np.abs(self.amplitudes) ** 2
 
 
 def _gram_defect(mat: np.ndarray) -> float:
@@ -213,7 +211,8 @@ def make_phase_shift(phases) -> LinearNetwork:
     convention produces the ``+i phases`` rotation on amplitudes.
     """
     # LinearNetwork rejects what is not a non-empty 1-D sequence (np.diag of it is not square).
-    mat = np.diag(np.exp(-1j * np.atleast_1d(np.asarray(phases, dtype=float))))
+    phases = [domain.real(phase, "phase") for phase in np.atleast_1d(phases).tolist()]
+    mat = np.diag(np.exp(-1j * np.array(phases, dtype=float)))
     return LinearNetwork._adopt(mat)
 
 
@@ -232,9 +231,9 @@ def apply_network(network: LinearNetwork, register: CoherentRegister) -> Coheren
     Returns the register of output amplitudes ``gamma_k = sum_l conj(u[l, k]) alpha_l``.
     Total mean photon number is conserved because the matrix is unitary.
     """
-    if len(register) != network.n_modes:
+    if register.n_modes != network.n_modes:
         raise ValueError(
-            f"register has {len(register)} modes but network has {network.n_modes}"
+            f"register has {register.n_modes} modes but network has {network.n_modes}"
         )
     # conj(U)^T alpha as conj(conj(alpha) U): the same products up to exact
     # sign flips, with no conjugate copy of U.  The outer conj is 0 - imag, so
@@ -244,7 +243,3 @@ def apply_network(network: LinearNetwork, register: CoherentRegister) -> Coheren
     np.subtract(0.0, imag, imag)
     return CoherentRegister(gamma)
 
-
-def output_means(network: LinearNetwork, register: CoherentRegister) -> np.ndarray:
-    """Per-mode output mean photon numbers |gamma_k|^2."""
-    return apply_network(network, register).mode_means()

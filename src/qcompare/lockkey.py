@@ -355,7 +355,6 @@ class EntropyReport:
 
     bits: float
     eigenvalues: tuple[float, ...]
-    method: str
 
     def __post_init__(self):
         if self.bits < -1e-12:
@@ -391,7 +390,7 @@ def holevo_entropy_finite(amplitude: float, n_phases: int) -> EntropyReport:
     if np.any(lam < -1e-12):
         raise InvariantError(f"negative eigenvalue {lam.min()!r}")
     lam = np.clip(lam, 0.0, None)
-    return EntropyReport(bits=_entropy_bits(lam), eigenvalues=tuple(lam), method="finite")
+    return EntropyReport(bits=_entropy_bits(lam), eigenvalues=tuple(lam))
 
 
 def holevo_entropy_infinite(amplitude: float) -> EntropyReport:
@@ -407,7 +406,7 @@ def holevo_entropy_infinite(amplitude: float) -> EntropyReport:
                                  limit=MAX_COHERENT_AMPLITUDE / math.sqrt(2.0))
     lam = amplitude * amplitude
     if lam == 0.0:
-        return EntropyReport(bits=0.0, eigenvalues=(1.0,), method="infinite")
+        return EntropyReport(bits=0.0, eigenvalues=(1.0,))
     probs = []
     p = math.exp(-lam)
     total = p
@@ -419,7 +418,7 @@ def holevo_entropy_infinite(amplitude: float) -> EntropyReport:
         total += p
     probs.append(p)
     arr = np.array(probs)
-    return EntropyReport(bits=_entropy_bits(arr), eigenvalues=tuple(arr), method="infinite")
+    return EntropyReport(bits=_entropy_bits(arr), eigenvalues=tuple(arr))
 
 
 def stirling_entropy_approx(amplitude: float) -> float:
@@ -437,6 +436,7 @@ def entropy_by_diagonalization(amplitude: float, n_phases: int, cutoff: int = 30
 
     Independent of the analytic eigenvalue route; used to arbitrate it.
     """
+    amplitude = domain.amplitude(amplitude, "amplitude", limit=MAX_COHERENT_AMPLITUDE)
     n_phases = domain.integer(n_phases, "n_phases", 2)
     cutoff = domain.integer(cutoff, "cutoff", 1)
     domain.size((n_phases + cutoff + 1) * (cutoff + 1), "the phase-state mixture")
@@ -448,4 +448,4 @@ def entropy_by_diagonalization(amplitude: float, n_phases: int, cutoff: int = 30
     lam = np.linalg.eigvalsh(rho)[::-1]
     lam = np.clip(lam.real, 0.0, None)
     lam /= lam.sum()  # remove the (tiny) truncation deficit before comparing
-    return EntropyReport(bits=_entropy_bits(lam), eigenvalues=tuple(lam), method="diagonalized")
+    return EntropyReport(bits=_entropy_bits(lam), eigenvalues=tuple(lam))

@@ -25,8 +25,6 @@ sender can split the recipients' verdicts with probability at most
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +35,7 @@ from .errors import InvariantError
 from .linear import multiport_outputs
 from .lockkey import KeyString, generate_key
 
-VERDICT_ACCEPT = "accept"
-VERDICT_UNSURE = "unsure"
-VERDICT_REJECT = "reject"
-VERDICTS = (VERDICT_ACCEPT, VERDICT_UNSURE, VERDICT_REJECT)
+VERDICTS = ("accept", "unsure", "reject")
 ACCEPT, UNSURE, REJECT = range(3)  # verdict codes: indices into VERDICTS
 # The per-trial rows of the protocol drivers, in ``TrialTable`` order.
 TRIAL_COLUMNS = ("trial", "e_bob", "e_charlie", "verdict_bob", "verdict_charlie", "clicks")
@@ -147,7 +142,9 @@ def verify_against_private(copy_amplitudes, claimed_phases, n_phases: int, ampli
     target = private_key_amplitudes(claimed_phases, n_phases, amplitude)
     if held.shape != target.shape:
         raise ValueError(f"copy has {held.size} positions, claimed key has {target.size}")
-    clicks = trial_clicks(click_probabilities(np.abs(held - target) ** 2), rng)
+    with np.errstate(over="ignore"):  # a mean beyond the float range clicks surely
+        means = np.abs(held - target) ** 2
+    clicks = trial_clicks(click_probabilities(means), rng)
     errors = int(np.count_nonzero(clicks))
     return VerificationResult(errors=errors, verdict=verdict_for(errors, security_s, held.size))
 
@@ -416,13 +413,13 @@ def simulate_dishonest_charlie(tamper: CharlieTamper, security_s: float, length:
 # protocol drivers for the command-line front end
 # ---------------------------------------------------------------------------
 
-class TrialTable(Sequence):
+class TrialTable:
     """Per-trial rows of a protocol driver, held as read-only columns.
 
-    Row ``i`` is the dict with keys ``TRIAL_COLUMNS``; it is built only when
-    read.  A column whose every entry is known may be a zero-stride view.  Iteration
-    converts ``domain.CHUNK_ROWS`` rows of every column at a time, so a table
-    costs the bytes of its columns, not of its rows.
+    Iteration yields each row as the dict with keys ``TRIAL_COLUMNS``,
+    converting ``domain.CHUNK_ROWS`` rows of every column at a time, so a
+    table costs the bytes of its columns, not of its rows.  A column whose
+    every entry is known may be a zero-stride view.
     """
 
     def __init__(self, e_bob, e_charlie, v_bob, v_charlie, clicks):
@@ -433,25 +430,12 @@ class TrialTable(Sequence):
     def __len__(self) -> int:
         return self._columns[0].size
 
-    def _rows(self, start: int, stop: int):
-        columns = zip(*(c[start:stop].tolist() for c in self._columns))
-        return (
-            {"trial": i, "e_bob": eb, "e_charlie": ec, "verdict_bob": VERDICTS[vb],
-             "verdict_charlie": VERDICTS[vc], "clicks": k}
-            for i, (eb, ec, vb, vc, k) in enumerate(columns, start)
-        )
-
-    def __getitem__(self, index) -> dict:
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"trial {index} out of range for {len(self)} trials")
-        return next(self._rows(i, i + 1))
-
     def __iter__(self):
         for start in range(0, len(self), domain.CHUNK_ROWS):
-            yield from self._rows(start, start + domain.CHUNK_ROWS)
+            columns = zip(*(c[start:start + domain.CHUNK_ROWS].tolist() for c in self._columns))
+            for i, (eb, ec, vb, vc, k) in enumerate(columns, start):
+                yield {"trial": i, "e_bob": eb, "e_charlie": ec, "verdict_bob": VERDICTS[vb],
+                       "verdict_charlie": VERDICTS[vc], "clicks": k}
 
 
 def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: int,

@@ -12,8 +12,6 @@ TICKS = 5  # per axis
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (TICKS - 1) for i in range(TICKS)]
 
 

@@ -41,16 +41,6 @@ class TestCompare:
         assert obj["p_succ"] == pytest.approx(1 - math.exp(-2), abs=1e-9)
         assert obj["p_asymm"] == pytest.approx((1 - math.exp(-4)) / 2, abs=1e-9)
 
-    def test_csv_sweep_starts_at_zero(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert cli.main(["compare", "--alpha", "1,0", "--beta", "-1,0",
-                         "--format", "csv", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("# schema=1")
-        assert lines[1] == "delta_abs,p_succ,p_asymm"
-        first = lines[2].split(",")
-        assert [float(x) for x in first] == [0.0, 0.0, 0.0]
-
     def test_bare_real_amplitude_accepted(self, tmp_path):
         obj = run_json(["compare", "--alpha", "1", "--beta", "-1"], tmp_path)
         assert obj["p_succ"] == pytest.approx(1 - math.exp(-2), abs=1e-9)
@@ -58,6 +48,19 @@ class TestCompare:
     def test_malformed_amplitude_exits_2(self, capsys):
         assert cli.main(["compare", "--alpha", "nope", "--beta", "0,0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--format", "csv"], "error: this command has no CSV output"),
+        (["--format", "svg"], "error: this command has no SVG output"),
+        (["--sweep-max", "3"], "unrecognized arguments: --sweep-max 3"),
+    ], ids=["csv", "svg", "sweep-max"])
+    def test_point_report_only_exits_2(self, extra, message, tmp_path):
+        # The sweep over |alpha - beta| is figure2's; compare has no table to write.
+        out = tmp_path / "out"
+        code, stdout, err = run_captured(["compare", "--alpha", "1,0", "--beta", "0,0",
+                                          *extra, "--out", str(out)])
+        assert code == 2 and stdout == "" and message in err
+        assert not out.exists()
 
 
 class TestMultiportAndOracle:
@@ -125,8 +128,27 @@ class TestMultiportAndOracle:
     def test_oracle_missing_inputs_exits_2(self):
         assert cli.main(["oracle"]) == 2
 
+    def test_oracle_squeezed_rejects_transmittance(self, capsys):
+        # The squeezed oracle's splitter is balanced: a transmittance is an error, not ignored.
+        assert cli.main(["oracle", "--xi1", "0.2", "--xi2", "0.1", "--transmittance", "0.3"]) == 2
+        assert "squeezed mode takes no --transmittance" in capsys.readouterr().err
+
+    def test_oracle_coherent_transmittance_defaults_to_balanced(self, tmp_path):
+        args = ["oracle", "--alpha", "0.8,0.3", "--beta", "-0.5,0.2", "--cutoff", "20"]
+        balanced = run_json(args + ["--transmittance", "0.5"], tmp_path, "balanced.json")
+        assert run_json(args, tmp_path) == balanced
+
 
 class TestFigures:
+    def test_csv_sweep_starts_at_zero(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["figure2", "--format", "csv", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# schema=1")
+        assert lines[1] == "delta_abs,p_succ,p_asymm"
+        first = lines[2].split(",")
+        assert [float(x) for x in first] == [0.0, 0.0, 0.0]
+
     def test_figure2_rows(self, tmp_path):
         out = tmp_path / "fig2.csv"
         assert cli.main(["figure2", "--max", "4", "--step", "0.5",
@@ -143,9 +165,9 @@ class TestFigures:
 
     @pytest.mark.parametrize("step", ["0", "-0.1"])
     @pytest.mark.parametrize("command", [
-        ["compare", "--alpha", "1,0", "--beta", "-1,0", "--format", "csv", "--sweep-step"],
+        ["figure2", "--format", "csv", "--step"],
         ["lockkey", "attack-scan", "--amp", "2", "--format", "csv", "--step"],
-    ], ids=["compare", "attack-scan"])
+    ], ids=["figure2", "attack-scan"])
     def test_scans_reject_nonpositive_step(self, command, step, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert cli.main(command + [step, "--out", str(out)]) == 2
@@ -437,11 +459,8 @@ class TestContracts:
         def boom(args):
             raise InvariantError("forms disagree")
 
-        monkeypatch.setitem = None  # not used; patch the handler table instead
-        parser_args = ["figure2"]
         monkeypatch.setattr(cli, "_cmd_figure2", boom)
-        # rebuild happens inside main, so patch the bound default instead
-        assert cli.main(parser_args) == 3
+        assert cli.main(["figure2"]) == 3
         assert "invariant" in capsys.readouterr().err
 
     def test_seed_recorded_in_outputs(self, tmp_path):
@@ -488,10 +507,6 @@ GOLDEN = [
      "ae136d5464e413a8e480ed40e434176de955c3a765271b1bd0f9aa7d87ebda39"),
     ("pkd --scheme distributed --adversary charlie-flip --M 40 --amp 0.3 --s 0.1 --trials 10000 --seed 11 --format json",
      "0549c5e7fb9a1c5262226ce50883fc291245e3ab374d814243d527429f973d41"),
-    ("compare --alpha 1,0.5 --beta -1,0 --sweep-step 0.25 --format csv",
-     "c874c438f9e20dea5ab1447eb44dce7ed9a7304632b030ff2db51c74a54441c5"),
-    ("compare --alpha 1,0.5 --beta -1,0 --sweep-step 0.25 --format svg",
-     "b0f70caea69be4309c4c0b7b3bfbd8b4e26f45b3edc56f8efe8b7e1afee67757"),
     ("figure2 --max 3 --step 0.25 --format csv",
      "b98b1ae1d21fde790a0cb008c7d8347a34c883cbaae46ecd961364352fbd75d5"),
     ("figure2 --max 3 --step 0.25 --format svg",
@@ -715,9 +730,7 @@ FUZZ_COMMANDS = [
     (["compare"], {
         "--alpha": (_AMPLITUDE, _EDGE_AMPLITUDES, True),
         "--beta": (_AMPLITUDE, _EDGE_AMPLITUDES, True),
-        "--sweep-max": (_reals(0.5, 4.0), _EDGE_REALS, False),
-        "--sweep-step": (_reals(0.1, 1.0), _EDGE_REALS, False),
-    }, ("json", "csv", "svg")),
+    }, ("json",)),
     (["multiport"], {
         "--amps": (st.lists(_AMPLITUDE, min_size=2, max_size=5),
                    [[a, "0.5,0"] for a in _EDGE_AMPLITUDES] + [["1,0"]], True),

@@ -21,7 +21,6 @@ from qcompare.comparison import (
     p_success_universal,
     p_symm,
     unbalanced_test,
-    verify_amgm_inequality,
 )
 from qcompare.detection import IDEAL, run_trials
 from qcompare.domain import MAX_AMPLITUDE
@@ -251,20 +250,20 @@ class TestUniversal:
 
 class TestDominance:
     def test_equality_at_identical_inputs(self):
-        report = verify_amgm_inequality([0.8] * 3)
+        report = compare_report([0.8] * 3).amgm
         assert report.lhs == pytest.approx(1.0)
         assert report.rhs == pytest.approx(1.0)
         assert report.holds
 
     def test_strict_for_distinct_pairs(self):
-        report = verify_amgm_inequality([1.0, -1.0])
+        report = compare_report([1.0, -1.0]).amgm
         assert report.lhs < report.rhs
         assert report.holds
 
     def test_random_sweep(self):
         for _ in range(1000):
             n = int(RNG.integers(2, 6))
-            report = verify_amgm_inequality(random_tuple(n))
+            report = compare_report(random_tuple(n)).amgm
             assert report.holds
 
 
@@ -300,7 +299,8 @@ class TestReport:
         assert report.forms == multiport_success_forms(amps)
         assert report.p_succ_coherent == p_success_multiport(amps)
         assert report.p_succ_universal == p_success_universal(amps)
-        assert report.amgm == verify_amgm_inequality(amps)
+        assert report.amgm.lhs == 1 - p_success_multiport(amps)
+        assert report.amgm.rhs == p_symm(amps)
         assert report.p_no_click == tuple(no_click_probabilities(amps))
 
     def test_universal_fields_empty_above_the_permutation_limit(self):

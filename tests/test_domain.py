@@ -71,6 +71,19 @@ class TestGuards:
             with pytest.raises(ValueError, match="d must be a finite real number"):
                 domain.real(bad, "d")
 
+    @pytest.mark.parametrize("guard", [
+        lambda: domain.magnitude(1j, "x"),
+        lambda: domain.magnitude([1.0, 2j], "x"),
+        lambda: domain.fraction(0.5 + 0j, "x"),
+        lambda: domain.fraction(np.complex128(0.5), "x"),
+        lambda: domain.magnitude(np.array([1.0, 1.0 + 1j]), "x"),
+        lambda: domain.magnitude("abc", "x"),
+    ])
+    def test_non_real_value_is_named(self, guard):
+        # A complex value or a string lies in no real interval; the guard names it.
+        with pytest.raises(ValueError, match=r"x must lie in \[0, .*\], got "):
+            guard()
+
     def test_integer(self):
         assert domain.integer(np.int64(3), "n", 0) == 3 and domain.integer(4.0, "n", 0) == 4
         for bad in (1.5, "3", math.inf, -1, 8):
@@ -143,9 +156,14 @@ class TestLibraryInputs:
         lambda: fock.recommended_cutoff(1e200),
         lambda: fock.recommended_cutoff(math.inf),
         lambda: comparison.unbalanced_test(1e200, 0, 0.5),
+        lambda: detection.DetectorModel(efficiency=1j),
+        lambda: linear.make_phase_shift([math.inf, 0.0]),
+        lambda: comparison.unbalanced_test(1, 0, 0.5, input_phase=math.inf),
+        lambda: lockkey.entropy_by_diagonalization(math.inf, 3, 20),
     ])
     def test_out_of_domain_input_is_a_clean_value_error(self, call):
-        # Each of these raised OverflowError or InvariantError, hung, returned inf or was accepted.
+        # Each of these raised OverflowError, TypeError or InvariantError, warned of an
+        # invalid value, hung, returned inf or was accepted.
         with pytest.raises(ValueError):
             call()
 
@@ -154,8 +172,18 @@ class TestLibraryInputs:
         assert fock.recommended_cutoff(a) == math.ceil(a * a + 10.0 * a)
         assert fock.recommended_cutoff(-3 + 4j) == 75
         net = linear.compose(linear.make_beam_splitter(0.3), linear.make_phase_shift([0.7, 0.0]))
-        unguarded = linear.output_means(net, linear.CoherentRegister([a, 1j * a]))
+        unguarded = linear.apply_network(net, linear.CoherentRegister([a, 1j * a])).mode_means()
         assert comparison.unbalanced_test(a, 1j * a, 0.3, 0.7) == tuple(unguarded.tolist())
+
+    def test_overflowing_mean_photon_number_clicks_surely(self):
+        # |a|^2 overflows to inf without a warning; an ideal detector then always clicks.
+        register = linear.CoherentRegister([1e200, 0])
+        assert register.mode_means().tolist() == [math.inf, 0.0]
+        assert register.mean_photon_number == math.inf
+        result = pkd.verify_against_private([1e200], [0], 8, 1.0, 1.0)
+        assert (result.errors, result.verdict) == (1, "reject")
+        estimate = detection.run_trials(register, linear.make_beam_splitter(0.5), [1], trials=10)
+        assert estimate.rate == 1.0
 
     @pytest.mark.parametrize("guard", [
         lambda: domain.magnitude(10**400, "x"),
