@@ -7,15 +7,9 @@ transformation, the closed-form success probability, a Monte Carlo check with
 realistic detectors, and the non-demolition recovery of untouched inputs.
 """
 
-from qcompare import (
-    CoherentRegister,
-    DetectorModel,
-    apply_network,
-    make_beam_splitter,
-    p_success_two,
-    p_success_universal,
-    run_trials,
-)
+from qcompare.linear import CoherentRegister, apply_network, make_beam_splitter
+from qcompare.detection import DetectorModel, run_trials
+from qcompare.comparison import p_success_two, p_success_universal
 
 bs = make_beam_splitter(0.5)
 

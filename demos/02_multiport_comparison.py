@@ -8,15 +8,9 @@ closed forms, and it always beats the input-agnostic symmetric-subspace test.
 
 import numpy as np
 
-from qcompare import (
-    CoherentRegister,
-    apply_network,
-    compare_report,
-    make_balanced_multiport,
-    multiport_success_forms,
-    p_success_multiport,
-    run_trials,
-)
+from qcompare.linear import CoherentRegister, apply_network, make_balanced_multiport
+from qcompare.detection import run_trials
+from qcompare.comparison import compare_report, multiport_success_forms, p_success_multiport
 
 print("=== bunching of identical inputs (N = 4) ===")
 net = make_balanced_multiport(4)

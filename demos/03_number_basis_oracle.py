@@ -9,13 +9,11 @@ vacua by parity, and to exhibit the entangled states that always pass.
 
 import numpy as np
 
-from qcompare import (
-    CoherentRegister,
+from qcompare.linear import CoherentRegister, apply_network, make_beam_splitter
+from qcompare.fock import (
     apply_bs_fock,
-    apply_network,
     coherent_fock,
     fidelity,
-    make_beam_splitter,
     odd_photon_probability,
     photon_distribution,
     product_state,

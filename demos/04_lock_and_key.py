@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from qcompare import (
+from qcompare.lockkey import (
     attack_pass_probability,
     forgery_string_probability,
     generate_key,

@@ -9,7 +9,7 @@ recipient trying to frame the sender.
 
 import numpy as np
 
-from qcompare import (
+from qcompare.pkd import (
     AliceCenterAttack,
     CharlieTamper,
     cheat_bound,

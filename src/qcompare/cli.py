@@ -36,6 +36,9 @@ from .linear import CoherentRegister, apply_network, make_beam_splitter
 from .svg import line_chart
 
 SCHEMA = 1
+# The |alpha|^2 grid of figure4 and of the lockkey entropy table: its top and its point count.
+_ENTROPY_ALPHA_SQ_MAX = 25.0
+_ENTROPY_POINTS = 51
 
 
 @dataclass(frozen=True)
@@ -195,8 +198,9 @@ def _cmd_oracle(args) -> Report:
     if args.xi1 is not None or args.xi2 is not None:
         if args.xi1 is None or args.xi2 is None:
             raise ValueError("squeezed mode needs both --xi1 and --xi2")
-        if args.transmittance is not None:
-            raise ValueError("squeezed mode takes no --transmittance: its splitter is balanced")
+        if (args.alpha, args.beta, args.transmittance) != (None, None, None):
+            raise ValueError("squeezed mode takes no --alpha, --beta or --transmittance: "
+                             "its inputs are squeezed vacua on a balanced splitter")
         p_odd = fock.odd_photon_probability(args.xi1, args.xi2, args.cutoff)
         obj = {
             "mode": "squeezed",
@@ -282,6 +286,9 @@ def _cmd_lockkey_simulate(args) -> Report:
 
 def _cmd_lockkey_entropy(args) -> Report:
     if args.alpha_sq is not None:
+        if (args.alpha_sq_max, args.points) != (None, None):
+            raise ValueError("--alpha-sq takes no --alpha-sq-max or --points: "
+                             "they set the grid of the table mode")
         amplitude = math.sqrt(domain.magnitude(args.alpha_sq, "alpha_sq",
                                                limit=domain.MAX_AMPLITUDE ** 2))
         results = [
@@ -290,7 +297,9 @@ def _cmd_lockkey_entropy(args) -> Report:
             for n in args.N
         ]
         return Report(fields={"results": results})
-    rows = _entropy_grid(args.N, args.alpha_sq_max, args.points)
+    rows = _entropy_grid(args.N,
+                         _ENTROPY_ALPHA_SQ_MAX if args.alpha_sq_max is None else args.alpha_sq_max,
+                         _ENTROPY_POINTS if args.points is None else args.points)
     return Report(fields={"rows": rows}, columns=("alpha_sq", "N", "S_bits"), rows=rows,
                   plot=Plot("key-position entropy", "|alpha|^2", "S (bits)",
                             ("S_bits",), "N", tuple(args.N)))
@@ -395,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure4", parents=[common],
                        help="key-position entropy vs mean photon number")
     p.add_argument("--N", nargs="+", type=int, default=[2, 3, 4, 5, 6])
-    p.add_argument("--alpha-sq-max", type=float, default=25.0)
-    p.add_argument("--points", type=int, default=51)
+    p.add_argument("--alpha-sq-max", type=float, default=_ENTROPY_ALPHA_SQ_MAX)
+    p.add_argument("--points", type=int, default=_ENTROPY_POINTS)
     p.set_defaults(func=_cmd_figure4)
 
     # The group takes no common options: they follow the action, which sets them.
@@ -416,9 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = action.add_parser("entropy", parents=[common], help="information bound per key position")
     pe.add_argument("--N", nargs="+", type=int, default=[2, 3, 4, 5, 6])
-    pe.add_argument("--alpha-sq", type=float, default=None)
-    pe.add_argument("--alpha-sq-max", type=float, default=25.0)
-    pe.add_argument("--points", type=int, default=51)
+    pe.add_argument("--alpha-sq", type=float, default=None,
+                    help="one |alpha|^2: a JSON point report instead of the table")
+    pe.add_argument("--alpha-sq-max", type=float, default=None,
+                    help=f"table mode only (default {_ENTROPY_ALPHA_SQ_MAX:g})")
+    pe.add_argument("--points", type=int, default=None,
+                    help=f"table mode only (default {_ENTROPY_POINTS})")
     pe.set_defaults(func=_cmd_lockkey_entropy)
 
     pa = action.add_parser("attack-scan", parents=[common], help="coherent false-key scan")

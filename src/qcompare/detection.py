@@ -95,7 +95,9 @@ def stream(seed) -> np.random.Generator:
 def click_probabilities(means, model: DetectorModel = IDEAL) -> np.ndarray:
     """Per-detector click probabilities 1 - exp(-(efficiency * mean + dark))."""
     means = domain.magnitude(means, "mean photon number", limit=math.inf)
-    return 1.0 - np.exp(-(model.efficiency * means + model.dark_mean))
+    # A blind detector sees no light, however much: 0 * inf would be NaN.
+    detected = model.efficiency * means if model.efficiency else np.zeros_like(means)
+    return 1.0 - np.exp(-(detected + model.dark_mean))
 
 
 def _available_cpus() -> int:

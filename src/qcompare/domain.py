@@ -73,8 +73,12 @@ def _interval(value, name: str, limit: float, positive: bool, limit_text: str):
     try:
         arr = float(value) if scalar else np.asarray(value)
         if not scalar:
-            if arr.dtype.kind == "c":  # casting would drop the imaginary part with a warning
-                raise TypeError("a complex value")
+            # Casting would drop an imaginary part or parse a string; an object array
+            # (integers beyond int64) may hold only reals.
+            kind = arr.dtype.kind
+            if kind not in "biufO" or kind == "O" and not all(
+                    isinstance(x, numbers.Real) for x in arr.flat):
+                raise TypeError("not a real number")
             arr = arr.astype(float, copy=False)
     except OverflowError:  # an integer beyond the float range
         got = "an integer beyond the float range"

@@ -131,7 +131,8 @@ class TestMultiportAndOracle:
     def test_oracle_squeezed_rejects_transmittance(self, capsys):
         # The squeezed oracle's splitter is balanced: a transmittance is an error, not ignored.
         assert cli.main(["oracle", "--xi1", "0.2", "--xi2", "0.1", "--transmittance", "0.3"]) == 2
-        assert "squeezed mode takes no --transmittance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "squeezed mode takes no --alpha, --beta or --transmittance" in err
 
     def test_oracle_coherent_transmittance_defaults_to_balanced(self, tmp_path):
         args = ["oracle", "--alpha", "0.8,0.3", "--beta", "-0.5,0.2", "--cutoff", "20"]
@@ -198,6 +199,13 @@ class TestLockKey:
         result = obj["results"][0]
         assert result["N"] == 4
         assert abs(result["S_bits"] - 2.0) < 0.05
+
+    def test_entropy_table_defaults_to_figure4_grid(self, tmp_path):
+        table = run_json(["lockkey", "entropy", "--N", "2", "3"], tmp_path, "table.json")
+        figure = run_json(["figure4", "--N", "2", "3"], tmp_path, "figure.json")
+        assert len(table["rows"]) == 2 * 51 and table["rows"][-1]["alpha_sq"] == 25.0
+        assert table["rows"] == [{k: r[k] for k in ("alpha_sq", "N", "S_bits")}
+                                 for r in figure["rows"]]
 
     def test_simulate_vacuum_attack(self, tmp_path):
         obj = run_json(["lockkey", "simulate", "--M", "5", "--N", "8", "--amp", "1",
@@ -664,6 +672,16 @@ class TestInputDomain:
          "recipients must be an integer >= 2, got 1"),
         (["pkd", "--trials", str(WORK_BUDGET + 1), "--format", "csv"],
          "the per-trial columns would need about 1e+07 entries"),
+        # An option of the other mode is rejected, never left unread.
+        (["oracle", "--xi1", "0.2", "--xi2", "0.1", "--alpha", "5,0"],
+         "squeezed mode takes no --alpha, --beta or --transmittance"),
+        (["oracle", "--xi1", "0.2", "--xi2", "0.1", "--beta", "1,1"], "squeezed mode takes no"),
+        (["oracle", "--xi1", "0.2", "--xi2", "0.1", "--alpha", "nonsense"],
+         "squeezed mode takes no"),
+        (["lockkey", "entropy", "--alpha-sq", "2", "--points", "7"],
+         "--alpha-sq takes no --alpha-sq-max or --points"),
+        (["lockkey", "entropy", "--alpha-sq", "2", "--alpha-sq-max", "9"],
+         "--alpha-sq takes no --alpha-sq-max or --points"),
     ])
     def test_out_of_domain_input_exits_2_by_name(self, argv, message, tmp_path):
         out = tmp_path / "out"

@@ -78,9 +78,15 @@ class TestGuards:
         lambda: domain.fraction(np.complex128(0.5), "x"),
         lambda: domain.magnitude(np.array([1.0, 1.0 + 1j]), "x"),
         lambda: domain.magnitude("abc", "x"),
+        lambda: domain.magnitude("2", "x"),
+        lambda: domain.magnitude(np.array(["1", "2"]), "x"),
+        lambda: domain.fraction(np.array([0.5, "0.5"], dtype=object), "x"),
+        lambda: domain.magnitude(np.array([1], dtype="m8[s]"), "x"),
+        lambda: domain.magnitude(None, "x"),
     ])
     def test_non_real_value_is_named(self, guard):
-        # A complex value or a string lies in no real interval; the guard names it.
+        # A complex value, a string (even a numeric one), a duration or None lies in
+        # no real interval; the guard names it.
         with pytest.raises(ValueError, match=r"x must lie in \[0, .*\], got "):
             guard()
 
@@ -195,6 +201,15 @@ class TestLibraryInputs:
     def test_integer_beyond_the_float_range_is_named(self, guard):
         with pytest.raises(ValueError, match="x must .*, got an integer beyond the float range"):
             guard()
+
+    @pytest.mark.parametrize("means", [math.inf, [math.inf, 2.0, 0.0]])
+    def test_blind_detector_clicks_at_the_dark_count_rate(self, means):
+        # No light reaches a detector of efficiency 0, however much arrives: not 0 * inf = NaN.
+        model = detection.DetectorModel(efficiency=0.0, dark_mean=0.1)
+        p = detection.click_probabilities(means, model)
+        assert np.all(p == 1.0 - math.exp(-0.1)) and np.shape(p) == np.shape(means)
+        assert np.all(detection.click_probabilities(means, detection.DetectorModel(efficiency=0.0))
+                      == 0.0)
 
     def test_key_string_stores_integer_phases(self):
         key = lockkey.KeyString(np.int64(8), np.float64(1.5), np.array([0.0, 3.0, 7.0]))
