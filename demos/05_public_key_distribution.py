@@ -9,12 +9,12 @@ recipient trying to frame the sender.
 
 import numpy as np
 
+from qcompare.lockkey import KeyString
 from qcompare.pkd import (
     AliceCenterAttack,
     CharlieTamper,
     cheat_bound,
     distributed_exchange,
-    private_key_amplitudes,
     simulate_dishonest_alice_center,
     simulate_dishonest_charlie,
     trusted_center_distribute,
@@ -24,12 +24,11 @@ from qcompare.pkd import (
 M, N, AMP, COPIES = 8, 8, 1.0, 3
 
 print("=== trusted center: honest distribution ===")
-phases = np.random.default_rng(5).integers(0, N, size=M)
-pubkey = trusted_center_distribute(phases, N, AMP, copies=COPIES)
+key = KeyString(N, AMP, np.random.default_rng(5).integers(0, N, size=M))
+pubkey = trusted_center_distribute(key, copies=COPIES)
 print(f"  {COPIES} copies, all identical: {np.all(pubkey == pubkey[0])}")
 for r in range(COPIES):
-    result = verify_against_private(pubkey[r], phases, N, AMP,
-                                    security_s=0.5, rng=r)
+    result = verify_against_private(pubkey[r], key, security_s=0.5, rng=r)
     print(f"  recipient {r}: errors = {result.errors}, verdict = {result.verdict}")
 
 print()
@@ -46,7 +45,7 @@ print("  splitting the verdicts needs every error on one side: exponentially rar
 
 print()
 print("=== no center: distributed comparison ===")
-alpha = private_key_amplitudes(phases, N, AMP)
+alpha = key.amplitudes()
 parties = distributed_exchange([alpha.copy() for _ in range(COPIES)], rng=11)
 for party in parties:
     print(f"  {party.name}: clicks = {int(party.clicks.sum())}, "

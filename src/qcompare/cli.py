@@ -261,8 +261,11 @@ def _cmd_figure4(args) -> Report:
 
 def _cmd_lockkey_simulate(args) -> Report:
     key = lockkey.generate_key(args.M, args.N, args.amp, rng=args.seed)
-    # --beta is checked whatever the attack, though only coherent reads it.
-    magnitude = domain.magnitude(args.beta, "attack magnitude")
+    # --beta is checked against its domain first, whatever the attack; only coherent reads it.
+    magnitude = 0.0 if args.beta is None else domain.magnitude(args.beta, "attack magnitude")
+    if args.beta is not None and args.attack != "coherent":
+        raise ValueError(f"--attack {args.attack} takes no --beta: "
+                         "it sets the magnitude of --attack coherent")
     # The vacuum is the coherent false key of magnitude 0.
     beta = {"key": None, "vacuum": 0.0, "coherent": magnitude}[args.attack]
     model = DetectorModel(efficiency=args.efficiency, dark_mean=args.dark_mean)
@@ -417,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--N", type=int, default=8)
     ps.add_argument("--amp", type=float, default=1.0)
     ps.add_argument("--attack", choices=("key", "vacuum", "coherent"), default="vacuum")
-    ps.add_argument("--beta", type=float, default=0.0, help="magnitude for --attack coherent")
+    ps.add_argument("--beta", type=float, default=None,
+                    help="magnitude for --attack coherent only (default 0)")
     ps.add_argument("--trials", type=int, default=100_000)
     ps.add_argument("--efficiency", type=float, default=1.0)
     ps.add_argument("--dark-mean", type=float, default=0.0)

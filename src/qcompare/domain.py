@@ -119,6 +119,16 @@ def integer(value, name: str, low: int, high: int | None = None) -> int:
     return number
 
 
+def counts(values, name: str) -> np.ndarray:
+    """An array of non-negative integers, of any shape: an unsigned one is taken unscanned."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind == "u" or not arr.size or kind == "i" and arr.min() >= 0:
+        return arr
+    got = arr.min() if kind == "i" else f"an array of {arr.dtype}"
+    raise ValueError(f"{name} must be non-negative integers, got {got}")
+
+
 def fraction(value, name: str, *, positive: bool = False):
     """A real in [0, 1] ((0, 1] if ``positive``): a float, or a float array for arrays."""
     return _interval(value, name, 1.0, positive, "1")

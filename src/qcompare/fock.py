@@ -33,14 +33,15 @@ class FockVector:
 
     ``amps`` is indexed by photon number, ``amps[n]`` for one mode or
     ``amps[n_a, n_b]`` for two.  The norm may fall short of one by the
-    truncation deficit but must never exceed one beyond float slack.
+    truncation deficit but must never exceed one beyond float slack.  The
+    caller's array is copied, so no later write reaches the validated state.
     """
 
     amps: np.ndarray
     cutoff: int
 
     def __post_init__(self):
-        arr = np.asarray(self.amps, dtype=complex)
+        arr = np.array(self.amps, dtype=complex)
         d = domain.integer(self.cutoff, "cutoff", 1) + 1
         if arr.shape not in ((d,), (d, d)):
             raise ValueError(f"amps shape {arr.shape} does not match cutoff {self.cutoff}")

@@ -30,12 +30,13 @@ UNITARITY_TOL = 1e-10
 @dataclass(frozen=True)
 class CoherentRegister:
     """Ordered mode amplitudes of an N-mode coherent product state (any finite values:
-    a network's outputs may exceed ``domain.MAX_AMPLITUDE``)."""
+    a network's outputs may exceed ``domain.MAX_AMPLITUDE``).  The caller's array is
+    copied, so no later write reaches the validated amplitudes."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = domain.amplitudes(self.amplitudes, limit=np.inf)
+        arr = domain.amplitudes(self.amplitudes, limit=np.inf).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -189,15 +190,26 @@ def make_balanced_multiport(n_modes: int) -> LinearNetwork:
     return LinearNetwork._adopt(mat)
 
 
-def multiport_outputs(amps: np.ndarray) -> np.ndarray:
+def multiport_outputs(amps) -> np.ndarray:
     """Outputs gamma of the balanced multiport fed the amplitudes on the last axis.
 
     Each row equals ``apply_network(make_balanced_multiport(N), ...)``: the
     DFT's outputs ``gamma_k = sum_l conj(u[l, k]) a_l`` are ``fft(a) / sqrt(N)``,
     with no N x N matrix built.  The FFT is taken of ``a - a_0``, exact inside
     a tight cluster (equal inputs give exactly zero in modes 1..N-1); ``a_0``
-    reaches mode 0 alone, as ``sqrt(N) a_0``.
+    reaches mode 0 alone, as ``sqrt(N) a_0``.  ``amps`` may be any non-empty
+    array-like of finite amplitudes with at least one axis.
     """
+    try:
+        amps = np.asarray(amps, dtype=complex)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("multiport inputs must be finite, "
+                         "got an integer beyond the float range") from None
+    if amps.ndim == 0 or amps.size == 0:
+        raise ValueError(f"multiport inputs must be a non-empty array, got shape {amps.shape}")
+    finite = np.isfinite(amps)
+    if not finite.all():
+        raise ValueError(f"multiport inputs must be finite, got {complex(amps[~finite][0])}")
     root_n = math.sqrt(amps.shape[-1])
     gamma = np.fft.fft(amps - amps[..., :1]) / root_n
     gamma[..., 0] += root_n * amps[..., 0]

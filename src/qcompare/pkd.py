@@ -6,9 +6,9 @@ seedable multi-party protocols:
 
 * trusted center: the sender provides ``|sqrt(T) alpha_j>`` per position and
   the center's balanced T-port multiports emit T identical copies, one per
-  recipient, returned as one read-only (copies, positions) array.  Recipients
-  later test a revealed private key by projecting each position onto the
-  claimed coherent state.
+  recipient, returned as one read-only (copies, positions) view of the key
+  string that holds its M amplitudes once.  Recipients later test a revealed
+  private key by projecting each position onto the claimed coherent state.
 * distributed (no center): each recipient splits every position of their own
   copy T ways, keeps one share, exchanges the rest, and feeds own-plus-received
   shares into a comparison multiport watched by ideal detectors.  Honest runs
@@ -63,16 +63,12 @@ class ProtocolTranscript:
         self.events.append(event)
 
 
-def private_key_amplitudes(phase_indices, n_phases: int, amplitude: float) -> np.ndarray:
-    """Coherent string encoded by a private key: amplitude * exp(2 pi i k_j / N)."""
-    return KeyString(n_phases, amplitude, phase_indices).amplitudes()
-
-
-def trusted_center_distribute(phase_indices, n_phases: int, amplitude: float, copies: int,
+def trusted_center_distribute(key: KeyString, copies: int,
                               transcript: ProtocolTranscript | None = None) -> np.ndarray:
     """Generate T copies of the public key through the center's multiports.
 
-    Returns a read-only (copies, positions) array; row r is copy r.
+    Returns a read-only (copies, positions) view of the key string: row r is
+    copy r, and every row is the same M amplitudes.
 
     The sender supplies ``|sqrt(T) alpha_j>`` per position; each position
     enters port 0 of a balanced T-port multiport whose other inputs are
@@ -81,17 +77,16 @@ def trusted_center_distribute(phase_indices, n_phases: int, amplitude: float, co
     Mean photon number is conserved: T |alpha_j|^2 in, |alpha_j|^2 per copy out.
     """
     copies = domain.integer(copies, "copies", 1)
-    alpha = private_key_amplitudes(phase_indices, n_phases, amplitude)
+    alpha = key.amplitudes()
     m = alpha.size
     recorded = 0 if transcript is None else (copies + 1) * m
+    # Kept at T M entries, the array the copies once took, so the accepted requests do not move.
     domain.size(copies * m + domain.REPORT_ENTRIES * recorded, "the public-key copies")
-    out = np.tile(alpha, (copies, 1))
     if transcript is not None:
         transcript.record("alice", "prepare", amplitudes=np.sqrt(copies) * alpha)
         for r in range(copies):
-            transcript.record("center", "send", recipient=r, amplitudes=out[r])
-    out.setflags(write=False)
-    return out
+            transcript.record("center", "send", recipient=r, amplitudes=alpha)
+    return np.broadcast_to(alpha, (copies, m))
 
 
 def verdicts(errors, security_s: float, length: int) -> np.ndarray:
@@ -102,18 +97,14 @@ def verdicts(errors, security_s: float, length: int) -> np.ndarray:
     ``(e != 0) + (e >= max(ceil(s * length), 1))``, with one boolean temporary.
     """
     domain.fraction(security_s, "security parameter s", positive=True)
-    errors = np.asarray(errors)
+    length = domain.integer(length, "key length", 0)
+    errors = domain.counts(errors, "error counts")
     # An integer threshold: numpy 1.x would compare uint8 counts with a float in float16.
     # At least 1, so that zero errors stay ACCEPT when s * length rounds up to 0.
     reject_at = max(math.ceil(security_s * length), 1)
     code = np.not_equal(errors, 0, out=np.empty(errors.shape, dtype=np.uint8))
     code += errors >= reject_at
     return code
-
-
-def verdict_for(errors: int, security_s: float, length: int) -> str:
-    """Verdict name for one error count (see ``verdicts``)."""
-    return VERDICTS[int(verdicts(errors, security_s, length))]
 
 
 def _split_verdicts(codes_a, codes_b) -> np.ndarray:
@@ -128,8 +119,8 @@ class VerificationResult:
     verdict: str
 
 
-def verify_against_private(copy_amplitudes, claimed_phases, n_phases: int, amplitude: float,
-                           security_s: float, rng=0) -> VerificationResult:
+def verify_against_private(copy_amplitudes, claimed: KeyString, security_s: float,
+                           rng=0) -> VerificationResult:
     """Test a held public-key copy against a revealed private key.
 
     Each position is measured with the two-outcome test {|target><target|,
@@ -139,14 +130,14 @@ def verify_against_private(copy_amplitudes, claimed_phases, n_phases: int, ampli
     The outcomes are one trial of the trial engine, ``trial_clicks``.
     """
     held = domain.amplitudes(copy_amplitudes, "held copy", limit=math.inf)
-    target = private_key_amplitudes(claimed_phases, n_phases, amplitude)
+    target = claimed.amplitudes()
     if held.shape != target.shape:
         raise ValueError(f"copy has {held.size} positions, claimed key has {target.size}")
     with np.errstate(over="ignore"):  # a mean beyond the float range clicks surely
         means = np.abs(held - target) ** 2
     clicks = trial_clicks(click_probabilities(means), rng)
     errors = int(np.count_nonzero(clicks))
-    return VerificationResult(errors=errors, verdict=verdict_for(errors, security_s, held.size))
+    return VerificationResult(errors, VERDICTS[int(verdicts(errors, security_s, held.size))])
 
 
 def coherent_with_overlap(alpha: complex, overlap: float) -> complex:
@@ -451,8 +442,7 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
     key = generate_key(length, n_phases, amplitude, gen)
 
     transcript = ProtocolTranscript()
-    pubkey = trusted_center_distribute(key.phases, n_phases, amplitude, copies,
-                                       transcript=transcript)
+    pubkey = trusted_center_distribute(key, copies, transcript=transcript)
 
     attack = AliceCenterAttack(positions=0 if adversary == "none" else 1, overlap=0.5)
     errors = np.empty((2, trials), dtype=np.uint8)  # at most one attacked position

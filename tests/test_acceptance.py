@@ -22,6 +22,7 @@ from qcompare.fock import (
 )
 from qcompare.linear import CoherentRegister, apply_network, make_beam_splitter
 from qcompare.lockkey import (
+    KeyString,
     entropy_by_diagonalization,
     holevo_entropy_finite,
     holevo_entropy_infinite,
@@ -31,7 +32,6 @@ from qcompare.lockkey import (
 from qcompare.pkd import (
     AliceCenterAttack,
     distributed_exchange,
-    private_key_amplitudes,
     simulate_dishonest_alice_center,
 )
 
@@ -199,7 +199,7 @@ def test_criterion_10_verdict_splitting_probability_and_bound():
 def test_criterion_11_honest_distributed_exchange_is_lossless():
     for recipients in (2, 3):
         phases = RNG.integers(0, 8, size=8)
-        alpha = private_key_amplitudes(phases, 8, 1.2)
+        alpha = KeyString(8, 1.2, phases).amplitudes()
         parties = distributed_exchange([alpha.copy() for _ in range(recipients)],
                                        rng=30 + recipients)
         for party in parties:

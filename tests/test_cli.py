@@ -682,6 +682,10 @@ class TestInputDomain:
          "--alpha-sq takes no --alpha-sq-max or --points"),
         (["lockkey", "entropy", "--alpha-sq", "2", "--alpha-sq-max", "9"],
          "--alpha-sq takes no --alpha-sq-max or --points"),
+        # --beta was read only by --attack coherent: key and vacuum printed the same bytes.
+        (["lockkey", "simulate", "--attack", "vacuum", "--beta", "0.5"],
+         "--attack vacuum takes no --beta"),
+        (["lockkey", "simulate", "--attack", "key", "--beta", "0"], "--attack key takes no --beta"),
     ])
     def test_out_of_domain_input_exits_2_by_name(self, argv, message, tmp_path):
         out = tmp_path / "out"
@@ -775,12 +779,22 @@ FUZZ_COMMANDS = [
         "--alpha-sq-max": (_reals(0.0, 25.0), _EDGE_REALS, False),
         "--points": (_counts(2, 6), _EDGE_COUNTS, False),
     }, ("json", "csv", "svg")),
+    (["lockkey", "simulate", "--attack", "coherent"], {
+        "--M": (_counts(1, 8), _EDGE_COUNTS, False),
+        "--N": (_counts(2, 8), _EDGE_COUNTS, False),
+        "--amp": (_reals(0.0, 2.0), _EDGE_REALS, False),
+        "--beta": (_reals(0.0, 2.0), _EDGE_REALS, False),
+        "--trials": (_counts(1, 200), _EDGE_COUNTS, True),
+        "--efficiency": (_reals(0.0, 1.0), _EDGE_REALS, False),
+        "--dark-mean": (_reals(0.0, 0.1), _EDGE_REALS, False),
+        "--seed": _SEED,
+    }, ("json",)),
+    # --beta is the coherent attack's magnitude: with key or vacuum it exits 2.
     (["lockkey", "simulate"], {
         "--M": (_counts(1, 8), _EDGE_COUNTS, False),
         "--N": (_counts(2, 8), _EDGE_COUNTS, False),
         "--amp": (_reals(0.0, 2.0), _EDGE_REALS, False),
-        "--attack": (st.sampled_from(("key", "vacuum", "coherent")), (), True),
-        "--beta": (_reals(0.0, 2.0), _EDGE_REALS, False),
+        "--attack": (st.sampled_from(("key", "vacuum")), (), True),
         "--trials": (_counts(1, 200), _EDGE_COUNTS, True),
         "--efficiency": (_reals(0.0, 1.0), _EDGE_REALS, False),
         "--dark-mean": (_reals(0.0, 0.1), _EDGE_REALS, False),

@@ -126,7 +126,8 @@ class TestBudgetsRejectBeforeAllocating:
         lambda: lockkey.generate_key(10**12, 8, 1.0),
         lambda: detection.bernoulli_counts([0.5], 10**12, 0),
         lambda: linear.make_balanced_multiport(10**5),
-        lambda: pkd.trusted_center_distribute([0] * 1000, 8, 1.0, copies=2 * 10**4),
+        lambda: pkd.trusted_center_distribute(lockkey.KeyString(8, 1.0, [0] * 1000),
+                                              copies=2 * 10**4),
         lambda: pkd.distributed_exchange([np.ones(100)] * 50, rng=0),
         lambda: pkd.run_center_protocol(4, 8, 1.0, 2, 0.5, 10**9, "none"),
     ])
@@ -166,6 +167,10 @@ class TestLibraryInputs:
         lambda: linear.make_phase_shift([math.inf, 0.0]),
         lambda: comparison.unbalanced_test(1, 0, 0.5, input_phase=math.inf),
         lambda: lockkey.entropy_by_diagonalization(math.inf, 3, 20),
+        lambda: pkd.verdicts([-1], 0.5, 10),
+        lambda: pkd.verdicts([0.5], 0.5, 10),
+        lambda: linear.multiport_outputs([1.0, math.inf]),
+        lambda: linear.multiport_outputs([]),
     ])
     def test_out_of_domain_input_is_a_clean_value_error(self, call):
         # Each of these raised OverflowError, TypeError or InvariantError, warned of an
@@ -186,10 +191,45 @@ class TestLibraryInputs:
         register = linear.CoherentRegister([1e200, 0])
         assert register.mode_means().tolist() == [math.inf, 0.0]
         assert register.mean_photon_number == math.inf
-        result = pkd.verify_against_private([1e200], [0], 8, 1.0, 1.0)
+        result = pkd.verify_against_private([1e200], lockkey.KeyString(8, 1.0, [0]), 1.0)
         assert (result.errors, result.verdict) == (1, "reject")
         estimate = detection.run_trials(register, linear.make_beam_splitter(0.5), [1], trials=10)
         assert estimate.rate == 1.0
+
+    @pytest.mark.parametrize("errors,got", [
+        (np.array([4, -3], np.int8), "got -3"), ([True], "got an array of bool"),
+    ])
+    def test_verdicts_name_a_count_that_is_no_non_negative_integer(self, errors, got):
+        # A negative count, or a count that is no integer, was read as UNSURE.
+        with pytest.raises(ValueError, match=f"error counts must be non-negative integers, {got}"):
+            pkd.verdicts(errors, 0.5, 10)
+
+    @pytest.mark.parametrize("length", [math.inf, NAN, -5, 2.5])
+    def test_verdicts_name_a_length_that_is_no_integer(self, length):
+        # length = inf raised OverflowError; -5 and 2.5 gave verdicts.
+        with pytest.raises(ValueError, match="key length must be an integer >= 0"):
+            pkd.verdicts([0, 3], 0.5, length)
+
+    def test_verdicts_take_an_empty_list(self):
+        # np.asarray([]) is float64, yet it holds no count that is not an integer.
+        assert pkd.verdicts([], 0.5, 10).shape == (0,)
+
+    def test_multiport_outputs_take_any_array_like(self):
+        # A list raised AttributeError; it gives the outputs of the same amplitudes as an array.
+        assert np.array_equal(linear.multiport_outputs([1, 2]),
+                              linear.multiport_outputs(np.array([1.0, 2.0], dtype=complex)))
+        assert linear.multiport_outputs([[1.0], [2j]]).tolist() == [[1.0], [2j]]
+
+    @pytest.mark.parametrize("amps,got", [
+        ([[0.5, complex(0.0, NAN)]], "finite, got nanj"),
+        (2.0, r"a non-empty array, got shape \(\)"),
+        (np.zeros((3, 0)), r"a non-empty array, got shape \(3, 0\)"),
+        ([10**400, 1], "finite, got an integer beyond the float range"),
+    ])
+    def test_multiport_outputs_name_a_non_finite_or_empty_input(self, amps, got):
+        # Each raised AttributeError, OverflowError or an FFT warning, not a ValueError.
+        with pytest.raises(ValueError, match="multiport inputs must be " + got):
+            linear.multiport_outputs(amps)
 
     @pytest.mark.parametrize("guard", [
         lambda: domain.magnitude(10**400, "x"),

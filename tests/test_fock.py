@@ -395,3 +395,21 @@ class TestTruncation:
     def test_norm_overflow_rejected(self):
         with pytest.raises(ValueError):
             FockVector(np.full(11, 0.5, dtype=complex), 10)
+
+
+class TestStateOwnership:
+    def test_callers_array_is_copied_and_left_writable(self):
+        # The caller's array was frozen and kept: made writable again, a[:] = 5 gave
+        # the validated state norm_sq 75.0 and deficit -74.0.
+        a = np.array([1.0, 0.0, 0.0], dtype=complex)
+        state = FockVector(a, 2)
+        assert a.flags.writeable and not state.amps.flags.writeable
+        a[:] = 5
+        assert (state.norm_sq, state.deficit) == (1.0, 0.0)
+
+    def test_write_through_a_view_does_not_reach_the_state(self):
+        owner = np.zeros((3, 3), dtype=complex)
+        owner[0, 0] = 1.0
+        state = FockVector(owner[:, :], 2)
+        owner[:] = 5
+        assert state.norm_sq == 1.0 and state.amps.base is None

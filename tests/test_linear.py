@@ -181,6 +181,26 @@ class TestMatrixOwnership:
         assert traced_peak(compose, dft, dft)[1] <= 2.0 * dft.matrix.nbytes
 
 
+class TestRegisterOwnership:
+    def test_callers_array_is_copied_and_left_writable(self):
+        # The caller's array was frozen and kept: made writable again, b[0] = nan
+        # put a NaN in the validated register.
+        b = np.array([1.0, 2.0j])
+        register = CoherentRegister(b)
+        assert b.flags.writeable and not register.amplitudes.flags.writeable
+        b[0] = np.nan
+        assert register.amplitudes.tolist() == [1.0, 2.0j]
+
+    def test_read_only_owner_made_writable_does_not_reach_the_register(self):
+        b = np.array([1.0, 2.0j])
+        b.setflags(write=False)
+        register = CoherentRegister(b)
+        b.setflags(write=True)
+        b[0] = np.nan
+        assert register.amplitudes.tolist() == [1.0, 2.0j]
+        assert register.mean_photon_number == 5.0
+
+
 def dense_dft(n):
     """The DFT matrix by N^2 complex exponentials of 2 pi k l / N."""
     k = np.arange(n)

@@ -12,7 +12,7 @@ from scipy.stats import chi2
 from qcompare import pkd
 from qcompare.detection import Estimate, bernoulli_counts, click_probabilities, stream
 from qcompare.domain import BLOCK_ENTRIES, CHUNK_ROWS, WORK_BUDGET
-from qcompare.lockkey import generate_key
+from qcompare.lockkey import KeyString, generate_key
 from qcompare.pkd import (
     ACCEPT,
     REJECT,
@@ -28,13 +28,11 @@ from qcompare.pkd import (
     cheat_bound,
     coherent_with_overlap,
     distributed_exchange,
-    private_key_amplitudes,
     run_center_protocol,
     run_distributed_protocol,
     simulate_dishonest_alice_center,
     simulate_dishonest_charlie,
     trusted_center_distribute,
-    verdict_for,
     verdicts,
     verify_against_private,
 )
@@ -46,38 +44,46 @@ RNG = np.random.default_rng(2718)
 class TestTrustedCenter:
     def test_single_copy_is_identity(self):
         phases = [0, 3, 1]
-        pub = trusted_center_distribute(phases, 4, 1.0, copies=1)
-        assert np.allclose(pub[0], private_key_amplitudes(phases, 4, 1.0))
+        pub = trusted_center_distribute(KeyString(4, 1.0, phases), copies=1)
+        assert np.allclose(pub[0], KeyString(4, 1.0, phases).amplitudes())
 
     def test_copies_identical_with_unit_magnitude(self):
         phases = RNG.integers(0, 8, size=6)
-        pub = trusted_center_distribute(phases, 8, 1.0, copies=4)
+        pub = trusted_center_distribute(KeyString(8, 1.0, phases), copies=4)
         assert pub.shape == (4, 6)
         assert np.all(pub == pub[0])
         assert np.allclose(np.abs(pub), 1.0, atol=1e-12)
-        assert np.allclose(pub, private_key_amplitudes(phases, 8, 1.0)[None, :], atol=1e-12)
+        assert np.allclose(pub, KeyString(8, 1.0, phases).amplitudes()[None, :], atol=1e-12)
         with pytest.raises(ValueError):  # read-only
             pub[0, 0] = 0.0
+
+    def test_copies_are_one_read_only_view_of_the_key(self):
+        # np.tile held T M amplitudes; every copy is the key string, held once.
+        key = KeyString(8, 1.0, [0, 3, 5, 1])
+        pub = trusted_center_distribute(key, copies=1000)
+        assert pub.shape == (1000, 4) and pub.strides == (0, pub.itemsize)
+        assert not pub.flags.writeable
+        assert pub[999].tolist() == key.amplitudes().tolist()
 
     def test_energy_conservation(self):
         copies = 4
         amp = 1.3
-        pub = trusted_center_distribute([0, 1], 4, amp, copies=copies)
+        pub = trusted_center_distribute(KeyString(4, amp, [0, 1]), copies=copies)
         per_copy = np.sum(np.abs(pub) ** 2, axis=1)
         total_in = copies * 2 * amp**2  # |sqrt(T) alpha_j|^2 summed over positions
         assert np.sum(per_copy) == pytest.approx(total_in, rel=1e-12)
 
     def test_invalid_copy_count(self):
         with pytest.raises(ValueError):
-            trusted_center_distribute([0], 4, 1.0, copies=0)
+            trusted_center_distribute(KeyString(4, 1.0, [0]), copies=0)
 
 
 class TestVerification:
     def test_honest_copy_yields_zero_errors(self):
         phases = RNG.integers(0, 8, size=10)
-        pub = trusted_center_distribute(phases, 8, 1.0, copies=2)
+        pub = trusted_center_distribute(KeyString(8, 1.0, phases), copies=2)
         for seed in range(10):
-            result = verify_against_private(pub[0], phases, 8, 1.0,
+            result = verify_against_private(pub[0], KeyString(8, 1.0, phases),
                                             security_s=0.5, rng=seed)
             assert result.errors == 0
             assert result.verdict == "accept"
@@ -87,9 +93,9 @@ class TestVerification:
     def test_honest_copy_verifies_at_large_amplitude(self, amp, copies):
         # Each copy is the key string itself: no eps * amp residue to test.
         phases = [0, 3, 5, 1, 7, 2]
-        pub = trusted_center_distribute(phases, 8, amp, copies=copies)
+        pub = trusted_center_distribute(KeyString(8, amp, phases), copies=copies)
         for r in range(copies):
-            result = verify_against_private(pub[r], phases, 8, amp, 0.5, rng=r)
+            result = verify_against_private(pub[r], KeyString(8, amp, phases), 0.5, rng=r)
             assert (result.errors, result.verdict) == (0, "accept")
 
     # verify_against_private makes one trial of exactly this bernoulli_counts
@@ -98,7 +104,7 @@ class TestVerification:
     def test_half_overlap_position_splits_evenly(self):
         phases = [0] * 4
         amp = 1.0
-        target = private_key_amplitudes(phases, 8, amp)
+        target = KeyString(8, amp, phases).amplitudes()
         held = target.copy()
         held[0] = coherent_with_overlap(held[0], 0.5)
         trials = 100_000
@@ -110,8 +116,8 @@ class TestVerification:
     def test_wrong_phase_error_probability(self):
         amp, n_phases = 2.0, 4
         claimed = [1]
-        held = private_key_amplitudes([0], n_phases, amp)
-        target = private_key_amplitudes(claimed, n_phases, amp)
+        held = KeyString(n_phases, amp, [0]).amplitudes()
+        target = KeyString(n_phases, amp, claimed).amplitudes()
         expected = 1.0 - math.exp(-abs(held[0] - target[0]) ** 2)
         trials = 50_000
         p_incorrect = click_probabilities(np.abs(held - target) ** 2)
@@ -124,26 +130,22 @@ class TestVerification:
         from qcompare.detection import stream
 
         phases = [0, 3, 5, 1, 7, 2]
-        target = private_key_amplitudes(phases, 8, 1.0)
+        target = KeyString(8, 1.0, phases).amplitudes()
         held = target + np.array([0.0, 0.3, 0.8j, 1.2, -0.5 + 0.5j, 2.0])
         p_incorrect = 1.0 - np.exp(-np.abs(held - target) ** 2)
         for seed in range(300):
             gen, reference = stream(seed), stream(seed)
-            result = verify_against_private(held, phases, 8, 1.0, 0.5, rng=gen)
+            result = verify_against_private(held, KeyString(8, 1.0, phases), 0.5, rng=gen)
             assert result.errors == np.count_nonzero(reference.random(held.size) < p_incorrect)
             assert gen.random() == reference.random()
 
     def test_non_integer_phase_index_rejected(self):
         with pytest.raises(ValueError, match="phase index"):
-            private_key_amplitudes([0, 1.5], 4, 1.0)
-        assert np.array_equal(private_key_amplitudes([0.0, 2.0], 4, 1.0),
-                              private_key_amplitudes([0, 2], 4, 1.0))
+            KeyString(4, 1.0, [0, 1.5]).amplitudes()
+        assert np.array_equal(KeyString(4, 1.0, [0.0, 2.0]).amplitudes(),
+                              KeyString(4, 1.0, [0, 2]).amplitudes())
 
     def test_verdict_thresholds(self):
-        assert verdict_for(0, 0.5, 10) == "accept"
-        assert verdict_for(3, 0.5, 10) == "unsure"
-        assert verdict_for(5, 0.5, 10) == "reject"
-        assert verdict_for(7, 0.5, 10) == "reject"
         codes = verdicts(np.array([0, 3, 5, 7]), 0.5, 10)
         assert [VERDICTS[c] for c in codes] == ["accept", "unsure", "reject", "reject"]
         # s M = 7.000000000000001: seven errors are not enough, whatever the count dtype.
@@ -152,7 +154,7 @@ class TestVerification:
             assert codes.dtype == np.uint8
             assert [VERDICTS[c] for c in codes] == ["accept", "unsure", "reject"]
         with pytest.raises(ValueError):
-            verdict_for(1, 0.0, 10)
+            verdicts(1, 0.0, 10)
         with pytest.raises(ValueError):
             verdicts(np.array([1, 2]), 1.5, 10)
 
@@ -202,7 +204,7 @@ class TestVerdictProperties:
         ordered = codes[np.argsort(errors, kind="stable")]
         assert np.all(ordered[1:] >= ordered[:-1])  # more errors never soften the verdict
         for e in errors[:3].tolist():
-            assert verdict_for(e, s, length) == VERDICTS[where_verdicts(e, s, length)]
+            assert verdicts(e, s, length) == where_verdicts(e, s, length)
 
     def test_split_verdicts_on_every_code_pair(self):
         a, b = np.array(list(itertools.product(range(3), repeat=2)), dtype=np.uint8).T
@@ -327,7 +329,7 @@ class TestDistributedExchange:
     @pytest.mark.parametrize("recipients", [2, 3])
     def test_honest_run_is_silent_and_recovers_the_key(self, recipients):
         phases = RNG.integers(0, 8, size=8)
-        alpha = private_key_amplitudes(phases, 8, 1.1)
+        alpha = KeyString(8, 1.1, phases).amplitudes()
         parties = distributed_exchange([alpha.copy() for _ in range(recipients)], rng=1)
         for party in parties:
             assert not party.clicked
@@ -336,13 +338,13 @@ class TestDistributedExchange:
     @pytest.mark.parametrize("amp", [1e20, 1e30])
     def test_honest_run_is_silent_at_large_amplitude(self, amp):
         # Equal shares cancel exactly in the watched modes, whatever |amp|.
-        alpha = private_key_amplitudes([0, 3, 5, 1, 7, 2], 8, amp)
+        alpha = KeyString(8, amp, [0, 3, 5, 1, 7, 2]).amplitudes()
         for party in distributed_exchange([alpha.copy() for _ in range(3)], rng=0):
             assert not party.clicked
             assert np.allclose(party.held, alpha, rtol=1e-12, atol=0)
 
     def test_split_phase_amplitudes(self):
-        alpha = private_key_amplitudes([0, 1], 4, 1.0)
+        alpha = KeyString(4, 1.0, [0, 1]).amplitudes()
         parties = distributed_exchange([alpha.copy(), alpha.copy()], rng=0)
         for event in parties[0].transcript.events:
             if event["action"] == "split":
@@ -382,7 +384,7 @@ class TestDistributedExchange:
             distributed_exchange([np.array([1.0])], rng=0)
 
     def test_transcript_determinism(self):
-        alpha = private_key_amplitudes([0, 2, 1], 4, 0.9)
+        alpha = KeyString(4, 0.9, [0, 2, 1]).amplitudes()
         a = distributed_exchange([alpha.copy(), alpha.copy()], rng=11)
         b = distributed_exchange([alpha.copy(), alpha.copy()], rng=11)
         for pa, pb in zip(a, b):
