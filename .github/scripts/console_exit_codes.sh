@@ -34,6 +34,11 @@ expect_2 qcompare oracle --xi1 0.2 --xi2 0.1 --transmittance 0.3
 expect_2 qcompare oracle --xi1 0.2 --xi2 0.1 --alpha 1,0
 expect_2 qcompare lockkey entropy --alpha-sq 2 --points 7
 expect_2 qcompare lockkey simulate --attack vacuum --beta 0.5
+# Each subcommand takes only what it reads: --seed where it draws random numbers
+# (lockkey simulate, pkd), and a --format its report can hold.
+expect_2 qcompare compare --alpha 1,0 --beta 0,0 --seed 1
+expect_2 qcompare figure2 --seed 1
+expect_2 qcompare pkd --format svg
 # A retired option is a usage error, never accepted silently.
 expect_2 qcompare lockkey simulate --threshold-detectors
 expect_2 qcompare compare --alpha 1,0 --beta 0,0 --sweep-max 3

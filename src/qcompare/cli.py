@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``compare``, ``multiport``, ``oracle``, ``figure2``, ``figure4``,
-``lockkey {simulate,entropy,attack-scan}``, ``pkd``.  Each takes ``--seed``,
-``--out`` and ``--format {csv,json,svg}`` (after the action, for ``lockkey``);
-a format the report has no part for (``compare`` has JSON only) is an error.
-Exit codes: 0 on success, 2 on usage or validation errors or an unwritable
-``--out``, 3 on an internal invariant violation.
+``lockkey {simulate,entropy,attack-scan}``, ``pkd``.  Each takes only what it
+reads (after the action, for ``lockkey``): ``--out``, a ``--format`` of the parts
+its report can hold, ``--seed`` where it draws (``lockkey simulate``, ``pkd``),
+and no option of a mode it is not in.  Exit codes: 0 on success, 2 on usage or
+validation errors or an unwritable ``--out``, 3 on an internal invariant violation.
 
 Every handler returns one :class:`Report` and ``_write`` alone serialises it.
 All output is deterministic for a fixed argument list: JSON is streamed with
 sorted keys, CSV is written in chunks with dot decimals and LF line endings,
-and every stochastic report records its seed.  SVG figures are drawn from the
+and a seeded report records its seed in both.  SVG figures are drawn from the
 report's CSV table; there is no second computation route.
 """
 
@@ -58,10 +58,11 @@ class Plot:
 class Report:
     """One subcommand's result; asking for a format whose part is ``None`` is an error."""
 
-    fields: dict | None = None  # the JSON object, without "schema"
+    fields: dict | None = None  # the JSON object, without "schema" and "seed"
     columns: tuple[str, ...] | None = None  # the CSV header; each row maps them to values
     rows: Iterable = ()  # read again for each plotted series
     plot: Plot | None = None
+    seed: int | None = None  # the seed of a report that draws random numbers
 
 
 def _parse_complex(text: str) -> complex:
@@ -83,9 +84,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(fh, columns, rows, seed) -> None:
-    """Write a CSV table to ``fh``, ``domain.CHUNK_ROWS`` formatted rows at a time."""
-    fh.write(f"# schema={SCHEMA} seed={seed}\n")
+def _write_csv(fh, head, columns, rows) -> None:
+    """Write ``head`` as one ``# key=value`` line, then ``domain.CHUNK_ROWS`` rows at a time."""
+    fh.write("# " + " ".join(f"{key}={value}" for key, value in head.items()) + "\n")
     fh.write(",".join(columns) + "\n")
     lines = (",".join(_fmt(row[c]) for c in columns) for row in rows)
     while chunk := list(itertools.islice(lines, domain.CHUNK_ROWS)):
@@ -112,6 +113,7 @@ def _write(args, report: Report) -> None:
     be a device), or a stdout whose reader has gone (``| head``).
     """
     fmt = args.format
+    head = {"schema": SCHEMA} if report.seed is None else {"schema": SCHEMA, "seed": report.seed}
     if {"json": report.fields, "csv": report.columns, "svg": report.plot}[fmt] is None:
         raise ValueError(f"this command has no {fmt.upper()} output")
     svg = _svg(report) if fmt == "svg" else None
@@ -119,10 +121,10 @@ def _write(args, report: Report) -> None:
         with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
             if fmt == "json":
-                json.dump({"schema": SCHEMA, **report.fields}, fh, indent=2, sort_keys=True)
+                json.dump({**head, **report.fields}, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             elif fmt == "csv":
-                _write_csv(fh, report.columns, report.rows, args.seed)
+                _write_csv(fh, head, report.columns, report.rows)
             else:
                 fh.write(svg)
             fh.flush()  # a closed stdout pipe fails here, not in the interpreter's final flush
@@ -158,6 +160,13 @@ def _entropy_grid(n_list, alpha_sq_max: float, points: int) -> list[dict]:
         for n in n_list
         for a2 in grid
     ]
+
+
+def _reject_other_mode(args, mode: str, *options: str) -> None:
+    """A ValueError if ``args`` sets any of ``options``, which a mode other than ``mode`` reads."""
+    if any(getattr(args, option[2:].replace("-", "_")) is not None for option in options):
+        named = " or ".join(filter(None, (", ".join(options[:-1]), options[-1])))
+        raise ValueError(f"{mode} takes no {named}: another mode reads that option")
 
 
 def _cmd_compare(args) -> Report:
@@ -198,9 +207,7 @@ def _cmd_oracle(args) -> Report:
     if args.xi1 is not None or args.xi2 is not None:
         if args.xi1 is None or args.xi2 is None:
             raise ValueError("squeezed mode needs both --xi1 and --xi2")
-        if (args.alpha, args.beta, args.transmittance) != (None, None, None):
-            raise ValueError("squeezed mode takes no --alpha, --beta or --transmittance: "
-                             "its inputs are squeezed vacua on a balanced splitter")
+        _reject_other_mode(args, "squeezed mode", "--alpha", "--beta", "--transmittance")
         p_odd = fock.odd_photon_probability(args.xi1, args.xi2, args.cutoff)
         obj = {
             "mode": "squeezed",
@@ -263,9 +270,8 @@ def _cmd_lockkey_simulate(args) -> Report:
     key = lockkey.generate_key(args.M, args.N, args.amp, rng=args.seed)
     # --beta is checked against its domain first, whatever the attack; only coherent reads it.
     magnitude = 0.0 if args.beta is None else domain.magnitude(args.beta, "attack magnitude")
-    if args.beta is not None and args.attack != "coherent":
-        raise ValueError(f"--attack {args.attack} takes no --beta: "
-                         "it sets the magnitude of --attack coherent")
+    if args.attack != "coherent":
+        _reject_other_mode(args, f"--attack {args.attack}", "--beta")
     # The vacuum is the coherent false key of magnitude 0.
     beta = {"key": None, "vacuum": 0.0, "coherent": magnitude}[args.attack]
     model = DetectorModel(efficiency=args.efficiency, dark_mean=args.dark_mean)
@@ -274,7 +280,6 @@ def _cmd_lockkey_simulate(args) -> Report:
     stats = lockkey.lock_test_pass_rate(key, candidate, model, trials=args.trials,
                                         rng=args.seed + 1)
     obj = {
-        "seed": args.seed,
         "attack": args.attack,
         "M": args.M,
         "N": args.N,
@@ -284,14 +289,12 @@ def _cmd_lockkey_simulate(args) -> Report:
         "wilson_95": list(stats.wilson),
         "analytic_pass_probability": analytic,
     }
-    return Report(fields=obj)
+    return Report(fields=obj, seed=args.seed)
 
 
 def _cmd_lockkey_entropy(args) -> Report:
     if args.alpha_sq is not None:
-        if (args.alpha_sq_max, args.points) != (None, None):
-            raise ValueError("--alpha-sq takes no --alpha-sq-max or --points: "
-                             "they set the grid of the table mode")
+        _reject_other_mode(args, "--alpha-sq", "--alpha-sq-max", "--points")
         amplitude = math.sqrt(domain.magnitude(args.alpha_sq, "alpha_sq",
                                                limit=domain.MAX_AMPLITUDE ** 2))
         results = [
@@ -336,7 +339,6 @@ def _cmd_pkd(args) -> Report:
             args.adversary, rng=args.seed,
         )
     obj = {
-        "seed": args.seed,
         "params": {
             "scheme": args.scheme,
             "recipients": args.recipients,
@@ -350,7 +352,7 @@ def _cmd_pkd(args) -> Report:
         "summary": summary,
         "events": events,
     }
-    return Report(fields=obj, columns=pkd.TRIAL_COLUMNS, rows=rows)
+    return Report(fields=obj, columns=pkd.TRIAL_COLUMNS, rows=rows, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -368,27 +370,29 @@ class _AmplitudeFriendlyParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json", "svg"), default="json")
-
     parser = _AmplitudeFriendlyParser(prog="qcompare",
                                       description="linear-optical coherent-state comparison toolkit")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_AmplitudeFriendlyParser)
 
-    p = sub.add_parser("compare", parents=[common], help="two-state comparison report (JSON)")
+    def command(group, name, func, help, formats=("json", "csv", "svg"), seeded=False):
+        p = group.add_parser(name, help=help)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
+        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.add_argument("--format", choices=formats, default="json")
+        p.set_defaults(func=func)
+        return p
+
+    p = command(sub, "compare", _cmd_compare, "two-state comparison report (JSON)", ("json",))
     p.add_argument("--alpha", required=True, help="first amplitude as re,im")
     p.add_argument("--beta", required=True, help="second amplitude as re,im")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("multiport", parents=[common], help="N-state comparison report")
+    p = command(sub, "multiport", _cmd_multiport, "N-state comparison report", ("json",))
     p.add_argument("--amps", nargs="+", required=True, help="amplitudes as re,im pairs")
-    p.set_defaults(func=_cmd_multiport)
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="number-basis oracle checks (coherent or squeezed inputs)")
+    p = command(sub, "oracle", _cmd_oracle,
+                "number-basis oracle checks (coherent or squeezed inputs)", ("json",))
     p.add_argument("--alpha", default=None)
     p.add_argument("--beta", default=None)
     p.add_argument("--xi1", type=float, default=None)
@@ -396,26 +400,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transmittance", type=float, default=None,
                    help="splitter transmittance, coherent mode only (default 0.5)")
     p.add_argument("--cutoff", type=int, default=40)
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("figure2", parents=[common],
-                       help="success probabilities vs amplitude difference")
+    p = command(sub, "figure2", _cmd_figure2, "success probabilities vs amplitude difference")
     p.add_argument("--max", type=float, default=4.0)
     p.add_argument("--step", type=float, default=0.05)
-    p.set_defaults(func=_cmd_figure2)
 
-    p = sub.add_parser("figure4", parents=[common],
-                       help="key-position entropy vs mean photon number")
+    p = command(sub, "figure4", _cmd_figure4, "key-position entropy vs mean photon number")
     p.add_argument("--N", nargs="+", type=int, default=[2, 3, 4, 5, 6])
     p.add_argument("--alpha-sq-max", type=float, default=_ENTROPY_ALPHA_SQ_MAX)
     p.add_argument("--points", type=int, default=_ENTROPY_POINTS)
-    p.set_defaults(func=_cmd_figure4)
 
-    # The group takes no common options: they follow the action, which sets them.
+    # The group takes no output options: they follow the action, which sets them.
     p = sub.add_parser("lockkey", help="lock-and-key analyses")
     action = p.add_subparsers(dest="action", required=True)
 
-    ps = action.add_parser("simulate", parents=[common], help="Monte Carlo lock tests")
+    ps = command(action, "simulate", _cmd_lockkey_simulate, "Monte Carlo lock tests", ("json",),
+                 seeded=True)
     ps.add_argument("--M", type=int, default=10)
     ps.add_argument("--N", type=int, default=8)
     ps.add_argument("--amp", type=float, default=1.0)
@@ -425,9 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--trials", type=int, default=100_000)
     ps.add_argument("--efficiency", type=float, default=1.0)
     ps.add_argument("--dark-mean", type=float, default=0.0)
-    ps.set_defaults(func=_cmd_lockkey_simulate)
 
-    pe = action.add_parser("entropy", parents=[common], help="information bound per key position")
+    pe = command(action, "entropy", _cmd_lockkey_entropy, "information bound per key position")
     pe.add_argument("--N", nargs="+", type=int, default=[2, 3, 4, 5, 6])
     pe.add_argument("--alpha-sq", type=float, default=None,
                     help="one |alpha|^2: a JSON point report instead of the table")
@@ -435,15 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"table mode only (default {_ENTROPY_ALPHA_SQ_MAX:g})")
     pe.add_argument("--points", type=int, default=None,
                     help=f"table mode only (default {_ENTROPY_POINTS})")
-    pe.set_defaults(func=_cmd_lockkey_entropy)
 
-    pa = action.add_parser("attack-scan", parents=[common], help="coherent false-key scan")
+    pa = command(action, "attack-scan", _cmd_lockkey_attack_scan, "coherent false-key scan")
     pa.add_argument("--amp", type=float, required=True)
     pa.add_argument("--beta-max", type=float, default=None)
     pa.add_argument("--step", type=float, default=0.01)
-    pa.set_defaults(func=_cmd_lockkey_attack_scan)
 
-    p = sub.add_parser("pkd", parents=[common], help="public-key distribution simulation")
+    p = command(sub, "pkd", _cmd_pkd, "public-key distribution simulation", ("json", "csv"),
+                seeded=True)
     p.add_argument("--scheme", choices=("center", "distributed"), default="center")
     p.add_argument("--recipients", type=int, default=2)
     p.add_argument("--M", type=int, default=10)
@@ -453,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--adversary",
                    choices=("none", "alice-overlap-half", "charlie-flip"), default="none")
-    p.set_defaults(func=_cmd_pkd)
 
     return parser
 

@@ -321,8 +321,9 @@ def optimal_coherent_attack(amplitude: float) -> AttackOptimum:
 
 
 def forgery_string_probability(p_single: float, length: int) -> float:
-    """Chance a forgery passes all positions: p_single ** length."""
-    return domain.fraction(p_single, "p_single") ** domain.integer(length, "key length", 1)
+    """Chance a forgery passes all positions: p_single ** length (exact: 0.0 or 1.0 past 2**63)."""
+    p = domain.fraction(p_single, "p_single")
+    return p ** min(domain.integer(length, "key length", 1), 2**63)  # a longer int overflows **
 
 
 def analytic_pass_probability(amplitude: float, length: int, beta: float | None = None,

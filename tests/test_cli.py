@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -50,8 +51,8 @@ class TestCompare:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra,message", [
-        (["--format", "csv"], "error: this command has no CSV output"),
-        (["--format", "svg"], "error: this command has no SVG output"),
+        (["--format", "csv"], "argument --format: invalid choice: 'csv'"),
+        (["--format", "svg"], "argument --format: invalid choice: 'svg'"),
         (["--sweep-max", "3"], "unrecognized arguments: --sweep-max 3"),
     ], ids=["csv", "svg", "sweep-max"])
     def test_point_report_only_exits_2(self, extra, message, tmp_path):
@@ -283,9 +284,10 @@ class TestPkd:
         assert obj["summary"]["bob_reject_rate"] == 0.0
 
 
-def old_csv_text(columns, rows, seed):
+def old_csv_text(columns, rows, seed=None):
     """Reference: the whole CSV report joined in memory, as the writer did before streaming."""
-    lines = [f"# schema={cli.SCHEMA} seed={seed}", ",".join(columns)]
+    head = f"# schema={cli.SCHEMA}" + ("" if seed is None else f" seed={seed}")
+    lines = [head, ",".join(columns)]
     lines.extend(",".join(cli._fmt(row[c]) for c in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -317,7 +319,7 @@ class TestStreamedCsv:
         for r in rows:
             r["asymptote_bits"] = math.log2(r["N"])
         assert out.read_bytes() == old_csv_text(("alpha_sq", "N", "S_bits", "asymptote_bits"),
-                                                rows, 0).encode()
+                                                rows).encode()
 
     def test_pkd_csv_at_the_row_budget_in_bounded_memory(self, tmp_path):
         # The row dicts and the joined text of 2 * 10^5 rows took 89.7 MB.
@@ -372,17 +374,44 @@ class TestContracts:
 
     @pytest.mark.parametrize("argv,fmt", [
         (argv, fmt)
-        for argv in (["multiport", "--amps", "1,0", "-1,0"],
+        for argv in (["compare", "--alpha", "1,0", "--beta", "0,0"],
+                     ["multiport", "--amps", "1,0", "-1,0"],
                      ["oracle", "--xi1", "0.2", "--xi2", "0.1"],
-                     ["lockkey", "simulate", "--trials", "10"],
-                     ["lockkey", "entropy", "--alpha-sq", "2"])
+                     ["lockkey", "simulate", "--trials", "10"])
         for fmt in ("csv", "svg")
     ] + [(["pkd", "--trials", "10"], "svg")])
-    def test_format_without_output_exits_2(self, argv, fmt, tmp_path):
+    def test_format_the_report_cannot_hold_is_a_usage_error(self, argv, fmt, tmp_path):
         out = tmp_path / "out"
-        code, _, err = run_captured(argv + ["--format", fmt, "--out", str(out)])
+        code, stdout, err = run_captured(argv + ["--format", fmt, "--out", str(out)])
+        assert code == 2 and stdout == ""
+        assert f"argument --format: invalid choice: '{fmt}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_format_without_output_exits_2(self, fmt, tmp_path):
+        # The entropy table writes all three formats; its --alpha-sq point report is JSON only.
+        out = tmp_path / "out"
+        code, _, err = run_captured(["lockkey", "entropy", "--alpha-sq", "2",
+                                     "--format", fmt, "--out", str(out)])
         assert code == 2
         assert f"error: this command has no {fmt.upper()} output" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--alpha", "1,0", "--beta", "0,0"],
+        ["multiport", "--amps", "1,0", "-1,0"],
+        ["oracle", "--xi1", "0.2", "--xi2", "0.1"],
+        ["figure2"],
+        ["figure4"],
+        ["lockkey", "entropy"],
+        ["lockkey", "attack-scan", "--amp", "2"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_seed_of_a_closed_form_is_a_usage_error(self, argv, tmp_path):
+        # These reports are closed forms: no random number is drawn, so no seed is read.
+        out = tmp_path / "out"
+        code, stdout, err = run_captured(argv + ["--seed", "1", "--out", str(out)])
+        assert code == 2 and stdout == ""
+        assert "unrecognized arguments: --seed 1" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("target,reason", [
@@ -423,7 +452,7 @@ class TestContracts:
 
     @pytest.mark.parametrize("option,action,took_effect", [
         (["--format", "csv"], ["attack-scan", "--amp", "5"],
-         lambda out, stdout: stdout.startswith("# schema=1 seed=0\nbeta,p_pass\n")),
+         lambda out, stdout: stdout.startswith("# schema=1\nbeta,p_pass\n")),
         (["--seed", "5"], ["simulate", "--trials", "10"],
          lambda out, stdout: json.loads(stdout)["seed"] == 5),
         (["--out", "F"], ["entropy", "--alpha-sq", "2"],
@@ -472,12 +501,16 @@ class TestContracts:
         assert "invariant" in capsys.readouterr().err
 
     def test_seed_recorded_in_outputs(self, tmp_path):
-        out = tmp_path / "fig.csv"
-        cli.main(["figure2", "--step", "1", "--format", "csv", "--seed", "77",
-                  "--out", str(out)])
+        out = tmp_path / "pkd.csv"
+        assert cli.main(["pkd", "--trials", "10", "--format", "csv", "--seed", "77",
+                         "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "# schema=1 seed=77"
-        obj = run_json(["pkd", "--trials", "10", "--seed", "77"], tmp_path)
-        assert obj["seed"] == 77
+        assert run_json(["pkd", "--trials", "10", "--seed", "77"], tmp_path)["seed"] == 77
+        assert run_json(["lockkey", "simulate", "--trials", "10", "--seed", "77"],
+                        tmp_path)["seed"] == 77
+        # A closed-form table draws nothing, so its header records no seed.
+        assert cli.main(["figure2", "--step", "1", "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "# schema=1"
 
 
 # Fixed-seed CLI outputs and their sha256, recorded before the trial engine
@@ -485,7 +518,9 @@ class TestContracts:
 # runs with a lossy, noisy detector were re-recorded when their analytic pass
 # probability began to include the detector.  The three charlie-flip runs were
 # re-recorded when the exchange transcript's clicks came from the trial engine
-# (one uniform per watched mode) instead of Poisson draws.
+# (one uniform per watched mode) instead of Poisson draws.  The four CSV tables
+# of closed forms were re-pinned when their header stopped recording a seed
+# that they never drew from; see HEADER_REPINS.
 GOLDEN = [
     ("lockkey simulate --attack key --M 8 --trials 5000 --seed 0",
      "4207cabd8c0da07dbb2093c73b684f583adf03dd7d9bdbbe3a039f632df4d043"),
@@ -516,15 +551,15 @@ GOLDEN = [
     ("pkd --scheme distributed --adversary charlie-flip --M 40 --amp 0.3 --s 0.1 --trials 10000 --seed 11 --format json",
      "0549c5e7fb9a1c5262226ce50883fc291245e3ab374d814243d527429f973d41"),
     ("figure2 --max 3 --step 0.25 --format csv",
-     "b98b1ae1d21fde790a0cb008c7d8347a34c883cbaae46ecd961364352fbd75d5"),
+     "e467f0fad0e4ca4468327299c1b158bbaa56b9f0d6e097cf91973ac390f42d28"),
     ("figure2 --max 3 --step 0.25 --format svg",
      "d473698416d005d32674c97442b6e957b6010af23cd376ef31f08f51b2d59e60"),
     ("figure4 --N 2 3 5 --alpha-sq-max 9 --points 7 --format csv",
-     "4a06d28f58aedc217512b5a677dae39fb495eb71d07958bf8936abac676219ae"),
+     "36e88cb81d47889cea96d3c0eed6331e91a56c96c873dc289dd9670622804d03"),
     ("figure4 --N 2 3 5 --alpha-sq-max 9 --points 7 --format svg",
      "af5a972b64d71c44d66b6c84554ef17ff2fa4b6912a6b9238bab2d88d397d14a"),
     ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format csv",
-     "dd553644ac786ec2ee16ca7581c566267801c0f405413352b2ba63317fdcf1d4"),
+     "1a777becef5a916bf851340a49937dacef686aa5a1ce315bdab206049998f174"),
     ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format svg",
      "f77831f63de373fd36f858dcc7238f4965c53a1a2f93f5a5c9465a9b2fb09048"),
     ("compare --alpha 1,0.5 --beta -1,0 --format json",
@@ -552,10 +587,24 @@ GOLDEN = [
     ("lockkey attack-scan --amp 2 --step 0.5 --format json",
      "e73a7379f068b25c1eeb4a669bef4c7f1cfb78c766259de0d4f2665e73bb3523"),
     ("lockkey attack-scan --amp 2 --step 0.5 --format csv",
-     "379925a88e4c6de30ebee75f9911e0ce778356248b330a205ba701fe64658fa0"),
+     "3fbafd17410ef5a07a153d73bfadd85bae1bd7cb0ac7ccdb694af539e77b50da"),
     ("lockkey attack-scan --amp 2 --step 0.5 --format svg",
      "b6f9f79cbeec77ce3d33d32f6f5974b7b8bc8ebb28cedf96b467afee267b8a17"),
 ]
+
+
+# The digests of the four closed-form CSV tables while their header read
+# "# schema=1 seed=0": a seed that no value was drawn from.
+HEADER_REPINS = {
+    "figure2 --max 3 --step 0.25 --format csv":
+        "b98b1ae1d21fde790a0cb008c7d8347a34c883cbaae46ecd961364352fbd75d5",
+    "figure4 --N 2 3 5 --alpha-sq-max 9 --points 7 --format csv":
+        "4a06d28f58aedc217512b5a677dae39fb495eb71d07958bf8936abac676219ae",
+    "lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format csv":
+        "dd553644ac786ec2ee16ca7581c566267801c0f405413352b2ba63317fdcf1d4",
+    "lockkey attack-scan --amp 2 --step 0.5 --format csv":
+        "379925a88e4c6de30ebee75f9911e0ce778356248b330a205ba701fe64658fa0",
+}
 
 
 class TestGoldenOutputs:
@@ -573,6 +622,15 @@ class TestGoldenOutputs:
         out = tmp_path / "out"
         assert cli.main(command.split() + ["--out", str(out)]) == 0
         assert hashlib.sha256(read(out)).hexdigest() == digest
+
+    @pytest.mark.parametrize("command,digest", HEADER_REPINS.items(), ids=list(HEADER_REPINS))
+    def test_repinned_csv_differs_only_in_its_header(self, command, digest, tmp_path):
+        # With the old header line put back, each re-pinned table has its old digest.
+        out = tmp_path / "out"
+        assert cli.main(command.split() + ["--out", str(out)]) == 0
+        header, rest = read(out).split(b"\n", 1)
+        assert header == b"# schema=1"
+        assert hashlib.sha256(b"# schema=1 seed=0\n" + rest).hexdigest() == digest
 
 
 class TestModuleEntryPoint:
@@ -620,7 +678,7 @@ class TestModuleEntryPoint:
         finally:
             proc.kill()
             proc.stderr.close()
-        assert first == b"# schema=1 seed=0\n"
+        assert first == b"# schema=1\n"
         assert code == 2 and "Traceback" not in err
         assert err == "error: cannot write stdout: Broken pipe\n"
 
@@ -672,6 +730,9 @@ class TestInputDomain:
          "recipients must be an integer >= 2, got 1"),
         (["pkd", "--trials", str(WORK_BUDGET + 1), "--format", "csv"],
          "the per-trial columns would need about 1e+07 entries"),
+        (["oracle", "--xi1", "0.2"], "squeezed mode needs both --xi1 and --xi2"),
+        (["oracle", "--xi2", "0.1", "--alpha", "1,0", "--beta", "0,0"],
+         "squeezed mode needs both --xi1 and --xi2"),
         # An option of the other mode is rejected, never left unread.
         (["oracle", "--xi1", "0.2", "--xi2", "0.1", "--alpha", "5,0"],
          "squeezed mode takes no --alpha, --beta or --transmittance"),
@@ -771,7 +832,6 @@ FUZZ_COMMANDS = [
     (["figure2"], {
         "--max": (_reals(0.5, 4.0), _EDGE_REALS, False),
         "--step": (_reals(0.1, 1.0), _EDGE_REALS, False),
-        "--seed": _SEED,
     }, ("json", "csv", "svg")),
     (["figure4"], {
         "--N": (st.lists(_counts(2, 8), min_size=1, max_size=3), [[c] for c in _EDGE_COUNTS],
@@ -835,3 +895,50 @@ FUZZ_COMMANDS = [
         "--seed": _SEED,
     }, ("json", "csv")),
 ]
+
+
+def _subcommands(parser, path=()):
+    """(argv path, parser) of each subcommand that runs, with the lockkey actions as leaves."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _subcommands(child, path + (name,))
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("path,parser", [
+        pytest.param(path, parser, id=" ".join(path))
+        for path, parser in _subcommands(cli.build_parser())
+    ])
+    def test_fuzz_table_names_exactly_the_parser_options(self, path, parser):
+        # FUZZ_COMMANDS splits a subcommand by mode; its entries together name every option
+        # but --out, in their argv prefix or their table, and every --format choice.
+        entries = [(prefix[len(path):], options, formats)
+                   for prefix, options, formats in FUZZ_COMMANDS
+                   if tuple(prefix[:len(path)]) == path]
+        named = [name for rest, options, _ in entries for key in [*rest, *options]
+                 for name in (key if isinstance(key, tuple) else (key,))]
+        options = {a.option_strings[-1] for a in parser._actions
+                   if a.dest not in ("help", "out", "format")}
+        assert {name for name in named if name.startswith("--")} == options
+        (fmt,) = [a for a in parser._actions if a.dest == "format"]
+        assert {f for _, _, formats in entries for f in formats} == set(fmt.choices)
+
+
+CONSOLE_SCRIPT = Path(__file__).resolve().parents[1] / ".github/scripts/console_exit_codes.sh"
+EXPECT_2 = [shlex.split(line)[2:] for line in CONSOLE_SCRIPT.read_text().splitlines()
+            if line.startswith("expect_2 qcompare ")]
+
+
+class TestConsoleExitCodes:
+    @pytest.mark.parametrize("argv", EXPECT_2, ids=shlex.join)
+    def test_each_expect_2_line_exits_2(self, argv, tmp_path, monkeypatch):
+        # The script runs in CI against the installed console script; this runs it in-process.
+        if "/dev/full" in argv and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_captured(argv)
+        assert code == 2, err
+        assert "Traceback" not in err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcompare import comparison
 from qcompare.comparison import (
+    CLAMP_SLACK,
     FORM_AGREEMENT_TOL,
     MAX_UNIVERSAL_MODES,
     coherent_overlap,
@@ -340,6 +341,13 @@ class TestLogDomainForms:
         # Centring on the rounded mean would move p_succ by 1e-2 in the first
         # case; in the second the overlap product's exponent overflowed exp.
         assert p_success_multiport(amps) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("edge,clamped", [(1.0 + CLAMP_SLACK, 1.0), (-CLAMP_SLACK, 0.0)])
+    def test_clamp_takes_the_slack_and_no_more(self, edge, clamped):
+        assert comparison._clamp_probability(edge) == clamped
+        beyond = math.nextafter(edge, math.copysign(math.inf, edge))
+        with pytest.raises(InvariantError, match="beyond slack"):
+            comparison._clamp_probability(beyond)
 
     def test_nan_probability_is_an_invariant_failure(self):
         # NaN must not be clamped into [0, 1] as if it were rounding noise.

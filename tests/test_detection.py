@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 
 from qcompare import detection
 from qcompare.detection import (
@@ -289,6 +290,15 @@ class TestEstimate:
         assert low < 0.5 < high
         # Exact: rounding left these ends 2.8e-17 and 1 ulp outside the rate at 0/7 and 10/10.
         assert Estimate(0, 7).wilson[0] == 0.0 and Estimate(10, 10).wilson[1] == 1.0
+
+    @pytest.mark.parametrize("successes,trials", [
+        (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (0, 7), (3, 17), (10, 10), (50, 100),
+        (1, 1000), (999, 1000), (0, 10**6), (333_333, 10**6), (10**6, 10**6),
+    ])
+    def test_wilson_matches_scipy(self, successes, trials):
+        interval = binomtest(successes, trials).proportion_ci(method="wilson")
+        assert Estimate(successes, trials).wilson == pytest.approx(
+            (interval.low, interval.high), rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("successes", [-1, 101, 2.5, math.nan])
     def test_rejects_successes_outside_the_trials(self, successes):

@@ -336,6 +336,13 @@ class TestForgeryString:
         expected = forgery_string_probability(p_single, m)
         assert abs(stats.rate - expected) < three_sigma(expected, stats.trials)
 
+    @pytest.mark.parametrize("p_single,limit", [(0.5, 0.0), (1 - 2**-53, 0.0), (0.0, 0.0),
+                                                (1.0, 1.0)])
+    @pytest.mark.parametrize("length", [2**63, 2**64 + 1, 10**400])
+    def test_lengths_beyond_the_float_range(self, p_single, limit, length):
+        # p ** length raised OverflowError ("int too large to convert to float") at 10**400.
+        assert forgery_string_probability(p_single, length) == limit
+
     def test_validation(self):
         with pytest.raises(ValueError):
             forgery_string_probability(1.2, 3)
