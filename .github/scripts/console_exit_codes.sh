@@ -27,12 +27,15 @@ expect_2 qcompare lockkey simulate --attack coherent --beta -1
 expect_2 qcompare lockkey simulate --attack vacuum --beta -1
 # compare is a JSON point report; the sweep over |alpha - beta| is figure2's.
 expect_2 qcompare compare --alpha 1,0 --beta 0,0 --format csv
+# lockkey entropy is a JSON point report; the sweep over |alpha|^2 is figure4's.
+expect_2 qcompare lockkey entropy --alpha-sq 2 --points 7
+expect_2 qcompare lockkey entropy --alpha-sq-max 9
+expect_2 qcompare lockkey entropy --format csv
 # An option another mode reads is an error, not ignored: the squeezed oracle's
-# inputs are squeezed vacua on a balanced splitter, --alpha-sq is one point,
-# and --beta is the magnitude of the coherent attack alone.
+# inputs are squeezed vacua on a balanced splitter, and --beta is the
+# magnitude of the coherent attack alone.
 expect_2 qcompare oracle --xi1 0.2 --xi2 0.1 --transmittance 0.3
 expect_2 qcompare oracle --xi1 0.2 --xi2 0.1 --alpha 1,0
-expect_2 qcompare lockkey entropy --alpha-sq 2 --points 7
 expect_2 qcompare lockkey simulate --attack vacuum --beta 0.5
 # Each subcommand takes only what it reads: --seed where it draws random numbers
 # (lockkey simulate, pkd), and a --format its report can hold.

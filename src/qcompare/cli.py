@@ -4,8 +4,11 @@ Subcommands: ``compare``, ``multiport``, ``oracle``, ``figure2``, ``figure4``,
 ``lockkey {simulate,entropy,attack-scan}``, ``pkd``.  Each takes only what it
 reads (after the action, for ``lockkey``): ``--out``, a ``--format`` of the parts
 its report can hold, ``--seed`` where it draws (``lockkey simulate``, ``pkd``),
-and no option of a mode it is not in.  Exit codes: 0 on success, 2 on usage or
-validation errors or an unwritable ``--out``, 3 on an internal invariant violation.
+and no option of a mode it is not in; any other option is an error that prints
+that subcommand's usage.  Each result has one route: ``compare`` and ``lockkey
+entropy`` are JSON point reports, and ``figure2`` and ``figure4`` their sweeps.
+Exit codes: 0 on success, 2 on usage or validation errors or an unwritable
+``--out``, 3 on an internal invariant violation.
 
 Every handler returns one :class:`Report` and ``_write`` alone serialises it.
 All output is deterministic for a fixed argument list: JSON is streamed with
@@ -36,9 +39,6 @@ from .linear import CoherentRegister, apply_network, make_beam_splitter
 from .svg import line_chart
 
 SCHEMA = 1
-# The |alpha|^2 grid of figure4 and of the lockkey entropy table: its top and its point count.
-_ENTROPY_ALPHA_SQ_MAX = 25.0
-_ENTROPY_POINTS = 51
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class Plot:
 
 @dataclass(frozen=True)
 class Report:
-    """One subcommand's result; asking for a format whose part is ``None`` is an error."""
+    """One subcommand's result; its ``--format`` choices are exactly the parts it sets."""
 
     fields: dict | None = None  # the JSON object, without "schema" and "seed"
     columns: tuple[str, ...] | None = None  # the CSV header; each row maps them to values
@@ -108,14 +108,12 @@ def _svg(report: Report) -> str:
 def _write(args, report: Report) -> None:
     """Serialise ``report`` in ``--format`` to ``--out`` (LF line endings) or stdout.
 
-    A missing part is a ValueError raised before any output.  So is a failure
-    to open, write or close the output (``--out`` is left where it is: it may
-    be a device), or a stdout whose reader has gone (``| head``).
+    A failure to open, write or close the output is a ValueError (``--out``
+    is left where it is: it may be a device), and so is a stdout whose reader
+    has gone (``| head``).
     """
     fmt = args.format
     head = {"schema": SCHEMA} if report.seed is None else {"schema": SCHEMA, "seed": report.seed}
-    if {"json": report.fields, "csv": report.columns, "svg": report.plot}[fmt] is None:
-        raise ValueError(f"this command has no {fmt.upper()} output")
     svg = _svg(report) if fmt == "svg" else None
     try:
         with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
@@ -146,20 +144,6 @@ def _sweep_grid(stop: float, step: float, columns: int) -> np.ndarray:
     step = domain.magnitude(step, "sweep step", positive=True)
     domain.size((stop / step + 1) * columns * domain.REPORT_ENTRIES, "the report table")
     return np.arange(0.0, stop + step / 2, step)
-
-
-def _entropy_grid(n_list, alpha_sq_max: float, points: int) -> list[dict]:
-    """Rows of the key-position entropy over a |alpha|^2 grid, for each N in turn."""
-    alpha_sq_max = domain.magnitude(alpha_sq_max, "alpha_sq_max", limit=domain.MAX_AMPLITUDE**2)
-    points = domain.integer(points, "points", 2)
-    domain.size(points * len(n_list) * 4 * domain.REPORT_ENTRIES, "the report table")
-    grid = np.linspace(0.0, alpha_sq_max, points)
-    return [
-        {"alpha_sq": float(a2), "N": n,
-         "S_bits": lockkey.holevo_entropy_finite(math.sqrt(a2), n).bits}
-        for n in n_list
-        for a2 in grid
-    ]
 
 
 def _reject_other_mode(args, mode: str, *options: str) -> None:
@@ -258,9 +242,19 @@ def _cmd_figure2(args) -> Report:
 
 
 def _cmd_figure4(args) -> Report:
-    rows = _entropy_grid(args.N, args.alpha_sq_max, args.points)
-    for r in rows:
-        r["asymptote_bits"] = math.log2(r["N"])
+    """The key-position entropy and its log2 N asymptote over a |alpha|^2 grid, for each N."""
+    alpha_sq_max = domain.magnitude(args.alpha_sq_max, "alpha_sq_max",
+                                    limit=domain.MAX_AMPLITUDE**2)
+    points = domain.integer(args.points, "points", 2)
+    domain.size(points * len(args.N) * 4 * domain.REPORT_ENTRIES, "the report table")
+    grid = np.linspace(0.0, alpha_sq_max, points)
+    rows = [
+        {"alpha_sq": float(a2), "N": n,
+         "S_bits": lockkey.holevo_entropy_finite(math.sqrt(a2), n).bits,
+         "asymptote_bits": math.log2(n)}
+        for n in args.N
+        for a2 in grid
+    ]
     return Report(fields={"rows": rows}, columns=("alpha_sq", "N", "S_bits", "asymptote_bits"),
                   rows=rows, plot=Plot("key-position entropy vs mean photon number", "|alpha|^2",
                                        "S (bits)", ("S_bits",), "N", tuple(args.N)))
@@ -293,22 +287,15 @@ def _cmd_lockkey_simulate(args) -> Report:
 
 
 def _cmd_lockkey_entropy(args) -> Report:
-    if args.alpha_sq is not None:
-        _reject_other_mode(args, "--alpha-sq", "--alpha-sq-max", "--points")
-        amplitude = math.sqrt(domain.magnitude(args.alpha_sq, "alpha_sq",
-                                               limit=domain.MAX_AMPLITUDE ** 2))
-        results = [
-            {"N": n, "alpha_sq": args.alpha_sq,
-             "S_bits": lockkey.holevo_entropy_finite(amplitude, n).bits}
-            for n in args.N
-        ]
-        return Report(fields={"results": results})
-    rows = _entropy_grid(args.N,
-                         _ENTROPY_ALPHA_SQ_MAX if args.alpha_sq_max is None else args.alpha_sq_max,
-                         _ENTROPY_POINTS if args.points is None else args.points)
-    return Report(fields={"rows": rows}, columns=("alpha_sq", "N", "S_bits"), rows=rows,
-                  plot=Plot("key-position entropy", "|alpha|^2", "S (bits)",
-                            ("S_bits",), "N", tuple(args.N)))
+    """The key-position entropy at one |alpha|^2 for each N; figure4 is the sweep."""
+    amplitude = math.sqrt(domain.magnitude(args.alpha_sq, "alpha_sq",
+                                           limit=domain.MAX_AMPLITUDE ** 2))
+    results = [
+        {"N": n, "alpha_sq": args.alpha_sq,
+         "S_bits": lockkey.holevo_entropy_finite(amplitude, n).bits}
+        for n in args.N
+    ]
+    return Report(fields={"results": results})
 
 
 def _cmd_lockkey_attack_scan(args) -> Report:
@@ -381,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=formats, default="json")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     p = command(sub, "compare", _cmd_compare, "two-state comparison report (JSON)", ("json",))
@@ -407,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "figure4", _cmd_figure4, "key-position entropy vs mean photon number")
     p.add_argument("--N", nargs="+", type=int, default=[2, 3, 4, 5, 6])
-    p.add_argument("--alpha-sq-max", type=float, default=_ENTROPY_ALPHA_SQ_MAX)
-    p.add_argument("--points", type=int, default=_ENTROPY_POINTS)
+    p.add_argument("--alpha-sq-max", type=float, default=25.0)
+    p.add_argument("--points", type=int, default=51)
 
     # The group takes no output options: they follow the action, which sets them.
     p = sub.add_parser("lockkey", help="lock-and-key analyses")
@@ -426,14 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--efficiency", type=float, default=1.0)
     ps.add_argument("--dark-mean", type=float, default=0.0)
 
-    pe = command(action, "entropy", _cmd_lockkey_entropy, "information bound per key position")
+    pe = command(action, "entropy", _cmd_lockkey_entropy,
+                 "information bound per key position (figure4 is the sweep)", ("json",))
     pe.add_argument("--N", nargs="+", type=int, default=[2, 3, 4, 5, 6])
-    pe.add_argument("--alpha-sq", type=float, default=None,
-                    help="one |alpha|^2: a JSON point report instead of the table")
-    pe.add_argument("--alpha-sq-max", type=float, default=None,
-                    help=f"table mode only (default {_ENTROPY_ALPHA_SQ_MAX:g})")
-    pe.add_argument("--points", type=int, default=None,
-                    help=f"table mode only (default {_ENTROPY_POINTS})")
+    pe.add_argument("--alpha-sq", type=float, default=1.0,
+                    help="|alpha|^2 (default 1, the mean photon number of the default key)")
 
     pa = command(action, "attack-scan", _cmd_lockkey_attack_scan, "coherent false-key scan")
     pa.add_argument("--amp", type=float, required=True)
@@ -456,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # named by the subcommand that was given them, with its own usage
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         _write(args, args.func(args))
     except ValueError as exc:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcompare import cli, comparison, linear, pkd
+from qcompare import cli, comparison, linear, lockkey, pkd
 from qcompare.domain import CHUNK_ROWS, WORK_BUDGET
 from qcompare.errors import InvariantError
 from support import traced_peak
@@ -201,12 +201,37 @@ class TestLockKey:
         assert result["N"] == 4
         assert abs(result["S_bits"] - 2.0) < 0.05
 
-    def test_entropy_table_defaults_to_figure4_grid(self, tmp_path):
-        table = run_json(["lockkey", "entropy", "--N", "2", "3"], tmp_path, "table.json")
-        figure = run_json(["figure4", "--N", "2", "3"], tmp_path, "figure.json")
-        assert len(table["rows"]) == 2 * 51 and table["rows"][-1]["alpha_sq"] == 25.0
-        assert table["rows"] == [{k: r[k] for k in ("alpha_sq", "N", "S_bits")}
-                                 for r in figure["rows"]]
+    def test_entropy_defaults_to_the_default_key(self, tmp_path):
+        # |alpha|^2 = 1 is the mean photon number of a key of --amp 1, the simulate default.
+        bare = run_json(["lockkey", "entropy"], tmp_path, "bare.json")
+        assert bare == run_json(["lockkey", "entropy", "--alpha-sq", "1"], tmp_path)
+        assert [r["N"] for r in bare["results"]] == [2, 3, 4, 5, 6]
+
+    def test_figure4_rows_are_the_entropy_point_reports(self, tmp_path):
+        # One computation: each figure4 row is bit for bit the point report at its N and |alpha|^2.
+        rows = run_json(["figure4", "--N", "2", "3", "--alpha-sq-max", "9", "--points", "7"],
+                        tmp_path, "figure.json")["rows"]
+        assert len(rows) == 14
+        for a2 in sorted({r["alpha_sq"] for r in rows}):
+            point = run_json(["lockkey", "entropy", "--N", "2", "3", "--alpha-sq", repr(a2)],
+                             tmp_path)
+            assert [(p["N"], p["S_bits"]) for p in point["results"]] == [
+                (r["N"], r["S_bits"]) for r in rows if r["alpha_sq"] == a2]
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--alpha-sq-max", "9"], "unrecognized arguments: --alpha-sq-max 9"),
+        (["--points", "7"], "unrecognized arguments: --points 7"),
+        (["--format", "csv"], "argument --format: invalid choice: 'csv'"),
+        (["--format", "svg"], "argument --format: invalid choice: 'svg'"),
+    ], ids=["alpha-sq-max", "points", "csv", "svg"])
+    def test_entropy_sweep_options_exit_2(self, extra, message, tmp_path):
+        # The sweep over |alpha|^2 is figure4's; lockkey entropy is a JSON point report.
+        out = tmp_path / "out"
+        code, stdout, err = run_captured(["lockkey", "entropy", *extra, "--out", str(out)])
+        assert code == 2 and stdout == ""
+        assert err.startswith("usage: qcompare lockkey entropy [-h]")
+        assert f"qcompare lockkey entropy: error: {message}" in err
+        assert not out.exists()
 
     def test_simulate_vacuum_attack(self, tmp_path):
         obj = run_json(["lockkey", "simulate", "--M", "5", "--N", "8", "--amp", "1",
@@ -315,9 +340,10 @@ class TestStreamedCsv:
         out = tmp_path / "fig.csv"
         assert cli.main(["figure4", "--points", "900", "--N", "2", "3", "4", "5", "6",
                          "--format", "csv", "--out", str(out)]) == 0
-        rows = cli._entropy_grid([2, 3, 4, 5, 6], 25.0, 900)
-        for r in rows:
-            r["asymptote_bits"] = math.log2(r["N"])
+        rows = [{"alpha_sq": float(a2), "N": n,
+                 "S_bits": lockkey.holevo_entropy_finite(math.sqrt(a2), n).bits,
+                 "asymptote_bits": math.log2(n)}
+                for n in (2, 3, 4, 5, 6) for a2 in np.linspace(0.0, 25.0, 900)]
         assert out.read_bytes() == old_csv_text(("alpha_sq", "N", "S_bits", "asymptote_bits"),
                                                 rows).encode()
 
@@ -385,16 +411,6 @@ class TestContracts:
         code, stdout, err = run_captured(argv + ["--format", fmt, "--out", str(out)])
         assert code == 2 and stdout == ""
         assert f"argument --format: invalid choice: '{fmt}'" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("fmt", ["csv", "svg"])
-    def test_format_without_output_exits_2(self, fmt, tmp_path):
-        # The entropy table writes all three formats; its --alpha-sq point report is JSON only.
-        out = tmp_path / "out"
-        code, _, err = run_captured(["lockkey", "entropy", "--alpha-sq", "2",
-                                     "--format", fmt, "--out", str(out)])
-        assert code == 2
-        assert f"error: this command has no {fmt.upper()} output" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -485,6 +501,17 @@ class TestContracts:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,prog", [
+        (["figure2", "--seed", "1"], "qcompare figure2"),
+        (["lockkey", "simulate", "--threshold-detectors"], "qcompare lockkey simulate"),
+    ], ids=["figure2", "lockkey simulate"])
+    def test_unknown_option_names_its_subcommand(self, argv, prog):
+        code, stdout, err = run_captured(argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"usage: {prog} [-h]")
+        unknown = " ".join(argv[len(prog.split()) - 1:])
+        assert err.endswith(f"{prog}: error: unrecognized arguments: {unknown}\n")
+
     def test_retired_threshold_flag_exits_2(self, capsys):
         # The flag changed no output byte; it is a usage error now, not accepted silently.
         with pytest.raises(SystemExit) as exc:
@@ -558,10 +585,6 @@ GOLDEN = [
      "36e88cb81d47889cea96d3c0eed6331e91a56c96c873dc289dd9670622804d03"),
     ("figure4 --N 2 3 5 --alpha-sq-max 9 --points 7 --format svg",
      "af5a972b64d71c44d66b6c84554ef17ff2fa4b6912a6b9238bab2d88d397d14a"),
-    ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format csv",
-     "1a777becef5a916bf851340a49937dacef686aa5a1ce315bdab206049998f174"),
-    ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format svg",
-     "f77831f63de373fd36f858dcc7238f4965c53a1a2f93f5a5c9465a9b2fb09048"),
     ("compare --alpha 1,0.5 --beta -1,0 --format json",
      "ea4a8f32234e103ed004decbf1112e7f450658beeed76ecaed8d85d9e346f340"),
     ("oracle --alpha 0.8,0.3 --beta -0.5,0.2 --transmittance 0.3 --cutoff 40",
@@ -580,8 +603,6 @@ GOLDEN = [
      "edbb2d738acc4cf99ab8e2c701861fe8600f0e2af5e2628112a0fcd4c74bb2a0"),
     ("figure4 --N 2 2 --points 3 --format svg",
      "29287d647b7a07ac32174eb72d39c14aeb0111d14e30f30bb9288fec76b7bc26"),
-    ("lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format json",
-     "7fa60d0574af1a273788abf1ad94ae25660e6132dccee9e915197780f217e7dd"),
     ("lockkey entropy --alpha-sq 2 --format json",
      "8f797ee2b3bf52667fc419e409c5af3108de0bc321b07a924e5c3f2a27ea77ce"),
     ("lockkey attack-scan --amp 2 --step 0.5 --format json",
@@ -593,15 +614,13 @@ GOLDEN = [
 ]
 
 
-# The digests of the four closed-form CSV tables while their header read
+# The digests of the closed-form CSV tables while their header read
 # "# schema=1 seed=0": a seed that no value was drawn from.
 HEADER_REPINS = {
     "figure2 --max 3 --step 0.25 --format csv":
         "b98b1ae1d21fde790a0cb008c7d8347a34c883cbaae46ecd961364352fbd75d5",
     "figure4 --N 2 3 5 --alpha-sq-max 9 --points 7 --format csv":
         "4a06d28f58aedc217512b5a677dae39fb495eb71d07958bf8936abac676219ae",
-    "lockkey entropy --N 2 3 5 --alpha-sq-max 9 --points 7 --format csv":
-        "dd553644ac786ec2ee16ca7581c566267801c0f405413352b2ba63317fdcf1d4",
     "lockkey attack-scan --amp 2 --step 0.5 --format csv":
         "379925a88e4c6de30ebee75f9911e0ce778356248b330a205ba701fe64658fa0",
 }
@@ -739,10 +758,6 @@ class TestInputDomain:
         (["oracle", "--xi1", "0.2", "--xi2", "0.1", "--beta", "1,1"], "squeezed mode takes no"),
         (["oracle", "--xi1", "0.2", "--xi2", "0.1", "--alpha", "nonsense"],
          "squeezed mode takes no"),
-        (["lockkey", "entropy", "--alpha-sq", "2", "--points", "7"],
-         "--alpha-sq takes no --alpha-sq-max or --points"),
-        (["lockkey", "entropy", "--alpha-sq", "2", "--alpha-sq-max", "9"],
-         "--alpha-sq takes no --alpha-sq-max or --points"),
         # --beta was read only by --attack coherent: key and vacuum printed the same bytes.
         (["lockkey", "simulate", "--attack", "vacuum", "--beta", "0.5"],
          "--attack vacuum takes no --beta"),
@@ -863,14 +878,8 @@ FUZZ_COMMANDS = [
     (["lockkey", "entropy"], {
         "--N": (st.lists(_counts(2, 8), min_size=1, max_size=3), [[c] for c in _EDGE_COUNTS],
                 False),
-        "--alpha-sq": (_reals(0.0, 25.0), _EDGE_REALS, True),
+        "--alpha-sq": (_reals(0.0, 25.0), _EDGE_REALS, False),
     }, ("json",)),
-    (["lockkey", "entropy"], {
-        "--N": (st.lists(_counts(2, 8), min_size=1, max_size=3), [[c] for c in _EDGE_COUNTS],
-                False),
-        "--alpha-sq-max": (_reals(0.0, 25.0), _EDGE_REALS, False),
-        "--points": (_counts(2, 6), _EDGE_COUNTS, False),
-    }, ("json", "csv", "svg")),
     (["lockkey", "attack-scan"], {
         "--amp": (_reals(0.0, 6.0), _EDGE_REALS, True),
         "--beta-max": (_reals(0.5, 10.0), _EDGE_REALS, False),
@@ -895,6 +904,23 @@ FUZZ_COMMANDS = [
         "--seed": _SEED,
     }, ("json", "csv")),
 ]
+
+
+# Options each subcommand needs to run at a small size; the others need none.
+RUNNABLE = {
+    ("compare",): ["--alpha", "1,0", "--beta", "0,0"],
+    ("multiport",): ["--amps", "1,0", "-1,0"],
+    ("oracle",): ["--xi1", "0.2", "--xi2", "0.1"],
+    ("lockkey", "simulate"): ["--trials", "10"],
+    ("lockkey", "attack-scan"): ["--amp", "2"],
+    ("pkd",): ["--trials", "10"],
+}
+
+
+def _formats(parser):
+    """The ``--format`` choices that ``parser`` accepts."""
+    (fmt,) = [a for a in parser._actions if a.dest == "format"]
+    return fmt.choices
 
 
 def _subcommands(parser, path=()):
@@ -923,8 +949,18 @@ class TestOptionTables:
         options = {a.option_strings[-1] for a in parser._actions
                    if a.dest not in ("help", "out", "format")}
         assert {name for name in named if name.startswith("--")} == options
-        (fmt,) = [a for a in parser._actions if a.dest == "format"]
-        assert {f for _, _, formats in entries for f in formats} == set(fmt.choices)
+        assert {f for _, _, formats in entries for f in formats} == set(_formats(parser))
+
+    @pytest.mark.parametrize("path,fmt", [
+        pytest.param(path, fmt, id=f"{' '.join(path)} {fmt}")
+        for path, parser in _subcommands(cli.build_parser())
+        for fmt in _formats(parser)
+    ])
+    def test_every_format_choice_writes_its_report(self, path, fmt):
+        # The parse-time choices are the one guard: each names a part that the report sets.
+        code, stdout, err = run_captured([*path, *RUNNABLE.get(path, []), "--format", fmt])
+        assert code == 0, err
+        assert stdout
 
 
 CONSOLE_SCRIPT = Path(__file__).resolve().parents[1] / ".github/scripts/console_exit_codes.sh"

@@ -12,8 +12,10 @@ from scipy.special import i0e as scipy_i0e
 
 from qcompare import domain, lockkey
 from qcompare.detection import IDEAL, DetectorModel
+from qcompare.errors import InvariantError
 from qcompare.lockkey import (
     AttackOptimum,
+    EntropyReport,
     KeyString,
     _golden_max,
     analytic_pass_probability,
@@ -441,3 +443,22 @@ class TestEntropyBounds:
         report = holevo_entropy_finite(1.3, 6)
         assert sum(report.eigenvalues) == pytest.approx(1.0, abs=1e-10)
         assert min(report.eigenvalues) >= 0.0
+
+    @pytest.mark.parametrize("bits,eigenvalues,message", [
+        (-1e-9, (1.0,), "negative entropy"),
+        (0.5, (0.5, 0.4), "eigenvalues sum to"),
+    ], ids=["negative-bits", "unnormalized"])
+    def test_report_invariants(self, bits, eigenvalues, message):
+        with pytest.raises(InvariantError, match=message):
+            EntropyReport(bits=bits, eigenvalues=eigenvalues)
+
+    @pytest.mark.parametrize("amplitude,n,message", [
+        (1 + 1j, 3, "imaginary part"),
+        (1j, 2, "negative eigenvalue"),
+    ], ids=["complex-square", "negative-square"])
+    def test_finite_entropy_invariants(self, amplitude, n, message, monkeypatch):
+        # Past the domain guard, a complex a^2 leaves the phase mixture non-Hermitian,
+        # and a^2 = -1 makes it indefinite: (1 - e^2) / 2 at N = 2.
+        monkeypatch.setattr(domain, "magnitude", lambda *args, **kwargs: amplitude)
+        with pytest.raises(InvariantError, match=message):
+            holevo_entropy_finite(1.0, n)

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ from scipy.stats import chi2
 from qcompare import pkd
 from qcompare.detection import Estimate, bernoulli_counts, click_probabilities, stream
 from qcompare.domain import BLOCK_ENTRIES, CHUNK_ROWS, WORK_BUDGET
+from qcompare.errors import InvariantError
 from qcompare.lockkey import KeyString, generate_key
 from qcompare.pkd import (
     ACCEPT,
@@ -241,6 +243,20 @@ class TestDishonestAlice:
         n_b, n_c = stats.errors_to_bob, stats.errors_to_charlie
         statistic = (n_b - n_c) ** 2 / (n_b + n_c)
         assert chi2.sf(statistic, df=1) > 0.01
+
+    @pytest.mark.parametrize("sigmas,raises", [(3.5, True), (2.9, False)],
+                             ids=["beyond", "inside"])
+    def test_rate_past_the_bound_by_three_sigma_is_an_invariant_error(self, sigmas, raises,
+                                                                       monkeypatch):
+        # The seeded rate, about 2 * 0.9 * 0.1 = 0.18, against a bound `sigmas` standard
+        # errors below it.  A sigma taken from 2 - rate would be 1.49 times too wide.
+        attack, trials = AliceCenterAttack(positions=1, overlap=0.9), 10_000
+        rate = simulate_dishonest_alice_center(attack, 1.0, 1, trials, rng=8).disagreement_rate
+        bound = rate - sigmas * math.sqrt(rate * (1.0 - rate) / trials)
+        monkeypatch.setattr(pkd, "cheat_bound", lambda security_s, length: bound)
+        with (pytest.raises(InvariantError, match="beyond 3 sigma") if raises
+              else contextlib.nullcontext()):
+            simulate_dishonest_alice_center(attack, 1.0, 1, trials, rng=8)
 
     def test_attack_validation(self):
         with pytest.raises(ValueError):
