@@ -18,6 +18,8 @@ expect_2() {
   fi
 }
 
+# --help imports no handler module (tests/test_cli.py::TestImports checks which load).
+qcompare --help > /dev/null
 qcompare compare --alpha 1,0 --beta -1,0 > /dev/null
 qcompare pkd --trials 1000000 --format json > /dev/null
 expect_2 qcompare pkd --scheme center --recipients 1
@@ -45,6 +47,8 @@ expect_2 qcompare pkd --format svg
 # A retired option is a usage error, never accepted silently.
 expect_2 qcompare lockkey simulate --threshold-detectors
 expect_2 qcompare compare --alpha 1,0 --beta 0,0 --sweep-max 3
+# lockkey's options follow the action; one before it is named by the lockkey group.
+expect_2 qcompare lockkey --seed=1 simulate
 
 stderr_file=$(mktemp)
 trap 'rm -f "$stderr_file"' EXIT

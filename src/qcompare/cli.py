@@ -15,6 +15,10 @@ All output is deterministic for a fixed argument list: JSON is streamed with
 sorted keys, CSV is written in chunks with dot decimals and LF line endings,
 and a seeded report records its seed in both.  SVG figures are drawn from the
 report's CSV table; there is no second computation route.
+
+Each handler imports its library module when it is called, so ``import
+qcompare.cli`` (and ``build_parser`` or ``--help``) loads only ``domain`` and
+``errors`` of the package: a subcommand pays for the modules it runs.
 """
 
 from __future__ import annotations
@@ -32,11 +36,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import comparison, domain, fock, lockkey, pkd
-from .detection import DetectorModel
+from . import domain
 from .errors import InvariantError
-from .linear import CoherentRegister, apply_network, make_beam_splitter
-from .svg import line_chart
 
 SCHEMA = 1
 
@@ -94,6 +95,8 @@ def _write_csv(fh, head, columns, rows) -> None:
 
 
 def _svg(report: Report) -> str:
+    from .svg import line_chart
+
     plot, x = report.plot, report.columns[0]
     if plot.group is None:
         curves = [(y, y, report.rows) for y in plot.y]
@@ -154,6 +157,8 @@ def _reject_other_mode(args, mode: str, *options: str) -> None:
 
 
 def _cmd_compare(args) -> Report:
+    from . import comparison
+
     alpha = _parse_complex(args.alpha)
     beta = _parse_complex(args.beta)
     report = comparison.compare_report([alpha, beta])
@@ -168,6 +173,8 @@ def _cmd_compare(args) -> Report:
 
 
 def _cmd_multiport(args) -> Report:
+    from . import comparison
+
     amps = [_parse_complex(a) for a in args.amps]
     report = comparison.compare_report(amps)
     pairwise, per_mode, overlap_product = report.forms
@@ -184,10 +191,15 @@ def _cmd_multiport(args) -> Report:
 
 
 def _coherent_pair(a: complex, b: complex, cutoff: int):
+    from . import fock
+
     return fock.product_state(fock.coherent_fock(a, cutoff), fock.coherent_fock(b, cutoff))
 
 
 def _cmd_oracle(args) -> Report:
+    from . import fock
+    from .linear import CoherentRegister, apply_network, make_beam_splitter
+
     if args.xi1 is not None or args.xi2 is not None:
         if args.xi1 is None or args.xi2 is None:
             raise ValueError("squeezed mode needs both --xi1 and --xi2")
@@ -226,6 +238,8 @@ def _cmd_oracle(args) -> Report:
 
 def _cmd_figure2(args) -> Report:
     """p_succ and p_asymm against |alpha - beta| from 0 to --max, with their plot."""
+    from . import comparison
+
     columns = ("delta_abs", "p_succ", "p_asymm")
     deltas = _sweep_grid(args.max, args.step, len(columns))
     rows = [
@@ -243,6 +257,8 @@ def _cmd_figure2(args) -> Report:
 
 def _cmd_figure4(args) -> Report:
     """The key-position entropy and its log2 N asymptote over a |alpha|^2 grid, for each N."""
+    from . import lockkey
+
     alpha_sq_max = domain.magnitude(args.alpha_sq_max, "alpha_sq_max",
                                     limit=domain.MAX_AMPLITUDE**2)
     points = domain.integer(args.points, "points", 2)
@@ -261,6 +277,9 @@ def _cmd_figure4(args) -> Report:
 
 
 def _cmd_lockkey_simulate(args) -> Report:
+    from . import lockkey
+    from .detection import DetectorModel
+
     key = lockkey.generate_key(args.M, args.N, args.amp, rng=args.seed)
     # --beta is checked against its domain first, whatever the attack; only coherent reads it.
     magnitude = 0.0 if args.beta is None else domain.magnitude(args.beta, "attack magnitude")
@@ -288,6 +307,8 @@ def _cmd_lockkey_simulate(args) -> Report:
 
 def _cmd_lockkey_entropy(args) -> Report:
     """The key-position entropy at one |alpha|^2 for each N; figure4 is the sweep."""
+    from . import lockkey
+
     amplitude = math.sqrt(domain.magnitude(args.alpha_sq, "alpha_sq",
                                            limit=domain.MAX_AMPLITUDE ** 2))
     results = [
@@ -299,6 +320,8 @@ def _cmd_lockkey_entropy(args) -> Report:
 
 
 def _cmd_lockkey_attack_scan(args) -> Report:
+    from . import lockkey
+
     best = lockkey.optimal_coherent_attack(args.amp)
     beta_max = args.beta_max if args.beta_max is not None else 2.0 * args.amp + 5.0
     betas = _sweep_grid(beta_max, args.step, 2)
@@ -315,6 +338,8 @@ def _cmd_lockkey_attack_scan(args) -> Report:
 
 
 def _cmd_pkd(args) -> Report:
+    from . import pkd
+
     if args.scheme == "center":
         summary, rows, events = pkd.run_center_protocol(
             args.M, args.N, args.amp, args.recipients, args.s, args.trials,
@@ -399,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The group takes no output options: they follow the action, which sets them.
     p = sub.add_parser("lockkey", help="lock-and-key analyses")
+    p.set_defaults(group=p)
     action = p.add_subparsers(dest="action", required=True)
 
     ps = command(action, "simulate", _cmd_lockkey_simulate, "Monte Carlo lock tests", ("json",),
@@ -440,7 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args, unknown = build_parser().parse_known_args(argv)
+    if args.command == "lockkey":  # the group takes no option: any before the action is unparsed
+        start = argv.index("lockkey") + 1
+        if early := argv[start:argv.index(args.action, start)]:
+            args.group.error(f"unrecognized arguments: {' '.join(early)} (options follow the "
+                             f"action: qcompare lockkey {args.action} [options])")
     if unknown:  # named by the subcommand that was given them, with its own usage
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:

@@ -512,6 +512,13 @@ class TestContracts:
         unknown = " ".join(argv[len(prog.split()) - 1:])
         assert err.endswith(f"{prog}: error: unrecognized arguments: {unknown}\n")
 
+    def test_option_before_the_lockkey_action_names_the_group(self):
+        code, stdout, err = run_captured(["lockkey", "--seed=1", "simulate"])
+        assert code == 2 and stdout == ""
+        assert err.startswith("usage: qcompare lockkey [-h]")
+        assert err.endswith("qcompare lockkey: error: unrecognized arguments: --seed=1 "
+                            "(options follow the action: qcompare lockkey simulate [options])\n")
+
     def test_retired_threshold_flag_exits_2(self, capsys):
         # The flag changed no output byte; it is a usage error now, not accepted silently.
         with pytest.raises(SystemExit) as exc:
@@ -714,6 +721,68 @@ class TestModuleEntryPoint:
         proc = self.run_module("compare", "--alpha", "nope", "--beta", "0,0")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+
+# Runs each argv of the JSON list in argv[1] through cli.main in this fresh interpreter, then
+# prints the exit codes and the package modules loaded after the import and after the runs.
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from qcompare import cli
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "qcompare")
+imported, codes = loaded(), []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps({"imported": imported, "codes": codes, "loaded": loaded()}))
+"""
+
+
+class TestImports:
+    """A fresh interpreter per check: this one has already imported every module."""
+
+    @staticmethod
+    def run_fresh(*argvs):
+        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argvs)],
+                              capture_output=True, text=True, env=TestModuleEntryPoint.env(),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0] * len(argvs)
+        return result["imported"], {name.removeprefix("qcompare.") for name in result["loaded"]}
+
+    def test_import_parser_and_help_load_no_handler_module(self):
+        imported, loaded = self.run_fresh(["--help"])
+        assert imported == ["qcompare", "qcompare.cli", "qcompare.domain", "qcompare.errors"]
+        assert loaded == {"qcompare", "cli", "domain", "errors"}
+
+    @pytest.mark.parametrize("argvs,loads,skips", [
+        pytest.param([["compare", "--alpha", "1,0", "--beta", "0,0"],
+                      ["multiport", "--amps", "1,0", "-1,0"], ["figure2", "--max", "1"]],
+                     {"comparison"}, {"fock", "lockkey", "detection", "pkd", "svg"},
+                     id="closed forms"),
+        pytest.param([["oracle", "--alpha", "1,0", "--beta", "0,0", "--cutoff", "8"],
+                      ["oracle", "--xi1", "0.2", "--xi2", "0.1", "--cutoff", "8"]],
+                     {"fock", "linear"}, {"comparison", "lockkey", "detection", "pkd", "svg"},
+                     id="oracle"),
+        pytest.param([["lockkey", "simulate", "--trials", "10"], ["lockkey", "entropy"],
+                      ["lockkey", "attack-scan", "--amp", "2", "--format", "csv"],
+                      ["figure4", "--points", "3", "--format", "csv"]],
+                     {"lockkey", "detection"}, {"comparison", "pkd", "svg"}, id="lockkey"),
+        pytest.param([["lockkey", "attack-scan", "--amp", "2", "--format", "svg"],
+                      ["figure4", "--points", "3", "--format", "svg"]],
+                     {"lockkey", "svg"}, {"comparison", "pkd"}, id="lockkey svg"),
+        pytest.param([["pkd", "--trials", "10"],
+                      ["pkd", "--scheme", "distributed", "--trials", "10", "--format", "csv"]],
+                     {"pkd"}, {"comparison", "svg"}, id="pkd"),
+    ])
+    def test_subcommand_loads_only_its_modules(self, argvs, loads, skips):
+        _, loaded = self.run_fresh(*argvs)
+        assert loads <= loaded
+        assert not skips & loaded
 
 
 def run_captured(argv):
