@@ -7,8 +7,9 @@ its report can hold, ``--seed`` where it draws (``lockkey simulate``, ``pkd``),
 and no option of a mode it is not in; any other option is an error that prints
 that subcommand's usage.  Each result has one route: ``compare`` and ``lockkey
 entropy`` are JSON point reports, and ``figure2`` and ``figure4`` their sweeps.
-Exit codes: 0 on success, 2 on usage or validation errors or an unwritable
-``--out``, 3 on an internal invariant violation.
+Exit codes: 0 on success (also when the reader of stdout closes early), 2 on
+usage or validation errors or an unwritable ``--out``, 3 on an internal
+invariant violation.
 
 Every handler returns one :class:`Report` and ``_write`` alone serialises it.
 All output is deterministic for a fixed argument list: JSON is streamed with
@@ -112,8 +113,10 @@ def _write(args, report: Report) -> None:
     """Serialise ``report`` in ``--format`` to ``--out`` (LF line endings) or stdout.
 
     A failure to open, write or close the output is a ValueError (``--out``
-    is left where it is: it may be a device), and so is a stdout whose reader
-    has gone (``| head``).
+    is left where it is: it may be a device), and so is a full stdout.  A
+    stdout whose reader has gone (``| head``) ends the write quietly: a writer
+    that finishes first never sees the close, so exit 0 is the one status that
+    does not depend on timing.
     """
     fmt = args.format
     head = {"schema": SCHEMA} if report.seed is None else {"schema": SCHEMA, "seed": report.seed}
@@ -133,8 +136,11 @@ def _write(args, report: Report) -> None:
         if args.out:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
         # What stdout still buffers goes to devnull, so the final flush cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -478,10 +478,9 @@ def run_distributed_protocol(recipients: int, length: int, n_phases: int, amplit
     if adversary == "charlie-flip" and recipients != 2:
         raise ValueError("the charlie-flip adversary is defined for 2 recipients")
     # Bob's clicks and errors (one byte each up to 255 positions, two up to 65 535) and his
-    # verdicts: 3-5 bytes per trial; Charlie's columns are zero-stride views.  The limit dates
-    # from int64 counts (21 bytes) and is kept so the accepted trials do not move.
+    # verdicts: 3-5 bytes per trial; Charlie's columns are zero-stride views.
     trials = domain.integer(trials, "trials", 1)
-    domain.size(3 * trials, "the per-trial columns")
+    domain.size(trials, "the per-trial columns")
     gen = stream(rng)
     alpha = generate_key(length, n_phases, amplitude, gen).amplitudes()
     recipients = _exchange_recipients(recipients, length)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qcompare import comparison
 from qcompare.comparison import (
     CLAMP_SLACK,
+    ComparisonReport,
     FORM_AGREEMENT_TOL,
     MAX_UNIVERSAL_MODES,
     coherent_overlap,
@@ -308,6 +309,24 @@ class TestReport:
         report = compare_report(random_tuple(MAX_UNIVERSAL_MODES + 1))
         assert report.p_succ_universal is None and report.amgm is None
         assert len(report.p_no_click) == MAX_UNIVERSAL_MODES + 1
+
+    def test_report_below_the_universal_baseline_is_an_invariant_failure(self):
+        with pytest.raises(InvariantError, match="fell below the universal baseline"):
+            ComparisonReport(p_succ_coherent=0.5, p_succ_universal=0.6, p_no_click=(1.0, 0.5),
+                             forms=(0.5, 0.5, 0.5), amgm=None)
+
+    @pytest.mark.parametrize("patched,call,message", [
+        ("_log_gram_sum", multiport_success_forms, "overlap product has imaginary residue"),
+        ("_log_overlap", p_symm, "p_symm has imaginary residue"),
+    ], ids=["overlap-product", "p_symm"])
+    def test_imaginary_residue_is_an_invariant_failure(self, patched, call, message,
+                                                       monkeypatch):
+        # Past the log overlaps, whose imaginary parts cancel in pairs, a phase of 0.5 rad
+        # on each leaves an imaginary part that no rounding explains.
+        honest = getattr(comparison, patched)
+        monkeypatch.setattr(comparison, patched, lambda *args: honest(*args) + 0.5j)
+        with pytest.raises(InvariantError, match=message):
+            call([1.0, -0.5 + 0.3j, 0.2])
 
 
 class TestLogDomainForms:

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 from unittest import mock
@@ -282,6 +283,13 @@ class TestBernoulliCounts:
             bernoulli_counts(self.P, self.TRIALS, stream(24))
         assert len(placed) == 2
         assert threading.active_count() == threads
+
+    def test_platform_without_cpu_affinity_counts_the_same(self, monkeypatch):
+        # Without os.sched_getaffinity (macOS, Windows) the ranges follow os.cpu_count().
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert detection._available_cpus() == (os.cpu_count() or 1)
+        np.testing.assert_array_equal(bernoulli_counts(self.P, self.TRIALS, stream(25)),
+                                      one_shot_counts(self.P, self.TRIALS, stream(25)))
 
 
 class TestEstimate:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qcompare.domain import MAX_AMPLITUDE, WORK_BUDGET
 from support import traced_peak
 
 NAN = math.nan
+VACUUM = fock.coherent_fock(0.0, 4)
 
 
 class TestGuards:
@@ -149,33 +151,49 @@ class TestLibraryInputs:
             with pytest.raises(ValueError, match="amplitude must lie in"):
                 lockkey.holevo_entropy_infinite(amplitude)
 
-    @pytest.mark.parametrize("call", [
-        lambda: comparison.coherent_overlap(1e200, 0.0),
-        lambda: comparison.p_success_two(NAN, 0.0),
-        lambda: fock.coherent_fock(1e200, 10),
-        lambda: lockkey.KeyString(8, 1.0, (0, 2.5)),
-        lambda: lockkey.KeyString(8, NAN, (0, 1)),
-        lambda: pkd.cheat_bound(math.nan, 10),
-        lambda: detection.stream(2**128),
-        lambda: detection.DetectorModel(dark_mean=10**400),
-        lambda: linear.make_beam_splitter(10**400),
-        lambda: linear.CoherentRegister([10**400, 1]),
-        lambda: fock.recommended_cutoff(1e200),
-        lambda: fock.recommended_cutoff(math.inf),
-        lambda: comparison.unbalanced_test(1e200, 0, 0.5),
-        lambda: detection.DetectorModel(efficiency=1j),
-        lambda: linear.make_phase_shift([math.inf, 0.0]),
-        lambda: comparison.unbalanced_test(1, 0, 0.5, input_phase=math.inf),
-        lambda: lockkey.entropy_by_diagonalization(math.inf, 3, 20),
-        lambda: pkd.verdicts([-1], 0.5, 10),
-        lambda: pkd.verdicts([0.5], 0.5, 10),
-        lambda: linear.multiport_outputs([1.0, math.inf]),
-        lambda: linear.multiport_outputs([]),
+    @pytest.mark.parametrize("call,message", [
+        (lambda: comparison.coherent_overlap(1e200, 0.0), "amplitudes must be finite"),
+        (lambda: comparison.p_success_two(NAN, 0.0), "got (nan+0j)"),
+        (lambda: fock.coherent_fock(1e200, 10), "alpha must be finite with magnitude <= 37.6"),
+        (lambda: lockkey.KeyString(8, 1.0, (0, 2.5)), "phase index must be an integer in [0, 7]"),
+        (lambda: lockkey.KeyString(8, NAN, (0, 1)), "amplitude must lie in [0, MAX_AMPLITUDE"),
+        (lambda: pkd.cheat_bound(math.nan, 10), "security parameter s must lie in (0, 1]"),
+        (lambda: detection.stream(2**128), "seed must be an integer in [0, "),
+        (lambda: detection.DetectorModel(dark_mean=10**400), "dark_mean must lie in [0, "),
+        (lambda: linear.make_beam_splitter(10**400), "transmittance must lie in [0, 1]"),
+        (lambda: linear.CoherentRegister([10**400, 1]), "got an integer beyond the float range"),
+        (lambda: fock.recommended_cutoff(1e200), "alpha must be finite"),
+        (lambda: fock.recommended_cutoff(math.inf), "got (inf+0j)"),
+        (lambda: comparison.unbalanced_test(1e200, 0, 0.5), "amplitudes must be finite"),
+        (lambda: detection.DetectorModel(efficiency=1j), "efficiency must lie in [0, 1], got 1j"),
+        (lambda: linear.make_phase_shift([math.inf, 0.0]), "phase must be a finite real number"),
+        (lambda: comparison.unbalanced_test(1, 0, 0.5, input_phase=math.inf),
+         "phase must be a finite real number"),
+        (lambda: lockkey.entropy_by_diagonalization(math.inf, 3, 20), "amplitude must be finite"),
+        (lambda: pkd.verdicts([-1], 0.5, 10), "error counts must be non-negative integers"),
+        (lambda: pkd.verdicts([0.5], 0.5, 10), "got an array of float64"),
+        (lambda: linear.multiport_outputs([1.0, math.inf]), "multiport inputs must be finite"),
+        (lambda: linear.multiport_outputs([]), "multiport inputs must be a non-empty array"),
+        (lambda: fock.FockVector(np.zeros(3), 5), "amps shape (3,) does not match cutoff 5"),
+        (lambda: fock.overlap(fock.coherent_fock(0.5, 4), fock.coherent_fock(0.5, 5)),
+         "states have different shapes"),
+        (lambda: fock.product_state(fock.product_state(VACUUM, VACUUM), VACUUM),
+         "product_state needs two single-mode states"),
+        (lambda: fock.product_state(VACUUM, fock.coherent_fock(0.0, 5)), "cutoffs differ"),
+        (lambda: linear.LinearNetwork(np.zeros((2, 3))),
+         "network matrix must be square and non-empty"),
+        (lambda: linear.compose(linear.make_beam_splitter(0.5), linear.make_phase_shift([0, 0, 0])),
+         "cannot compose networks of 2 and 3 modes"),
+        (lambda: pkd.verify_against_private([1.0, 1.0], lockkey.KeyString(8, 1.0, [0]), 1.0),
+         "copy has 2 positions, claimed key has 1"),
+        (lambda: pkd.distributed_exchange([np.ones(3), np.ones(4)], rng=0),
+         "all copies must have the same number of positions"),
     ])
-    def test_out_of_domain_input_is_a_clean_value_error(self, call):
-        # Each of these raised OverflowError, TypeError or InvariantError, warned of an
-        # invalid value, hung, returned inf or was accepted.
-        with pytest.raises(ValueError):
+    def test_out_of_domain_input_is_a_clean_value_error(self, call, message):
+        # Each of the first 21 raised OverflowError, TypeError or InvariantError, warned of an
+        # invalid value, hung, returned inf or was accepted; no test reached the shape checks
+        # after them.
+        with pytest.raises(ValueError, match=re.escape(message)):
             call()
 
     def test_guarded_entry_points_keep_their_values_up_to_max_amplitude(self):

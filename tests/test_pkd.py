@@ -533,7 +533,7 @@ class TestProtocolDrivers:
 
     @pytest.mark.parametrize("driver, trials", [
         (lambda t: run_center_protocol(10, 8, 1.0, 2, 0.1, t, "none"), WORK_BUDGET + 1),
-        (lambda t: run_distributed_protocol(2, 6, 8, 0.7, 0.5, t, "none"), WORK_BUDGET // 3 + 1),
+        (lambda t: run_distributed_protocol(2, 6, 8, 0.7, 0.5, t, "none"), WORK_BUDGET + 1),
     ], ids=["center", "distributed"])
     def test_driver_budget_counts_the_held_columns(self, driver, trials):
         # Both once budgeted 50 entries per trial and rejected 200 001 trials.
@@ -560,6 +560,15 @@ class TestProtocolDrivers:
         assert len(table) == 10**6
         assert (summary["bob_detection_rate"] == 0.0) == (adversary == "none")
         assert peak <= 6.5e6, peak
+
+    def test_distributed_driver_ten_million_trials_in_bounded_memory(self):
+        # The budget once charged 3 entries per trial, a limit set when the counts took
+        # 8 B each, and rejected more than 3.3 * 10^6 trials.  Bob's three one-byte
+        # columns hold 30 MB here; 40.9 MB traced.
+        (summary, table, _), peak = traced_peak(run_distributed_protocol, 2, 1, 8, 0.7, 0.5,
+                                                10**7, "charlie-flip", rng=3)
+        assert len(table) == 10**7 and summary["bob_detection_rate"] > 0.0
+        assert peak <= 44e6, peak
 
 
 def old_trial_rows(e_bob, e_charlie, v_bob, v_charlie, clicks):
