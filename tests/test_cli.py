@@ -739,6 +739,23 @@ EXIT_2_CASES = [
     (["lockkey", "attack-scan", "--amp", "2", "--format", "csv", "--step", "-0.1"],
      "sweep step must lie in (0, "),
     (["figure4", "--points", "0"], "points must be an integer >= 2, got 0"),
+    (["figure4", "--alpha-sq-max", "-1"], "alpha_sq_max must lie in [0, 1e+200], got -1.0"),
+    (["figure4", "--N", "1"], "n_phases must be an integer >= 2, got 1"),
+    (["figure4", "--points", "100000"], "the report table would need about 1e+08 entries"),
+    (["multiport", "--amps", "1,0"], "amplitudes must be a 1-D sequence of length >= 2"),
+    (["oracle", "--alpha", "1,0", "--beta", "0,0", "--transmittance", "2"],
+     "transmittance must lie in [0, 1], got 2.0"),
+    (["oracle", "--alpha", "1,0", "--beta", "0,0", "--cutoff", "0"],
+     "cutoff must be an integer >= 1, got 0"),
+    (["oracle", "--xi1", "nan", "--xi2", "0.1"], "xi must be finite with magnitude <= 0.4999"),
+    (["lockkey", "simulate", "--efficiency", "2", "--trials", "10"],
+     "efficiency must lie in [0, 1], got 2.0"),
+    (["lockkey", "simulate", "--dark-mean", "-1", "--trials", "10"],
+     "dark_mean must lie in [0, MAX_AMPLITUDE = 1e+100], got -1.0"),
+    (["lockkey", "simulate", "--M", "0", "--trials", "10"],
+     "key length must be an integer >= 1, got 0"),
+    (["lockkey", "simulate", "--trials", "0"], "trials must be an integer >= 1, got 0"),
+    (["pkd", "--s", "2", "--trials", "10"], "security parameter s must lie in (0, 1], got 2.0"),
     (["lockkey", "attack-scan", "--amp", "1e6"], "WORK_BUDGET"),
     (["oracle", "--alpha", "30,0", "--beta", "0,0", "--cutoff", "5000"], "WORK_BUDGET"),
     (["oracle", "--alpha", "1e200,0", "--beta", "0,0"], "alpha must be finite"),
