@@ -2,12 +2,16 @@
 
 Runs the Tier-1 suite in this process through ``pytest.main`` under a line
 tracer (``sys.settrace`` and ``threading.settrace``, so the trial engine's
-worker threads count too) and prints ``path:line`` for each statement of the
-package that never ran.  A statement runs when one of its own lines does, or
-any statement nested in it.  Lines that run only in a subprocess, such as the
-entry points, are listed too: the tracer sees this process alone.  Exits with
-pytest's status, so 0 unless a test fails.  The tracer makes the run about
-1.5 times as long, so this is no Tier-1 test.  Run it as
+worker threads count too) and prints ``path:line scope`` for each statement
+of the package that never ran, where ``scope`` is the enclosing function's
+dotted name, ``__main__`` inside an ``if __name__ == "__main__":`` guard, or
+``<module>``.  A statement runs when one of its own lines does, or any
+statement nested in it.  Lines that run only in a subprocess, such as the
+entry points, are listed too: the tracer sees this process alone.  Those are
+the ``SUBPROCESS_ONLY`` scopes; any other unexecuted statement is marked
+``NOT ALLOWED`` and makes the run exit 1.  Otherwise it exits with pytest's
+status.  The tracer makes the run about 1.5 times as long, so this is no
+Tier-1 test.  Run it as
 
     python .github/scripts/unexecuted_statements.py [pytest arguments]
 """
@@ -22,6 +26,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "qcompare"
+# (file of the package, scope) pairs that only a subprocess runs; scope None is the whole file.
+SUBPROCESS_ONLY = {("__main__.py", None), ("cli.py", "run"), ("cli.py", "__main__")}
 
 
 def _line_tracer(lines: set[int]):
@@ -62,13 +68,24 @@ def _nested(node: ast.stmt) -> list[ast.stmt]:
     return [child for block in blocks for child in block]
 
 
-def unexecuted(tree: ast.Module, ran: set[int]) -> list[int]:
-    """First lines of the statements of ``tree`` none of whose lines are in ``ran``."""
+def _is_main_guard(node: ast.stmt) -> bool:
+    """Whether ``node`` is ``if __name__ == "__main__":``."""
+    return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+
+
+def unexecuted(tree: ast.Module, ran: set[int]) -> list[tuple[int, str]]:
+    """First line and scope of the statements of ``tree`` none of whose lines are in ``ran``."""
     missed = []
 
-    def visit(node: ast.stmt, parent: ast.AST) -> bool:
+    def visit(node: ast.stmt, parent: ast.AST, scope: str) -> bool:
         children = _nested(node)
-        executed = [visit(child, node) for child in children]  # visit every child
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = node.name if scope in ("<module>", "__main__") else f"{scope}.{node.name}"
+        elif isinstance(node, ast.ClassDef):
+            inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        else:
+            inner = "__main__" if scope == "<module>" and _is_main_guard(node) else scope
+        executed = [visit(child, node, inner) for child in children]  # visit every child
         if _is_docstring(node, parent):
             return False
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
@@ -76,11 +93,11 @@ def unexecuted(tree: ast.Module, ran: set[int]) -> list[int]:
         last = node.end_lineno if not children else max(first, children[0].lineno - 1)
         if any(executed) or ran.intersection(range(first, last + 1)):
             return True
-        missed.append(node.lineno)
+        missed.append((node.lineno, scope))
         return False
 
     for statement in tree.body:
-        visit(statement, tree)
+        visit(statement, tree, "<module>")
     return sorted(missed)
 
 
@@ -95,11 +112,16 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    stray = 0
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for line in unexecuted(tree, hits.get(path.resolve(), set())):
-            print(f"{path.relative_to(ROOT)}:{line}")
-    return int(status)
+        for line, scope in unexecuted(tree, hits.get(path.resolve(), set())):
+            allowed = {(path.name, None), (path.name, scope)} & SUBPROCESS_ONLY
+            stray += not allowed
+            print(f"{path.relative_to(ROOT)}:{line} {scope}" + ("" if allowed else "  NOT ALLOWED"))
+    if stray:
+        print(f"{stray} unexecuted statement(s) outside SUBPROCESS_ONLY", file=sys.stderr)
+    return int(status) or int(stray > 0)
 
 
 if __name__ == "__main__":

@@ -374,7 +374,7 @@ def _bob_counts(gamma, deviation, trials: int, gen):
     """
     click_mean = np.abs(gamma[0, :, 1:]) ** 2
     p_error = click_probabilities(np.abs(deviation[0]) ** 2)
-    clicks = bernoulli_counts(click_probabilities(click_mean.ravel()), trials, gen)
+    clicks = bernoulli_counts(click_probabilities(click_mean), trials, gen)
     errors = bernoulli_counts(p_error, trials, gen)
     return click_mean, p_error, clicks, errors
 

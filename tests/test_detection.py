@@ -284,12 +284,73 @@ class TestBernoulliCounts:
         assert len(placed) == 2
         assert threading.active_count() == threads
 
+    def test_array_p_counts_its_positions_in_c_order(self):
+        p = np.full((2, 3), 0.5)
+        gen, ref, clicks = stream(1), stream(1), stream(1)
+        counts = bernoulli_counts(p, 5, gen)
+        np.testing.assert_array_equal(counts, one_shot_counts(p.ravel(), 5, ref))
+        assert counts[0] == trial_clicks(p, clicks).sum()
+        self.assert_same_next_draws(gen, ref)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_exact_zero_and_one_columns_at_any_worker_count(self, monkeypatch, placed, workers):
+        self.set_cpus(monkeypatch, workers)
+        p = np.array([0.0, 1.0, 0.25, 0.0, 1.0, 2.0**-53, np.nextafter(1.0, 0.0)])
+        gen, ref = stream(26), stream(26)
+        self.predraw(1, 1, gen, ref)
+        counts = bernoulli_counts(p, self.TRIALS, gen)
+        np.testing.assert_array_equal(counts, one_shot_counts(p, self.TRIALS, ref))
+        assert counts.min() >= 2 and counts.max() <= 5  # both p = 1 hit, neither p = 0 does
+        assert len(placed) == workers - 1
+        self.assert_same_next_draws(gen, ref)
+
+    # MT19937 builds a double from two 32-bit words, so the integer limits would
+    # misread its raw output: generators other than Philox compare their doubles.
+    @pytest.mark.parametrize("make", [lambda: np.random.Generator(np.random.MT19937(5)),
+                                      lambda: np.random.default_rng(5)], ids=["MT19937", "PCG64"])
+    def test_other_generators_compare_their_doubles(self, make):
+        p = np.array([0.0, 1.0, 0.3, 2.0**-53, 0.75])
+        trials = 2 * BLOCK_UNIFORMS // p.size + 3
+        gen, ref = make(), make()
+        self.predraw(1, 1, gen, ref)
+        np.testing.assert_array_equal(bernoulli_counts(p, trials, gen),
+                                      one_shot_counts(p, trials, ref))
+        self.assert_same_next_draws(gen, ref)
+        np.testing.assert_array_equal(trial_clicks(p, gen), ref.random(p.shape) < p)
+        self.assert_same_next_draws(gen, ref)
+
     def test_platform_without_cpu_affinity_counts_the_same(self, monkeypatch):
         # Without os.sched_getaffinity (macOS, Windows) the ranges follow os.cpu_count().
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert detection._available_cpus() == (os.cpu_count() or 1)
         np.testing.assert_array_equal(bernoulli_counts(self.P, self.TRIALS, stream(25)),
                                       one_shot_counts(self.P, self.TRIALS, stream(25)))
+
+
+class TestWordLimits:
+    """The engine's hit rule on raw Philox words against numpy's double of the same word."""
+
+    def test_philox_double_is_the_top_53_bits_of_one_word(self):
+        words = np.random.Philox(key=7).random_raw(1000)
+        doubles = np.random.Generator(np.random.Philox(key=7)).random(1000)
+        np.testing.assert_array_equal(doubles, (words >> np.uint64(11)) * 2.0**-53)
+
+    @pytest.mark.parametrize("p, limit", [
+        (0.0, 0),
+        (5e-324, 2**11),
+        (2.0**-53, 2**11),
+        (np.nextafter(2.0**-53, 1.0), 2**12),
+        (0.5, 2**63),
+        (np.nextafter(1.0, 0.0), 2**64 - 2**11),
+        (1.0, 2**64),
+    ])
+    def test_limit_rule_at_its_edges(self, p, limit):
+        limits, certain = detection._word_limits(np.array([p]))
+        assert limits.dtype == np.uint64
+        assert (2**64 if certain.size else int(limits[0])) == limit
+        raws = [r for r in (0, limit - 1, limit, limit + 1, 2**64 - 1) if 0 <= r < 2**64]
+        hits = detection._word_hits(np.array(raws, dtype=np.uint64)[:, None], limits, certain)
+        assert hits[:, 0].tolist() == [(r >> 11) * 2.0**-53 < p for r in raws]
 
 
 class TestEstimate:
