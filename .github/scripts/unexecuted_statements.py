@@ -1,8 +1,8 @@
 """List the statements of src/qcompare that no Tier-1 test executes.
 
 Runs the Tier-1 suite in this process through ``pytest.main`` under a line
-tracer (``sys.settrace`` and ``threading.settrace``, so the trial engine's
-worker threads count too) and prints ``path:line scope`` for each statement
+tracer (``sys.settrace`` and ``threading.settrace``, so lines run on other
+threads count too) and prints ``path:line scope`` for each statement
 of the package that never ran, where ``scope`` is the enclosing function's
 dotted name, ``__main__`` inside an ``if __name__ == "__main__":`` guard, or
 ``<module>``.  A statement runs when one of its own lines does, or any

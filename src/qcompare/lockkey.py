@@ -87,7 +87,8 @@ def lock_test(key: KeyString, candidate, model: DetectorModel = IDEAL, rng=0) ->
     """Compare a candidate string against the lock, one balanced splitter per position.
 
     The test passes iff no difference mode clicks anywhere; ``clicks`` (0 or
-    1 per position) is trial 0 of ``lock_test_pass_rate`` for the same seed.
+    1 per position) come from ``detection.trial_clicks``, the same click
+    probabilities whose pass rate ``lock_test_pass_rate`` estimates.
     After a silent test the second splitter of each position returns
     |(lock + candidate)/2> in both halves, which equals the original lock
     state when the candidate matched; the per-position recovered amplitudes

@@ -127,7 +127,7 @@ def verify_against_private(copy_amplitudes, claimed: KeyString, security_s: floa
     1 - |target><target|}; the incorrect outcome fires with probability
     ``1 - |<target|held>|^2 = 1 - exp(-|held - target|^2)``, the click
     probability of an ideal detector on a mode of mean ``|held - target|^2``.
-    The outcomes are one trial of the trial engine, ``trial_clicks``.
+    The outcomes are one draw of ``detection.trial_clicks``.
     """
     held = domain.amplitudes(copy_amplitudes, "held copy", limit=math.inf)
     target = claimed.amplitudes()
@@ -327,9 +327,11 @@ def _run_exchange(copies, rng, tamper: CharlieTamper | None):
                 transcript.record(name, "send", recipient=s, amplitudes=inputs[s, :, r + (r < s)])
         for j in range(length):
             transcript.record(name, "compare", position=j, counts=counts[r, j])
-        transcript.record(name, "recover", amplitudes=gamma[r, :, 0])
-        parties.append(Party(name=name, held=gamma[r, :, 0], clicks=counts[r],
-                             transcript=transcript))
+        # The copy plus its deviation: exactly the copy where the shares agree, while mode 0
+        # itself, fl(sqrt(T) fl(copy / sqrt(T))), may differ from it by an ulp.
+        held = arrs[r] + deviation[r]
+        transcript.record(name, "recover", amplitudes=held)
+        parties.append(Party(name=name, held=held, clicks=counts[r], transcript=transcript))
     return parties, gamma, deviation
 
 
@@ -340,9 +342,10 @@ def distributed_exchange(copies, rng=0, tamper: CharlieTamper | None = None) -> 
     position).  Phase 1 splits every position T ways (amplitude / sqrt(T));
     phase 2 feeds the kept share plus the T - 1 received shares into a
     balanced comparison multiport per position (``linear.multiport_outputs``).
-    Mode 0 returns the recovered amplitude, modes 1..T-1 are watched by
-    detectors, which are ideal.  ``tamper`` acts on the share Charlie (1)
-    forwards to Bob (0).
+    Mode 0 returns the recovered amplitude, held as the copy plus mode 0's
+    deviation (exactly the copy where the shares agree); modes 1..T-1 are
+    watched by detectors, which are ideal.  ``tamper`` acts on the share
+    Charlie (1) forwards to Bob (0).
     """
     return _run_exchange(copies, rng, tamper)[0]
 

@@ -464,15 +464,20 @@ class TestContracts:
 # (one uniform per watched mode) instead of Poisson draws.  The four CSV tables
 # of closed forms were re-pinned when their header stopped recording a seed
 # that they never drew from: only the header line "# schema=1 seed=0" changed.
+# The four `lockkey simulate` runs with a nonzero click probability and the three
+# charlie-flip runs were re-recorded when the trial engine began to draw each
+# trial's count from its Poisson-binomial distribution, one word per trial; the
+# M = 40 charlie-flip JSON moved again when each recovered copy in its transcript
+# became the copy plus its deviation.
 GOLDEN = [
     ("lockkey simulate --attack key --M 8 --trials 5000 --seed 0",
      "4207cabd8c0da07dbb2093c73b684f583adf03dd7d9bdbbe3a039f632df4d043"),
     ("lockkey simulate --attack vacuum --M 6 --trials 5000 --seed 7",
-     "fcc745ef536518504923e47faf545540240e82ba16397dc8e48fbc4faefa036a"),
+     "7fd10f8d68e7a82f69f596c694ec588ee291689f0d84771663471724ed6a432d"),
     ("lockkey simulate --attack coherent --beta 0.8 --M 12 --trials 5000 --seed 123",
-     "b8eb7a5960f2d999e4c6246723958e4a237999808a4c4a68f6955768e91ab30e"),
+     "e9cd98aceff5a1197bdc52e15f4dddaae00bb63dda4cdfc36b5a206ef605ee03"),
     ("lockkey simulate --attack key --M 16 --amp 0.5 --efficiency 0.9 --dark-mean 0.02 --trials 5000 --seed 7",
-     "3d738cfae5ed6a698c7fd80166f41171d1ba6de5023f48ec82e330fd8d3b464e"),
+     "c2a6c5445f872a04111345028e348a675a7b21f12147418fca4e32e56d8d5d2f"),
     ("pkd --scheme center --M 6 --trials 300 --seed 0 --format csv",
      "016dee34762b5e352b7635e624a27ddc82c786a2085ef6fc01c942c5f61d142b"),
     ("pkd --scheme center --M 6 --trials 300 --seed 0 --format json",
@@ -486,13 +491,13 @@ GOLDEN = [
     ("pkd --scheme distributed --recipients 3 --M 5 --trials 200 --seed 123 --format json",
      "2a749282e94988e716d5dcafc7015c7ece43de7c504716b9808da7ffc797b160"),
     ("pkd --scheme distributed --adversary charlie-flip --M 6 --amp 0.7 --s 0.5 --trials 300 --seed 7 --format csv",
-     "23e7d69486d9560251aed721bddd0fa151463e396fd466a12d65d3dad4744e31"),
+     "bbecd7abc6dea7b4ce1b8d1e0b06cc3bf1c0bc74e934eabdf061cecfb3171419"),
     ("pkd --scheme distributed --adversary charlie-flip --M 6 --amp 0.7 --s 0.5 --trials 300 --seed 7 --format json",
-     "a96dd4d7abf73306b345726c66d1785680133d587ab1115c7cc321bc448f9a12"),
+     "0d798cd3d8f43b940c9ee88d23f60c4461a1f7dfb2e9b4811e9db3baecbc0cd9"),
     ("lockkey simulate --attack coherent --beta 0.1 --M 64 --amp 0.12 --efficiency 0.9 --dark-mean 0.002 --trials 20000 --seed 5",
-     "ae136d5464e413a8e480ed40e434176de955c3a765271b1bd0f9aa7d87ebda39"),
+     "c925e917dc7df7f1dbe976c97dff647baacd0bdb39632900e2a68e934bf8124e"),
     ("pkd --scheme distributed --adversary charlie-flip --M 40 --amp 0.3 --s 0.1 --trials 10000 --seed 11 --format json",
-     "0549c5e7fb9a1c5262226ce50883fc291245e3ab374d814243d527429f973d41"),
+     "fb13eb3e1bd051a3252c47706b4efbacaf72451f53bc765e27f282ae3268a5be"),
     ("figure2 --max 3 --step 0.25 --format csv",
      "e467f0fad0e4ca4468327299c1b158bbaa56b9f0d6e097cf91973ac390f42d28"),
     ("figure2 --max 3 --step 0.25 --format svg",

@@ -1,18 +1,16 @@
+import itertools
 import math
-import os
-import sys
 import threading
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import binomtest
+from scipy.stats import binomtest, chisquare
 
-from qcompare import detection
+from qcompare import detection, domain
 from qcompare.detection import (
-    BLOCK_UNIFORMS,
     IDEAL,
     DetectorModel,
     Estimate,
@@ -73,15 +71,17 @@ class TestTrialClicks:
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3, 4)])
-    def test_is_trial_zero_of_the_engine(self, seed, shape):
+    def test_draws_one_double_per_position(self, seed, shape):
         p = stream(100 + seed).random(shape)
         gen, ref = stream(seed), stream(seed)
         for g in (gen, ref):  # leave a spare 32-bit half, which must carry over
             g.integers(0, 1000, size=1, dtype=np.int32)
-        assert int(trial_clicks(p, gen).sum()) == bernoulli_counts(p.ravel(), 1, ref)[0]
-        np.testing.assert_array_equal(gen.integers(0, 2**31, size=3, dtype=np.int32),
-                                      ref.integers(0, 2**31, size=3, dtype=np.int32))
-        np.testing.assert_array_equal(gen.random(5), ref.random(5))
+        np.testing.assert_array_equal(trial_clicks(p, gen), ref.random(shape) < p)
+        assert_same_next_draws(gen, ref)
+
+    def test_scalar_p_gives_a_scalar(self):
+        click = trial_clicks(1.0, 0)
+        assert np.ndim(click) == 0 and click == 1 and click.dtype == np.uint8
 
     @pytest.mark.parametrize("bad", [math.nan, -0.5, 2.0])
     def test_probability_outside_unit_interval_rejected(self, bad):
@@ -145,28 +145,79 @@ class TestRunTrials:
         assert a == b
 
 
-def one_shot_counts(p, trials, gen):
-    """Reference engine: the whole (trials, len(p)) uniform table drawn at once."""
-    return (gen.random((trials, len(p))) < p).sum(axis=1)
+def assert_same_next_draws(gen, ref):
+    # int32 first: a spare half of a 64-bit draw must carry over
+    np.testing.assert_array_equal(gen.integers(0, 2**31, size=3, dtype=np.int32),
+                                  ref.integers(0, 2**31, size=3, dtype=np.int32))
+    np.testing.assert_array_equal(gen.random(5), ref.random(5))
+
+
+def exact_weights(p):
+    """``(weights, whole)``: P(count = k) is ``weights[k] / whole``, summed over all 2**M outcomes."""
+    ps = [Fraction(x) for x in p]  # a float converts to its exact binary value
+    pmf = [Fraction(0)] * (len(ps) + 1)
+    for outcome in itertools.product((0, 1), repeat=len(ps)):
+        prob = Fraction(1)
+        for hit, pj in zip(outcome, ps):
+            prob *= pj if hit else 1 - pj
+        pmf[sum(outcome)] += prob
+    whole = math.lcm(*(mass.denominator for mass in pmf))
+    return [mass.numerator * (whole // mass.denominator) for mass in pmf], whole
+
+
+def assert_limits_match(p, weights, whole):
+    """The engine's limits give P(count <= k) to 2**-65 plus 8 M eps of the smaller tail.
+
+    P(count = k) is exactly ``weights[k] / whole``.  Rounding a limit to the
+    nearest 64-bit word costs at most 2**-65; the recurrence and the sums are
+    accurate relative to the tail they sum, whichever is smaller.  The check
+    runs on integers.
+    """
+    base, limits = detection._count_limits(np.asarray(p, dtype=float))
+    assert limits.dtype == np.uint64 and np.all(limits[1:] >= limits[:-1])
+    assert base + len(limits) <= len(weights) - 1
+    implied = [0] * base + [int(x) for x in limits] + [2**64] * (len(weights) - base - len(limits))
+    below = 0  # P(count <= k) * whole
+    for k, weight in enumerate(weights):
+        below += weight
+        error = abs(implied[k] * whole - below * 2**64) * 2**52  # in units of 2**-116 / whole
+        assert error <= whole * 2**51 + 8 * len(p) * min(below, whole - below) * 2**64, k
+
+
+EDGE_PS = [0.0, 1.0, 2.0**-53, float(np.nextafter(1.0, 0.0))]
+
+
+class TestCountDistribution:
+    """``_count_limits`` against the exact distribution of the count."""
+
+    @pytest.mark.parametrize("p", [
+        [0.5],
+        EDGE_PS,
+        EDGE_PS + [0.25, 1e-300, 0.3, 0.7, 1.0 - 1e-12, 0.9],
+        [1e-3] * 10,  # an upper tail of 1.2e-7 from 3 hits: 2000 words off if read from the CDF
+        [1.0 - 1e-6] * 10,  # a lower tail of 1e-60
+        [2.0**-53] * 10,
+    ], ids=["half", "edges", "edges-mixed", "rare", "near-certain", "eps"])
+    def test_matches_exact_enumeration(self, p):
+        assert_limits_match(p, *exact_weights(p))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_PS), st.floats(0.0, 1.0)),
+                    min_size=0, max_size=8))
+    def test_property_matches_exact_enumeration(self, p):
+        assert_limits_match(p, *exact_weights(p))
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 16)])
+    def test_cut_ends_keep_a_wide_distribution(self, p):
+        # 3000 positions: the recurrence cuts ends below NEGLIGIBLE as it goes.
+        m = 3000
+        hit, miss = p.numerator, p.denominator - p.numerator
+        weights = [math.comb(m, k) * hit**k * miss ** (m - k) for k in range(m + 1)]
+        assert_limits_match([float(p)] * m, weights, p.denominator**m)
 
 
 class TestBernoulliCounts:
     P = np.linspace(0.05, 0.9, 7)
-    ROWS = BLOCK_UNIFORMS // 7
-    TRIALS = 4 * ROWS + 7  # five blocks; no multiple of 2, 3 or 5
-
-    def assert_same_stream(self, p, trials, seed):
-        gen, ref = stream(seed), stream(seed)
-        np.testing.assert_array_equal(bernoulli_counts(p, trials, gen), one_shot_counts(p, trials, ref))
-        np.testing.assert_array_equal(gen.random(5), ref.random(5))
-
-    @pytest.mark.parametrize("trials", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
-    def test_matches_one_shot_table_across_block_edges(self, trials):
-        self.assert_same_stream(self.P, trials, seed=11)
-
-    def test_one_row_per_block_when_p_exceeds_a_block(self):
-        p = np.linspace(0.0, 1e-4, BLOCK_UNIFORMS + 5)
-        self.assert_same_stream(p, 3, seed=12)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_nonpositive_trials_rejected(self, trials):
@@ -182,175 +233,77 @@ class TestBernoulliCounts:
             bernoulli_counts(bad, 5, 1)
         np.testing.assert_array_equal(bernoulli_counts([0.0, 1.0], 3, 1), [1, 1, 1])
 
-    @pytest.fixture
-    def placed(self, monkeypatch):
-        """Offsets at which worker ranges got their Philox generators; threads switch often."""
-        offsets = []
-        philox_at = detection._philox_at
+    @pytest.mark.parametrize("width", [0, 1, 7, 255, 256, 300])
+    def test_no_hit_probability_gives_zero(self, width):
+        counts = bernoulli_counts(np.zeros(width), 1000, 2)
+        assert counts.dtype == np.min_scalar_type(width) and not counts.any()
 
-        def recording(state, offset):
-            offsets.append(offset)
-            return philox_at(state, offset)
+    @pytest.mark.parametrize("width", [1, 255, 256, 300])
+    def test_certain_hits_give_the_width_without_wrapping(self, width):
+        counts = bernoulli_counts(np.ones(width), 1000, 3)
+        assert counts.dtype == np.min_scalar_type(width)  # uint16 from 256 on
+        assert np.all(counts == width)
 
-        monkeypatch.setattr(detection, "_philox_at", recording)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # to expose any race between the range threads
-        try:
-            yield offsets
-        finally:
-            sys.setswitchinterval(interval)
+    def test_exact_columns_shift_the_count(self):
+        # Two certain and three impossible positions add 2 to the count of the rest.
+        p = np.array([0.0, 1.0, 0.25, 0.0, 1.0, 0.6, 0.0])
+        rest = np.array([0.25, 0.6])
+        base, limits = detection._count_limits(p)
+        assert (base, limits.tolist()) == (2, detection._count_limits(rest)[1].tolist())
+        np.testing.assert_array_equal(bernoulli_counts(p, 5000, 26),
+                                      2 + bernoulli_counts(rest, 5000, 26))
 
-    @staticmethod
-    def set_cpus(monkeypatch, n):
-        monkeypatch.setattr(detection, "_available_cpus", lambda: n)
+    def test_array_p_counts_all_its_positions(self):
+        p = np.array([[0.5, 0.1, 0.9], [0.3, 1.0, 0.0]])
+        np.testing.assert_array_equal(bernoulli_counts(p, 500, 1), bernoulli_counts(p.ravel(), 500, 1))
 
-    @staticmethod
-    def predraw(doubles, int32s, *gens):
-        for gen in gens:
-            gen.random(doubles)
-            gen.integers(0, 1000, size=int32s, dtype=np.int32)
+    # Each row has one trial count per generator; the middle ones end at block edges.
+    @pytest.mark.parametrize("trials", [1, domain.BLOCK_ENTRIES - 1, domain.BLOCK_ENTRIES,
+                                        2 * domain.BLOCK_ENTRIES + 1])
+    @pytest.mark.parametrize("bits", [np.random.Philox, np.random.PCG64, np.random.MT19937])
+    def test_one_word_per_trial(self, bits, trials):
+        p = np.array([0.0, 1.0, 0.3, 2.0**-53, 0.75, 0.5])
+        gen, ref = np.random.Generator(bits(5)), np.random.Generator(bits(5))
+        for g in (gen, ref):  # leave a spare 32-bit half, which must carry over
+            g.random(1)
+            g.integers(0, 1000, size=1, dtype=np.int32)
+        counts = bernoulli_counts(p, trials, gen)
+        words = ref.integers(0, 2**64, size=trials, dtype=np.uint64)
+        base, limits = detection._count_limits(p)
+        np.testing.assert_array_equal(counts, base + (words[:, None] >= limits).sum(axis=1))
+        assert_same_next_draws(gen, ref)
 
-    @staticmethod
-    def assert_same_next_draws(gen, ref):
-        # int32 first: a spare half of a 64-bit draw must carry over
-        np.testing.assert_array_equal(gen.integers(0, 2**31, size=3, dtype=np.int32),
-                                      ref.integers(0, 2**31, size=3, dtype=np.int32))
-        np.testing.assert_array_equal(gen.random(5), ref.random(5))
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    @pytest.mark.parametrize("doubles", range(6))
-    @pytest.mark.parametrize("int32s", [0, 3])
-    def test_matches_one_shot_table_for_any_worker_count(self, monkeypatch, placed, workers,
-                                                         doubles, int32s):
-        self.set_cpus(monkeypatch, workers)
-        gen, ref = stream(21), stream(21)
-        self.predraw(doubles, int32s, gen, ref)
-        np.testing.assert_array_equal(bernoulli_counts(self.P, self.TRIALS, gen),
-                                      one_shot_counts(self.P, self.TRIALS, ref))
-        assert len(placed) == workers - 1
-        self.assert_same_next_draws(gen, ref)
-
-    def test_consecutive_calls_continue_the_stream(self, monkeypatch, placed):
-        self.set_cpus(monkeypatch, 3)
-        p2 = np.linspace(0.9, 0.1, 13)
+    def test_consecutive_calls_continue_the_stream(self):
         gen, ref = stream(22), stream(22)
-        self.predraw(1, 1, gen, ref)
-        for p, trials in ((self.P, self.TRIALS), (p2, 3 * BLOCK_UNIFORMS // 13 + 2)):
-            np.testing.assert_array_equal(bernoulli_counts(p, trials, gen),
-                                          one_shot_counts(p, trials, ref))
-        self.assert_same_next_draws(gen, ref)
+        first = bernoulli_counts(self.P, 1000, gen)
+        second = bernoulli_counts(self.P[::-1], 3000, gen)
+        np.testing.assert_array_equal(first, bernoulli_counts(self.P, 1000, ref))
+        np.testing.assert_array_equal(second, bernoulli_counts(self.P[::-1], 3000, ref))
+        assert_same_next_draws(gen, ref)
 
-    def test_other_generators_fill_one_range(self, monkeypatch, placed):
-        self.set_cpus(monkeypatch, 5)
-        gen, ref = np.random.default_rng(23), np.random.default_rng(23)
-        self.predraw(3, 1, gen, ref)
-        np.testing.assert_array_equal(bernoulli_counts(self.P, self.TRIALS, gen),
-                                      one_shot_counts(self.P, self.TRIALS, ref))
-        assert placed == []
-        self.assert_same_next_draws(gen, ref)
+    def test_goodness_of_fit_at_a_million_trials(self):
+        # A Pearson chi-square test of one fixed seed against the exact distribution.  A
+        # correct sampler fails it with probability 1e-6 over seeds: its false-alarm rate.
+        p = [0.0, 1.0, 0.02, 0.3, 0.5, 0.77, 0.999, 1e-4, 0.1, 0.6]
+        trials = 10**6
+        weights, whole = exact_weights(p)
+        expected = np.array([trials * Fraction(weight, whole) for weight in weights], dtype=float)
+        observed = np.bincount(bernoulli_counts(p, trials, 2013), minlength=len(p) + 1)
+        assert not observed[expected == 0].any()
+        # Pool each sparse end (expected count below 5) into its nearest dense bin.
+        dense = np.flatnonzero(expected >= 5)
+        low, high = dense[0], dense[-1] + 1
+        obs, exp = observed[low:high].copy(), expected[low:high].copy()
+        for part, whole in ((obs, observed), (exp, expected)):
+            part[0] += whole[:low].sum()
+            part[-1] += whole[high:].sum()
+        assert chisquare(obs, exp).pvalue > 1e-6
 
-    # Widths about the uint8 -> uint16 switch of the counts; CPUs drive the range count.
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(width=st.sampled_from([1, 7, 255, 256, 257]), cpus=st.integers(1, 5),
-           span=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1),
-           doubles=st.integers(0, 5), int32s=st.integers(0, 1), ones=st.booleans())
-    @example(width=256, cpus=3, span=2.5, seed=0, doubles=1, int32s=1, ones=True)
-    def test_property_equals_one_shot_table(self, width, cpus, span, seed, doubles, int32s, ones):
-        trials = 1 + int(span * (BLOCK_UNIFORMS // width))  # up to five blocks
-        p = np.ones(width) if ones else stream(seed).random(width)
-        gen, ref = stream(seed), stream(seed)
-        self.predraw(doubles, int32s, gen, ref)
-        with mock.patch.object(detection, "_available_cpus", lambda: cpus):
-            counts = bernoulli_counts(p, trials, gen)
-        assert counts.dtype == np.min_scalar_type(width)
-        np.testing.assert_array_equal(counts, one_shot_counts(p, trials, ref))
-        if ones:  # 256 hits must not wrap to 0 in the counts
-            assert np.all(counts == width)
-        self.assert_same_next_draws(gen, ref)
-
-    def test_worker_exception_propagates(self, monkeypatch, placed):
-        self.set_cpus(monkeypatch, 3)
-        real_fill = detection._fill_counts
-
-        def fill(gen, p, out, rows):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("worker failed")
-            real_fill(gen, p, out, rows)
-
-        monkeypatch.setattr(detection, "_fill_counts", fill)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="worker failed"):
-            bernoulli_counts(self.P, self.TRIALS, stream(24))
-        assert len(placed) == 2
-        assert threading.active_count() == threads
-
-    def test_array_p_counts_its_positions_in_c_order(self):
-        p = np.full((2, 3), 0.5)
-        gen, ref, clicks = stream(1), stream(1), stream(1)
-        counts = bernoulli_counts(p, 5, gen)
-        np.testing.assert_array_equal(counts, one_shot_counts(p.ravel(), 5, ref))
-        assert counts[0] == trial_clicks(p, clicks).sum()
-        self.assert_same_next_draws(gen, ref)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_exact_zero_and_one_columns_at_any_worker_count(self, monkeypatch, placed, workers):
-        self.set_cpus(monkeypatch, workers)
-        p = np.array([0.0, 1.0, 0.25, 0.0, 1.0, 2.0**-53, np.nextafter(1.0, 0.0)])
-        gen, ref = stream(26), stream(26)
-        self.predraw(1, 1, gen, ref)
-        counts = bernoulli_counts(p, self.TRIALS, gen)
-        np.testing.assert_array_equal(counts, one_shot_counts(p, self.TRIALS, ref))
-        assert counts.min() >= 2 and counts.max() <= 5  # both p = 1 hit, neither p = 0 does
-        assert len(placed) == workers - 1
-        self.assert_same_next_draws(gen, ref)
-
-    # MT19937 builds a double from two 32-bit words, so the integer limits would
-    # misread its raw output: generators other than Philox compare their doubles.
-    @pytest.mark.parametrize("make", [lambda: np.random.Generator(np.random.MT19937(5)),
-                                      lambda: np.random.default_rng(5)], ids=["MT19937", "PCG64"])
-    def test_other_generators_compare_their_doubles(self, make):
-        p = np.array([0.0, 1.0, 0.3, 2.0**-53, 0.75])
-        trials = 2 * BLOCK_UNIFORMS // p.size + 3
-        gen, ref = make(), make()
-        self.predraw(1, 1, gen, ref)
-        np.testing.assert_array_equal(bernoulli_counts(p, trials, gen),
-                                      one_shot_counts(p, trials, ref))
-        self.assert_same_next_draws(gen, ref)
-        np.testing.assert_array_equal(trial_clicks(p, gen), ref.random(p.shape) < p)
-        self.assert_same_next_draws(gen, ref)
-
-    def test_platform_without_cpu_affinity_counts_the_same(self, monkeypatch):
-        # Without os.sched_getaffinity (macOS, Windows) the ranges follow os.cpu_count().
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert detection._available_cpus() == (os.cpu_count() or 1)
-        np.testing.assert_array_equal(bernoulli_counts(self.P, self.TRIALS, stream(25)),
-                                      one_shot_counts(self.P, self.TRIALS, stream(25)))
-
-
-class TestWordLimits:
-    """The engine's hit rule on raw Philox words against numpy's double of the same word."""
-
-    def test_philox_double_is_the_top_53_bits_of_one_word(self):
-        words = np.random.Philox(key=7).random_raw(1000)
-        doubles = np.random.Generator(np.random.Philox(key=7)).random(1000)
-        np.testing.assert_array_equal(doubles, (words >> np.uint64(11)) * 2.0**-53)
-
-    @pytest.mark.parametrize("p, limit", [
-        (0.0, 0),
-        (5e-324, 2**11),
-        (2.0**-53, 2**11),
-        (np.nextafter(2.0**-53, 1.0), 2**12),
-        (0.5, 2**63),
-        (np.nextafter(1.0, 0.0), 2**64 - 2**11),
-        (1.0, 2**64),
-    ])
-    def test_limit_rule_at_its_edges(self, p, limit):
-        limits, certain = detection._word_limits(np.array([p]))
-        assert limits.dtype == np.uint64
-        assert (2**64 if certain.size else int(limits[0])) == limit
-        raws = [r for r in (0, limit - 1, limit, limit + 1, 2**64 - 1) if 0 <= r < 2**64]
-        hits = detection._word_hits(np.array(raws, dtype=np.uint64)[:, None], limits, certain)
-        assert hits[:, 0].tolist() == [(r >> 11) * 2.0**-53 < p for r in raws]
+    def test_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        bernoulli_counts(np.full(64, 0.003), 4 * domain.BLOCK_ENTRIES, 4)
+        assert started == []
 
 
 class TestEstimate:

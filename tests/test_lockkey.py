@@ -11,7 +11,7 @@ from scipy.special import i0 as scipy_i0
 from scipy.special import i0e as scipy_i0e
 
 from qcompare import domain, lockkey
-from qcompare.detection import IDEAL, DetectorModel
+from qcompare.detection import IDEAL, DetectorModel, click_probabilities, trial_clicks
 from qcompare.errors import InvariantError
 from qcompare.lockkey import (
     AttackOptimum,
@@ -105,16 +105,16 @@ class TestLockTest:
         expected = math.exp(-abs(2 * amp) ** 2 / 2)  # e^-8 at the flipped position
         assert abs(stats.rate - expected) < three_sigma(expected, stats.trials)
 
-    def test_single_test_is_one_trial_of_the_pass_rate(self):
-        # The Poisson sampler it replaced disagreed with the engine on 4 of 200 seeds.
+    def test_single_test_clicks_with_the_pass_rate_probabilities(self):
+        # One trial_clicks draw of the click probabilities lock_test_pass_rate counts.
         model = DetectorModel(efficiency=0.7, dark_mean=0.05)
         key = generate_key(6, 8, 1.0, rng=3)
         candidate = np.zeros(6)
-        for seed in range(300):
+        p = click_probabilities(np.abs(key.amplitudes() - candidate) ** 2 / 2, model)
+        for seed in range(50):
             result = lock_test(key, candidate, model, rng=seed)
-            stats = lock_test_pass_rate(key, candidate, model, trials=1, rng=seed)
-            assert result.passed == (stats.successes == 1)
-            assert set(result.clicks) <= {0, 1}
+            assert result.clicks == tuple(trial_clicks(p, seed).tolist())
+            assert result.passed == (not any(result.clicks))
 
     def test_mismatched_candidate_recovery_is_the_average(self):
         key = generate_key(3, 8, 1.0, rng=4)

@@ -100,9 +100,9 @@ class TestVerification:
             result = verify_against_private(pub[r], KeyString(8, amp, phases), 0.5, rng=r)
             assert (result.errors, result.verdict) == (0, "accept")
 
-    # verify_against_private makes one trial of exactly this bernoulli_counts
-    # draw (test_engine_draw_matches_a_direct_uniform_table), so the two tests
-    # below draw all their trials at once.
+    # verify_against_private counts one trial of independent incorrect outcomes
+    # (test_draw_matches_a_direct_uniform_table); bernoulli_counts draws the
+    # same count's distribution, so the two tests below draw all their trials at once.
     def test_half_overlap_position_splits_evenly(self):
         phases = [0] * 4
         amp = 1.0
@@ -126,9 +126,9 @@ class TestVerification:
         errs = int(bernoulli_counts(p_incorrect, trials, 0).sum())
         assert abs(errs / trials - expected) < three_sigma(expected, trials)
 
-    def test_engine_draw_matches_a_direct_uniform_table(self):
-        # One trial of bernoulli_counts reads one uniform per position, as the
-        # former ``gen.random(M) < p`` table did: same errors, same next draw.
+    def test_draw_matches_a_direct_uniform_table(self):
+        # trial_clicks reads one uniform per position, as the former
+        # ``gen.random(M) < p`` table did: same errors, same next draw.
         from qcompare.detection import stream
 
         phases = [0, 3, 5, 1, 7, 2]
@@ -350,6 +350,19 @@ class TestDistributedExchange:
         for party in parties:
             assert not party.clicked
             assert np.allclose(party.held, alpha, atol=1e-12)
+
+    @pytest.mark.parametrize("recipients", [2, 3, 4])
+    def test_honest_held_copy_verifies_at_large_amplitude(self, recipients):
+        # Mode 0 itself, fl(sqrt(T) fl(a / sqrt(T))), misses a by an ulp of 1e16: reject at T = 2.
+        key = KeyString(8, 1e16, [0, 3, 5, 1, 7, 2])
+        alpha = key.amplitudes()
+        for r, party in enumerate(distributed_exchange([alpha.copy()] * recipients, rng=0)):
+            np.testing.assert_array_equal(party.held, alpha)
+            recovered = party.transcript.events[-1]
+            assert recovered["action"] == "recover"
+            assert recovered["amplitudes"] == alpha.view(float).reshape(-1, 2).tolist()
+            result = verify_against_private(party.held, key, 0.5, rng=r)
+            assert (result.errors, result.verdict) == (0, "accept")
 
     @pytest.mark.parametrize("amp", [1e20, 1e30])
     def test_honest_run_is_silent_at_large_amplitude(self, amp):
