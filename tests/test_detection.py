@@ -184,7 +184,35 @@ def assert_limits_match(p, weights, whole):
         assert error <= whole * 2**51 + 8 * len(p) * min(below, whole - below) * 2**64, k
 
 
+def assert_fits_exact_distribution(rng):
+    """A Pearson chi-square test of one fixed stream against the exact distribution.
+
+    A correct sampler fails it with probability 1e-6 over seeds: its false-alarm rate.
+    """
+    p = [0.0, 1.0, 0.02, 0.3, 0.5, 0.77, 0.999, 1e-4, 0.1, 0.6]
+    trials = 10**6
+    weights, whole = exact_weights(p)
+    expected = np.array([trials * Fraction(weight, whole) for weight in weights], dtype=float)
+    observed = np.bincount(bernoulli_counts(p, trials, rng), minlength=len(p) + 1)
+    assert not observed[expected == 0].any()
+    # Pool each sparse end (expected count below 5) into its nearest dense bin.
+    dense = np.flatnonzero(expected >= 5)
+    low, high = dense[0], dense[-1] + 1
+    obs, exp = observed[low:high].copy(), expected[low:high].copy()
+    for part, whole in ((obs, observed), (exp, expected)):
+        part[0] += whole[:low].sum()
+        part[-1] += whole[high:].sum()
+    assert chisquare(obs, exp).pvalue > 1e-6
+
+
 EDGE_PS = [0.0, 1.0, 2.0**-53, float(np.nextafter(1.0, 0.0))]
+# The j-th hit probability of a width sweep, one rule per regime of the count's distribution.
+WIDTH_FAMILIES = {
+    "spread": lambda j: (0.1 + 0.37 * j) % 1.0,
+    "rare": lambda j: 10.0 ** -(3 + j % 4),  # mass piled on 0, a thin upper tail
+    "near-certain": lambda j: 1.0 - 10.0 ** -(4 + j % 3),  # mass piled on M, a thin lower tail
+    "with-edges": lambda j: (EDGE_PS + [0.3, 0.6])[j % 6],
+}
 
 
 class TestCountDistribution:
@@ -199,6 +227,13 @@ class TestCountDistribution:
         [2.0**-53] * 10,
     ], ids=["half", "edges", "edges-mixed", "rare", "near-certain", "eps"])
     def test_matches_exact_enumeration(self, p):
+        assert_limits_match(p, *exact_weights(p))
+
+    # Every width up to 10, where the 2**M outcomes are still cheap to enumerate.
+    @pytest.mark.parametrize("width", range(1, 11))
+    @pytest.mark.parametrize("family", sorted(WIDTH_FAMILIES))
+    def test_matches_exact_enumeration_at_every_width(self, family, width):
+        p = [WIDTH_FAMILIES[family](j) for j in range(width)]
         assert_limits_match(p, *exact_weights(p))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -282,22 +317,11 @@ class TestBernoulliCounts:
         assert_same_next_draws(gen, ref)
 
     def test_goodness_of_fit_at_a_million_trials(self):
-        # A Pearson chi-square test of one fixed seed against the exact distribution.  A
-        # correct sampler fails it with probability 1e-6 over seeds: its false-alarm rate.
-        p = [0.0, 1.0, 0.02, 0.3, 0.5, 0.77, 0.999, 1e-4, 0.1, 0.6]
-        trials = 10**6
-        weights, whole = exact_weights(p)
-        expected = np.array([trials * Fraction(weight, whole) for weight in weights], dtype=float)
-        observed = np.bincount(bernoulli_counts(p, trials, 2013), minlength=len(p) + 1)
-        assert not observed[expected == 0].any()
-        # Pool each sparse end (expected count below 5) into its nearest dense bin.
-        dense = np.flatnonzero(expected >= 5)
-        low, high = dense[0], dense[-1] + 1
-        obs, exp = observed[low:high].copy(), expected[low:high].copy()
-        for part, whole in ((obs, observed), (exp, expected)):
-            part[0] += whole[:low].sum()
-            part[-1] += whole[high:].sum()
-        assert chisquare(obs, exp).pvalue > 1e-6
+        assert_fits_exact_distribution(2013)
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
+    def test_goodness_of_fit_on_other_generators(self, bits):
+        assert_fits_exact_distribution(np.random.Generator(bits(2013)))
 
     def test_starts_no_thread(self, monkeypatch):
         started = []
