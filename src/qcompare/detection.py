@@ -15,10 +15,14 @@ probabilities fixed, that count is one draw from their Poisson-binomial
 distribution, so the engine builds the distribution once per call and
 spends one 64-bit word per trial, ``integers(0, 2**64, dtype=uint64)``, on
 every generator; trial ``i`` reads the ``i``-th word, so trials are
-independent and reproducible.  The words are drawn in blocks of
-``domain.BLOCK_ENTRIES`` trials, so besides one block in flight the engine
-holds only the counts: one byte per trial up to 255 positions, two up to
-65 535.
+independent and reproducible.  The count is the number of the
+distribution's sorted CDF limits at or below the word: every word is
+compared with the first few limits, the head, and the words that pass them
+all binary-search the rest, the tail; which limits form the head is chosen
+once per call, from the distribution alone.  The words are drawn in blocks
+of ``domain.BLOCK_ENTRIES`` trials, so besides one block in flight the
+engine holds only the counts: one byte per trial up to 255 positions, two
+up to 65 535.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from .linear import CoherentRegister, LinearNetwork, apply_network
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # Hong's recurrence cuts end entries below this; the lost mass stays far below a word's 2**-64.
 NEGLIGIBLE = 2.0**-100
+# One word's search through a count's upper limits, in comparison passes over every word: a
+# pass costs about 0.4 ns per word, a search with its gather and scatter 15-27 ns per word.
+SEARCH_COST = 48.0
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,52 @@ def _count_limits(p: np.ndarray) -> tuple[int, np.ndarray]:
     return base, np.where(low, scaled, -scaled)[scaled != 0]  # -scaled is 2**64 - scaled
 
 
+def _head_length(limits: np.ndarray) -> int:
+    """How many of the sorted ``limits`` to compare with every word; the rest are searched.
+
+    Comparing ``j`` limits costs ``j`` passes over the words; the words at or
+    above the ``j``-th limit, a share ``1 - limits[j - 1] / 2**64`` of them,
+    then cost ``SEARCH_COST`` passes each to search the remaining limits.
+    ``j`` minimises the sum; ``len(limits)`` means no search.
+    """
+    searched = 1.0 - np.concatenate(([0.0], limits.astype(float) * 2.0**-64))
+    searched[-1] = 0.0  # past the last limit nothing is left to search
+    return int(np.argmin(np.arange(limits.size + 1) + SEARCH_COST * searched))
+
+
+def _count_blocks(p: np.ndarray, trials: int, gen):
+    """Yield ``(start, counts)`` for ``trials`` trials, ``domain.BLOCK_ENTRIES`` at a time.
+
+    Builds the distribution of the count of hits among the positions of the
+    flat ``p`` once (``_count_limits``), then draws each block's words and
+    reduces them to counts of type ``numpy.min_scalar_type(p.size)`` before
+    drawing the next.  Every block's counts are written into one buffer, so
+    the next block overwrites them.  A trial's count is ``base`` plus the
+    number of limits at or below its word: each word is compared with the
+    first ``_head_length`` limits, and the words at or above the last of them
+    look up the rest with one ``searchsorted``.  The limits are sorted, so the
+    two parts add up to the full comparison sum.
+    """
+    base, limits = _count_limits(p)
+    head = _head_length(limits)
+    tail = limits[head:]
+    dtype = np.min_scalar_type(p.size)
+    counts_buffer = np.empty(min(domain.BLOCK_ENTRIES, trials), dtype=dtype)
+    above_buffer = np.empty(counts_buffer.size, dtype=bool)
+    for start in range(0, trials, domain.BLOCK_ENTRIES):
+        words = gen.integers(0, 2**64, size=min(domain.BLOCK_ENTRIES, trials - start),
+                             dtype=np.uint64)
+        counts, above = counts_buffer[:words.size], above_buffer[:words.size]
+        counts.fill(base)  # never above p.size
+        for limit in limits[:head]:
+            counts += np.greater_equal(words, limit, out=above)
+        if tail.size:  # indices, not the mask: a sparse boolean gather costs ~30 ns per hit
+            searched = np.flatnonzero(above) if head else slice(None)
+            counts[searched] += np.searchsorted(tail, words[searched], side="right").astype(dtype)
+        del words  # so that one block of words is alive while the next is drawn
+        yield start, counts
+
+
 def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
     """Per-trial number of hits among independent Bernoulli(p[j]) positions.
 
@@ -149,6 +202,8 @@ def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
     (``_count_limits``, built once per call): trial ``i`` takes the ``i``-th
     word of ``integers(0, 2**64, dtype=uint64)`` on any generator, and its
     count is ``base`` plus the number of limits at or below that word.  The
+    head of the limits is compared with every word and the tail is
+    binary-searched by the words that pass the head (``_count_blocks``).  The
     stream moves on by exactly ``trials`` such words.  The counts come in the
     narrowest unsigned type that holds ``p.size``,
     ``numpy.min_scalar_type(p.size)``: ``uint8`` up to 255 positions and
@@ -160,14 +215,9 @@ def bernoulli_counts(p, trials: int, rng) -> np.ndarray:
     trials = domain.integer(trials, "trials", 1)
     domain.size(trials, "the per-trial counts")
     p = np.asarray(domain.fraction(p, "hit probability p")).ravel()
-    gen = stream(rng)
-    base, limits = _count_limits(p)
-    counts = np.full(trials, base, dtype=np.min_scalar_type(p.size))  # never above p.size
-    for start in range(0, trials, domain.BLOCK_ENTRIES):
-        block = counts[start:start + domain.BLOCK_ENTRIES]
-        words = gen.integers(0, 2**64, size=block.size, dtype=np.uint64)
-        for limit in limits:
-            block += words >= limit
+    counts = np.empty(trials, dtype=np.min_scalar_type(p.size))
+    for start, block in _count_blocks(p, trials, stream(rng)):
+        counts[start:start + block.size] = block
     return counts
 
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domain
-from .detection import Estimate, bernoulli_counts, click_probabilities, stream, trial_clicks
+from .detection import (Estimate, _count_blocks, bernoulli_counts, click_probabilities, stream,
+                        trial_clicks)
 from .errors import InvariantError
 from .linear import multiport_outputs
 from .lockkey import KeyString, generate_key
@@ -192,14 +193,17 @@ def _center_error_blocks(attack: AliceCenterAttack, trials: int, gen):
 
     Yields ``(recipient, start, errors)`` for blocks of up to
     ``domain.BLOCK_ENTRIES`` trials: all of Bob's (recipient 0), then all of
-    Charlie's (1).  The blocks hold the values, and leave the stream where, one
-    ``size=trials`` draw per recipient would.
+    Charlie's (1).  Each recipient's errors are the trial engine's hit counts
+    over ``positions`` positions of hit probability ``1 - overlap``
+    (``detection._count_blocks``, which builds their distribution once per
+    recipient), so the blocks hold the values of, and leave the stream where,
+    ``bernoulli_counts(numpy.full(positions, 1 - overlap), trials, gen)`` for
+    Bob and then for Charlie would: one 64-bit word per trial and recipient.
     """
-    p_inc = 1.0 - attack.overlap
+    p_inc = np.full(attack.positions, 1.0 - attack.overlap)
     for recipient in (0, 1):
-        for start in range(0, trials, domain.BLOCK_ENTRIES):
-            size = min(domain.BLOCK_ENTRIES, trials - start)
-            yield recipient, start, gen.binomial(attack.positions, p_inc, size=size)
+        for start, errors in _count_blocks(p_inc, trials, gen):
+            yield recipient, start, errors
 
 
 def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float, length: int,
@@ -211,9 +215,12 @@ def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float
     probability ``1 - overlap``.  Disagreement means one recipient accepts
     (e = 0) while the other rejects (e >= s M); the empirical rate is checked
     against the ``(1/2)^(s M - 1)`` bound and must not exceed it beyond 3
-    binomial standard errors.  Only Bob's verdict codes are held, one byte
+    binomial standard errors.  Every argument is checked, the bound included,
+    before anything is drawn.  The error counts come from the trial engine
+    (``_center_error_blocks``).  Only Bob's verdict codes are held, one byte
     per trial; each block of Charlie's errors is reduced against them at once.
     """
+    bound = cheat_bound(security_s, length)
     domain.integer(attack.positions, "attacked positions", 0, length)
     trials = domain.integer(trials, "trials", 1)
     domain.size(trials, "the per-trial verdict codes")
@@ -230,7 +237,7 @@ def simulate_dishonest_alice_center(attack: AliceCenterAttack, security_s: float
             successes += int(np.count_nonzero(_split_verdicts(bob, codes)))
         del errors, codes  # so that only one block is alive while the next is drawn
     split = Estimate(successes, trials)
-    rate, bound = split.rate, cheat_bound(security_s, length)
+    rate = split.rate
     sigma = math.sqrt(max(rate * (1.0 - rate), bound * (1.0 - bound)) / trials)
     if rate > bound + 3.0 * sigma:
         raise InvariantError(
@@ -441,6 +448,7 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
     # Two error columns and two verdict ones: 4 bytes per trial (no clicks column is held).
     trials = domain.integer(trials, "trials", 1)
     domain.size(trials, "the per-trial columns")
+    bound = cheat_bound(security_s, length)  # checks s and the length before anything is drawn
     gen = stream(rng)
     key = generate_key(length, n_phases, amplitude, gen)
 
@@ -462,7 +470,7 @@ def run_center_protocol(length: int, n_phases: int, amplitude: float, copies: in
         "adversary": adversary,
         "copies_uniform": bool(np.all(pubkey == pubkey[0])),
         "disagreement_rate": Estimate.of(_split_verdicts(v_bob, v_charlie)).rate,
-        "cheat_bound": cheat_bound(security_s, length),
+        "cheat_bound": bound,
         "accept_rate_bob": Estimate.of(v_bob == ACCEPT).rate,
         "accept_rate_charlie": Estimate.of(v_charlie == ACCEPT).rate,
     }

@@ -539,10 +539,9 @@ class TestGoldenOutputs:
     """Pin each fixed-seed output byte for byte across commits, not just across reruns.
 
     The hashes assume numpy's current Philox bit stream and Generator
-    sampling algorithms (``random``, ``integers``, ``binomial``)
-    and IEEE-754 doubles with the platform's ``exp``/``log``; a numpy release
-    or math library that changes any of them changes these bytes without any
-    change to qcompare.
+    sampling algorithms (``random``, ``integers``) and IEEE-754 doubles with
+    the platform's ``exp``/``log``; a numpy release or math library that
+    changes any of them changes these bytes without any change to qcompare.
     """
 
     @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])

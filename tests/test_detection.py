@@ -242,6 +242,16 @@ class TestCountDistribution:
     def test_property_matches_exact_enumeration(self, p):
         assert_limits_match(p, *exact_weights(p))
 
+    # Beyond the widths that can be enumerated: the tail search needs sorted limits.
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3000),
+           st.lists(st.one_of(st.sampled_from(EDGE_PS), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=5))
+    def test_property_limits_are_sorted_at_any_width(self, width, cycle):
+        base, limits = detection._count_limits(np.resize(np.array(cycle), width))
+        assert limits.dtype == np.uint64 and np.all(limits[1:] >= limits[:-1])
+        assert base + limits.size <= width
+
     @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 16)])
     def test_cut_ends_keep_a_wide_distribution(self, p):
         # 3000 positions: the recurrence cuts ends below NEGLIGIBLE as it goes.
@@ -328,6 +338,73 @@ class TestBernoulliCounts:
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         bernoulli_counts(np.full(64, 0.003), 4 * domain.BLOCK_ENTRIES, 4)
         assert started == []
+
+
+# (p, which limits the words are compared with): every limit (no search), a head
+# and a searched tail, or none (every word searched).
+SPLIT_SHAPES = {
+    "lock-64": (np.linspace(0.002, 0.01, 64), "head-and-tail"),
+    "single": ([0.3], "head-only"),
+    "alice-10": (np.full(10, 0.58), "head-only"),
+    "binomial-2000": (np.full(2000, 0.3), "tail-only"),
+    "binomial-20000": (np.full(20000, 0.5), "tail-only"),
+}
+
+
+class TestHeadAndTail:
+    """The head comparisons plus the tail search against the full comparison sum."""
+
+    @pytest.mark.parametrize("trials", [domain.BLOCK_ENTRIES - 1, domain.BLOCK_ENTRIES,
+                                        2 * domain.BLOCK_ENTRIES + 1])
+    @pytest.mark.parametrize("bits", [np.random.Philox, np.random.PCG64, np.random.MT19937])
+    @pytest.mark.parametrize("shape", sorted(SPLIT_SHAPES))
+    def test_counts_equal_the_comparison_sum(self, shape, bits, trials):
+        p, split = SPLIT_SHAPES[shape]
+        base, limits = detection._count_limits(np.asarray(p, dtype=float))
+        head = detection._head_length(limits)
+        assert split == {0: "tail-only", limits.size: "head-only"}.get(head, "head-and-tail")
+        gen, ref = np.random.Generator(bits(8)), np.random.Generator(bits(8))
+        counts = bernoulli_counts(p, trials, gen)
+        words = ref.integers(0, 2**64, size=trials, dtype=np.uint64)
+        expected = np.full(trials, base, dtype=np.int64)
+        for limit in limits:  # one pass per limit: a (trials, limits) table would take 170 MB
+            expected += words >= limit
+        assert counts.dtype == np.min_scalar_type(len(p))
+        np.testing.assert_array_equal(counts, expected)
+        assert_same_next_draws(gen, ref)
+
+    @pytest.mark.parametrize("shape", ["lock-64", "single", "alice-10", "binomial-2000"])
+    def test_words_at_the_limits(self, shape):
+        # A word equal to a limit reaches it; random words hit one with probability 2**-64.
+        p = np.asarray(SPLIT_SHAPES[shape][0], dtype=float)
+        base, limits = detection._count_limits(p)
+        words = np.concatenate([limits - np.uint64(1), limits, limits + np.uint64(1),
+                                np.array([0, 2**64 - 1], dtype=np.uint64)])
+
+        class Words:  # hands out the words above, as many as asked for
+            def integers(self, low, high, size, dtype):
+                assert (low, high, dtype) == (0, 2**64, np.uint64)
+                drawn, self.rest = self.rest[:size], self.rest[size:]
+                return drawn
+
+        gen = Words()
+        gen.rest = words
+        blocks = list(detection._count_blocks(p, words.size, gen))
+        assert [start for start, _ in blocks] == [0] and gen.rest.size == 0
+        expected = base + (words[:, None] >= limits).sum(axis=1)
+        np.testing.assert_array_equal(blocks[0][1], expected)
+
+    @pytest.mark.parametrize("limits", [
+        [2**64 - 2 ** (64 - k) for k in range(1, 12)],  # j compared leave 2**-j of the words
+        [1, 2, 3],  # nearly every word passes them all: compare, search nothing
+        [2**62, 2**63, 2**64 - 2**60],
+    ], ids=["halving", "low", "spread"])
+    def test_head_minimises_passes_plus_searches(self, limits):
+        limits = np.array(limits, dtype=np.uint64)
+        below = np.concatenate(([0.0], limits.astype(float) * 2.0**-64))
+        cost = [j + detection.SEARCH_COST * (1.0 - below[j] if j < limits.size else 0.0)
+                for j in range(limits.size + 1)]
+        assert detection._head_length(limits) == int(np.argmin(cost))
 
 
 class TestEstimate:

@@ -265,11 +265,27 @@ class TestDishonestAlice:
             simulate_dishonest_alice_center(AliceCenterAttack(positions=5), 1.0, 3,
                                             trials=10, rng=0)
 
+    @pytest.mark.parametrize("args, message", [
+        # s M = 0.5: it raised only after drawing all 10^7 trials (0.44 s).
+        ((AliceCenterAttack(1), 0.05, 10, 10**7), "s \\* length must be at least 1"),
+        ((AliceCenterAttack(1), 1.5, 10, 10), "security parameter s"),
+        ((AliceCenterAttack(1), 1.0, 0, 10), "key length"),
+        ((AliceCenterAttack(10**8), 1.0, 10**8, 10), "WORK_BUDGET"),
+    ], ids=["sub-unit-sm", "s", "length", "oversized"])
+    def test_rejected_before_anything_is_drawn(self, args, message):
+        gen, ref = stream(9), stream(9)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            simulate_dishonest_alice_center(*args, rng=gen)
+        assert time.perf_counter() - start < 0.1
+        assert gen.random() == ref.random()
+
 
 def one_shot_alice_center(attack, security_s, length, trials, gen):
-    """Reference: both recipients' error columns drawn whole, then reduced."""
-    e_bob = gen.binomial(attack.positions, 1.0 - attack.overlap, size=trials)
-    e_charlie = gen.binomial(attack.positions, 1.0 - attack.overlap, size=trials)
+    """Reference: both recipients' error columns drawn whole by the trial engine, then reduced."""
+    p_inc = np.full(attack.positions, 1.0 - attack.overlap)
+    e_bob = bernoulli_counts(p_inc, trials, gen)
+    e_charlie = bernoulli_counts(p_inc, trials, gen)
     split = _split_verdicts(verdicts(e_bob, security_s, length),
                             verdicts(e_charlie, security_s, length))
     return int(np.count_nonzero(split)), int(e_bob.sum()), int(e_charlie.sum())
@@ -537,6 +553,16 @@ class TestProtocolDrivers:
         with pytest.raises(ValueError):
             run_center_protocol(4, 8, 1.0, 2, 0.5, 10, "charlie-flip", rng=0)
 
+    @pytest.mark.parametrize("length, s, message", [
+        (10, 0.05, "s \\* length must be at least 1"), (10, 0.0, "security parameter s"),
+        (0, 1.0, "key length"),
+    ])
+    def test_center_rejected_before_anything_is_drawn(self, length, s, message):
+        gen, ref = stream(12), stream(12)
+        with pytest.raises(ValueError, match=message):
+            run_center_protocol(length, 8, 1.0, 2, s, 100, "alice-overlap-half", rng=gen)
+        assert gen.random() == ref.random()
+
     @pytest.mark.parametrize("recipients", [1, 0])
     def test_center_needs_two_recipients(self, recipients):
         # One recipient once exited 0 with verdicts and rates for a Charlie sent nothing.
@@ -599,9 +625,9 @@ def old_center_rows(length, s, trials, adversary, seed):
     """Reference center driver: both error columns drawn whole after the key."""
     gen = stream(seed)
     generate_key(length, 8, 1.0, gen)
-    positions = 0 if adversary == "none" else 1
-    e_bob = gen.binomial(positions, 0.5, size=trials)
-    e_charlie = gen.binomial(positions, 0.5, size=trials)
+    p_inc = np.full(0 if adversary == "none" else 1, 0.5)
+    e_bob = bernoulli_counts(p_inc, trials, gen)
+    e_charlie = bernoulli_counts(p_inc, trials, gen)
     return old_trial_rows(e_bob, e_charlie, verdicts(e_bob, s, length),
                           verdicts(e_charlie, s, length), np.zeros(trials, dtype=np.int64))
 
